@@ -28,12 +28,9 @@ from .measure import (
     measure_symmetric,
 )
 from .states import (
-    DensityOperator,
-    Effect,
     PureState,
-    Subspace,
+    SpectralOperator,
     SymmetryOp,
-    as_effect,
     haar_unitary,
     kernel_overlap_sq,
     pure_state,
@@ -42,7 +39,6 @@ from .states import (
     random_symmetry,
     range_membership,
     sqrt_psd,
-    subspace,
     subspace_intersection_dim,
     support,
     symmetry_op,
@@ -61,8 +57,6 @@ from .symmetry import (
     PureStateMap,
     VerificationResult,
     apply_symmetry,
-    ic_set_member,
-    independent,
     probe_pure_states,
     pure_characterization_probe,
     pure_state_map,

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from . import io as qio
 from .errors import (
@@ -75,7 +76,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 def _digest(path) -> str:
     try:
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     return hashlib.sha256(data).hexdigest()

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import DimensionMismatchError, InfeasibleError
 from .states import (
     DEFAULT_EPS_RANK,
-    DensityOperator,
     PureState,
+    SpectralOperator,
     child_rng,
     pure_state,
     sqrt_psd,
@@ -83,14 +83,14 @@ class MeasureConfig:
     feas_tol: float = DEFAULT_FEAS_TOL
 
 
-def is_compatible(a: DensityOperator, b: DensityOperator, eps_rank: float = DEFAULT_EPS_RANK) -> bool:
+def is_compatible(a: SpectralOperator, b: SpectralOperator, eps_rank: float = DEFAULT_EPS_RANK) -> bool:
     """True when the supports of ``a`` and ``b`` intersect nontrivially."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
     return subspace_intersection_dim(support(a), support(b), eps_rank) >= 1
 
 
-def fidelity(a: DensityOperator, b: DensityOperator) -> float:
+def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
     """tr sqrt(sqrt(A) B sqrt(A)); diagnostic companion to the measure."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
@@ -101,14 +101,14 @@ def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _intersection_vectors(a: DensityOperator, b: DensityOperator, count: int) -> list[np.ndarray]:
+def _intersection_vectors(a: SpectralOperator, b: SpectralOperator, count: int) -> list[np.ndarray]:
     """Principal directions of the support overlap, one per shared dimension."""
     sa, sb = support(a), support(b)
-    overlap = sa.basis.conj().T @ sb.basis
+    overlap = sa.conj().T @ sb
     u, _, _ = np.linalg.svd(overlap)
     vecs = []
     for i in range(min(count, u.shape[1])):
-        w = sa.basis @ u[:, i]
+        w = sa @ u[:, i]
         vecs.append(w / np.linalg.norm(w))
     return vecs
 
@@ -132,7 +132,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 class _JointSearch:
     """Mutable optimizer state: component rays plus weights for both targets."""
 
-    def __init__(self, a: DensityOperator, b: DensityOperator, vectors: np.ndarray, n_free: int):
+    def __init__(self, a: SpectralOperator, b: SpectralOperator, vectors: np.ndarray, n_free: int):
         self.a = a
         self.b = b
         self.d = a.dim
@@ -412,14 +412,14 @@ def _scheme_random(a, b, inter_vecs, n_free, layout, rng):
     return free, None, None
 
 
-def _heuristic_weights(system: _JointSearch, state: DensityOperator) -> np.ndarray:
+def _heuristic_weights(system: _JointSearch, state: SpectralOperator) -> np.ndarray:
     h = np.einsum("ni,ij,nj->n", system.vectors.conj(), state.matrix, system.vectors).real
     h = np.clip(h, 0.0, None)
     total = h.sum()
     return h / total if total > 0 else np.full(system.n, 1.0 / system.n)
 
 
-def example_measure(a: DensityOperator, b: DensityOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
+def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
     """Best joint pure-state decomposition overlap found across restarts.
 
     Returns 0 with an empty certificate when the supports are disjoint.
@@ -443,7 +443,7 @@ def example_measure(a: DensityOperator, b: DensityOperator, cfg: MeasureConfig |
     inter_vecs = _intersection_vectors(a, b, inter_dim)
     ra, rb = a.numerical_rank, b.numerical_rank
     backbone = np.vstack(
-        [support(a).basis.T, support(b).basis.T] + [v[None, :] for v in inter_vecs]
+        [support(a).T, support(b).T] + [v[None, :] for v in inter_vecs]
     )
     layout = {
         "total": n_free + backbone.shape[0],
@@ -530,7 +530,7 @@ def _result_key(res: MeasureResult) -> bytes:
     return b"".join(parts)
 
 
-def measure_symmetric(a: DensityOperator, b: DensityOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
+def measure_symmetric(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
     """Symmetrized measure: runs both argument orders, keeps the larger value.
 
     Both orders run with the same seed, and exact value ties resolve by a

@@ -1,15 +1,14 @@
 """Built-in verification suite shared by the CLI and the test battery.
 
 Each criterion is a deterministic seeded batch with an explicit tolerance.
-Outcomes carry compact detail strings (counts, max deviations, budget
-booleans) and no wall-clock numbers, so two runs with the same seed produce
-byte-identical payloads.
+Outcomes carry compact detail strings (counts, max deviations, failure
+lists) and nothing derived from wall-clock time, so two runs with the same
+seed produce byte-identical payloads.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import NotASymmetryError, ValidationError
 from .measure import MeasureConfig, example_measure, is_compatible, measure_symmetric
 from .states import (
-    DensityOperator,
+    SpectralOperator,
     as_rng,
     child_rng,
     haar_unitary,
@@ -51,7 +50,7 @@ class CriterionOutcome:
 class AdversarialCase:
     name: str
     dim: int
-    transform: object  # callable DensityOperator -> DensityOperator
+    transform: object  # callable SpectralOperator -> SpectralOperator
 
 
 def _dims(default: tuple[int, ...], cap: tuple[int, int] | None) -> tuple[int, ...]:
@@ -75,7 +74,6 @@ def _random_effect(dim: int, rank: int, rng) -> "np.ndarray":
 def _criterion_strength_oracle(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
     dims = _dims((2, 3, 4, 5, 6), dims_cap)
     total = 60 if quick else 500
-    t0 = time.perf_counter()
     worst = 0.0
     n = 0
     for k in range(total):
@@ -92,13 +90,12 @@ def _criterion_strength_oracle(seed: int, dims_cap, quick: bool) -> CriterionOut
         delta = abs(strength(eff, phi).value - strength_oracle(eff, phi))
         worst = max(worst, delta)
         n += 1
-    within = (time.perf_counter() - t0) < 30.0
-    ok = worst <= 1e-7 and within
+    ok = worst <= 1e-7
     return CriterionOutcome(
         "strength-oracle",
         "closed-form strength equals bisection oracle within 1e-7",
         ok,
-        f"n={n} max_delta={worst!r} within_budget={within}",
+        f"n={n} max_delta={worst!r}",
     )
 
 
@@ -137,7 +134,7 @@ def _criterion_two_state(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
     )
 
 
-def _supported_pure(a: DensityOperator, rng) -> "np.ndarray":
+def _supported_pure(a: SpectralOperator, rng) -> "np.ndarray":
     r = a.numerical_rank
     coef = rng.standard_normal(r) + 1j * rng.standard_normal(r)
     v = a.eigenvectors[:, :r] @ coef
@@ -148,7 +145,6 @@ def _criterion_measure_vs_strength(seed: int, dims_cap, quick: bool) -> Criterio
     dims = _dims((2, 3), dims_cap)
     total = 6 if quick else 50
     restarts = 6 if quick else MeasureConfig().restarts
-    t0 = time.perf_counter()
     worst_low = 0.0  # amount the squared value fell below strength
     worst_high = 0.0  # amount it exceeded strength
     n = 0
@@ -165,17 +161,16 @@ def _criterion_measure_vs_strength(seed: int, dims_cap, quick: bool) -> Criterio
         worst_low = max(worst_low, s - sq)
         worst_high = max(worst_high, sq - s)
         n += 1
-    within = (time.perf_counter() - t0) < 300.0
-    ok = worst_low <= 2e-3 and worst_high <= 1e-9 and within
+    ok = worst_low <= 2e-3 and worst_high <= 1e-9
     return CriterionOutcome(
         "measure-vs-strength",
         "squared measure against a supported ray stays in [strength - 2e-3, strength + 1e-9]",
         ok,
-        f"n={n} max_below={worst_low!r} max_above={worst_high!r} within_budget={within}",
+        f"n={n} max_below={worst_low!r} max_above={worst_high!r}",
     )
 
 
-def _disjoint_pair(d: int, rng) -> tuple[DensityOperator, DensityOperator]:
+def _disjoint_pair(d: int, rng) -> tuple[SpectralOperator, SpectralOperator]:
     u = haar_unitary(d, rng)
     ka = int(rng.integers(1, d))
     wa = rng.dirichlet(np.ones(ka)) * 0.9 + 0.1 / ka
@@ -185,7 +180,7 @@ def _disjoint_pair(d: int, rng) -> tuple[DensityOperator, DensityOperator]:
     return validate_density(a), validate_density(b)
 
 
-def _intersecting_pair(d: int, rng) -> tuple[DensityOperator, DensityOperator]:
+def _intersecting_pair(d: int, rng) -> tuple[SpectralOperator, SpectralOperator]:
     u = haar_unitary(d, rng)
     c = u[:, 0]
     pc = np.outer(c, c.conj())
@@ -290,7 +285,7 @@ def _criterion_roundtrip(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
     )
 
 
-def _pure_top(state: DensityOperator) -> bool:
+def _pure_top(state: SpectralOperator) -> bool:
     return state.eigenvalues[0] >= 1.0 - 1e-9
 
 

@@ -1,4 +1,4 @@
-"""Dense foundations: validated states, effects, subspaces, seeded generators.
+"""Dense foundations: validated states and effects, supports, seeded generators.
 
 Everything here is plain numpy on small dense complex matrices (dimension at
 most 64). Objects are frozen after construction and carry their spectral
@@ -68,23 +68,13 @@ def _spectral(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
-    """Trace-one PSD matrix with cached eigensystem (descending eigenvalues)."""
+class SpectralOperator:
+    """PSD matrix with cached eigensystem (descending eigenvalues).
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    numerical_rank: int
-    eps_rank: float = DEFAULT_EPS_RANK
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class Effect:
-    """Hermitian matrix with spectrum in [0, 1], spectrally cached."""
+    Built by `validate_density` (trace one) or `validate_effect` (spectrum
+    in [0, 1]); the strength, compatibility and measure formulas read the
+    same cached spectral data either way.
+    """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
@@ -110,16 +100,6 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class Subspace:
-    ambient_dim: int
-    basis: np.ndarray  # orthonormal columns
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
-@dataclass(frozen=True)
 class SymmetryOp:
     """A unitary, optionally composed with coordinate-wise conjugation."""
 
@@ -131,51 +111,40 @@ class SymmetryOp:
         return self.u.shape[0]
 
 
-def validate_density(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> DensityOperator:
+def _validate(matrix, eps_rank: float, density: bool) -> SpectralOperator:
+    m = _square_complex(matrix)
+    defect = hermitian_defect(m)
+    if defect > HERMITIAN_TOL:
+        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
+    w, v = _spectral(m)
+    if w[-1] < -PSD_TOL:
+        raise NotPSDError(f"lowest eigenvalue {w[-1]:.3e} below -{PSD_TOL}")
+    if density:
+        trace = float(np.real(np.trace(m)))
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL}")
+        w = np.clip(w, 0.0, None)
+    else:
+        if w[0] > 1.0 + PSD_TOL:
+            raise NotAnEffectError(f"largest eigenvalue {w[0]!r} exceeds 1 beyond {PSD_TOL}")
+        w = np.clip(w, 0.0, 1.0)
+    rank = int(np.count_nonzero(w > eps_rank * w[0])) if w[0] > 0.0 else 0
+    return SpectralOperator(m, w, v, rank, float(eps_rank))
+
+
+def validate_density(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> SpectralOperator:
     """Check Hermiticity, positivity and unit trace; cache the eigensystem.
 
     Eigenvalues in [-1e-12, 0) are clamped to zero; anything lower raises.
     The numerical rank counts eigenvalues above ``eps_rank`` relative to the
     largest one.
     """
-    m = _square_complex(matrix)
-    defect = hermitian_defect(m)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
-    w, v = _spectral(m)
-    if w[-1] < -PSD_TOL:
-        raise NotPSDError(f"lowest eigenvalue {w[-1]:.3e} below -{PSD_TOL}")
-    trace = float(np.real(np.trace(m)))
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL}")
-    w = np.clip(w, 0.0, None)
-    rank = int(np.count_nonzero(w > eps_rank * w[0])) if w[0] > 0.0 else 0
-    return DensityOperator(m, w, v, rank, float(eps_rank))
+    return _validate(matrix, eps_rank, density=True)
 
 
-def validate_effect(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> Effect:
+def validate_effect(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> SpectralOperator:
     """Check Hermiticity and that the spectrum sits in [0, 1]."""
-    m = _square_complex(matrix)
-    defect = hermitian_defect(m)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
-    w, v = _spectral(m)
-    if w[-1] < -PSD_TOL:
-        raise NotPSDError(f"lowest eigenvalue {w[-1]:.3e} below -{PSD_TOL}")
-    if w[0] > 1.0 + PSD_TOL:
-        raise NotAnEffectError(f"largest eigenvalue {w[0]!r} exceeds 1 beyond {PSD_TOL}")
-    w = np.clip(w, 0.0, 1.0)
-    rank = int(np.count_nonzero(w > eps_rank * w[0])) if w[0] > 0.0 else 0
-    return Effect(m, w, v, rank, float(eps_rank))
-
-
-def as_effect(op) -> Effect:
-    """View a density operator (or raw matrix) as an effect."""
-    if isinstance(op, Effect):
-        return op
-    if isinstance(op, DensityOperator):
-        return Effect(op.matrix, op.eigenvalues, op.eigenvectors, op.numerical_rank, op.eps_rank)
-    return validate_effect(op)
+    return _validate(matrix, eps_rank, density=False)
 
 
 def pure_state(vector, normalize: bool = False) -> PureState:
@@ -193,22 +162,6 @@ def pure_state(vector, normalize: bool = False) -> PureState:
     return PureState(v, np.outer(v, v.conj()))
 
 
-def subspace(basis, ambient_dim: int | None = None) -> Subspace:
-    """Wrap a matrix of orthonormal columns as a subspace."""
-    b = np.asarray(basis, dtype=np.complex128)
-    if b.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2d basis array, got shape {b.shape}")
-    ambient = int(ambient_dim if ambient_dim is not None else b.shape[0])
-    if b.shape[0] != ambient:
-        raise DimensionMismatchError("basis rows do not match the ambient dimension")
-    if b.shape[1] > 0:
-        gram = b.conj().T @ b
-        defect = float(np.abs(gram - np.eye(b.shape[1])).max())
-        if defect > UNITARY_TOL:
-            raise NotUnitaryError(f"basis columns not orthonormal, defect {defect:.3e}")
-    return Subspace(ambient, b)
-
-
 def symmetry_op(u, antiunitary: bool = False) -> SymmetryOp:
     m = _square_complex(u)
     defect = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
@@ -217,18 +170,18 @@ def symmetry_op(u, antiunitary: bool = False) -> SymmetryOp:
     return SymmetryOp(m, bool(antiunitary))
 
 
-def sqrt_psd(op: DensityOperator | Effect) -> np.ndarray:
+def sqrt_psd(op: SpectralOperator) -> np.ndarray:
     """PSD square root from the cached spectral decomposition."""
     root = (op.eigenvectors * np.sqrt(op.eigenvalues)) @ op.eigenvectors.conj().T
     return (root + root.conj().T) / 2.0
 
 
-def support(op: DensityOperator | Effect) -> Subspace:
-    """Span of the eigenvectors above the rank threshold."""
-    return Subspace(op.dim, op.eigenvectors[:, : op.numerical_rank].copy())
+def support(op: SpectralOperator) -> np.ndarray:
+    """Orthonormal support basis: the eigenvectors above the rank threshold, as (dim, rank) columns."""
+    return op.eigenvectors[:, : op.numerical_rank].copy()
 
 
-def kernel_overlap_sq(op: DensityOperator | Effect, phi: PureState) -> float:
+def kernel_overlap_sq(op: SpectralOperator, phi: PureState) -> float:
     """Squared norm of the component of ``phi`` inside the kernel eigenspace."""
     if phi.dim != op.dim:
         raise DimensionMismatchError(f"vector dim {phi.dim} != operator dim {op.dim}")
@@ -239,21 +192,23 @@ def kernel_overlap_sq(op: DensityOperator | Effect, phi: PureState) -> float:
     return float(np.real(np.vdot(coeffs, coeffs)))
 
 
-def range_membership(op: DensityOperator | Effect, phi: PureState, eps_mem: float = DEFAULT_EPS_MEM) -> bool:
+def range_membership(op: SpectralOperator, phi: PureState, eps_mem: float = DEFAULT_EPS_MEM) -> bool:
     """True when ``phi`` has no component in the kernel beyond ``eps_mem``."""
     return kernel_overlap_sq(op, phi) <= eps_mem
 
 
-def subspace_intersection_dim(u: Subspace, v: Subspace, eps_rank: float = DEFAULT_EPS_RANK) -> int:
-    """dim U + dim V minus the numerical rank of the stacked bases."""
-    if u.ambient_dim != v.ambient_dim:
+def subspace_intersection_dim(u: np.ndarray, v: np.ndarray, eps_rank: float = DEFAULT_EPS_RANK) -> int:
+    """dim U + dim V minus the numerical rank of the stacked bases.
+
+    ``u`` and ``v`` hold orthonormal bases as columns, as `support` returns.
+    """
+    if u.shape[0] != v.shape[0]:
         raise DimensionMismatchError("subspaces live in different ambient dimensions")
-    if u.dim == 0 or v.dim == 0:
+    if u.shape[1] == 0 or v.shape[1] == 0:
         return 0
-    stacked = np.hstack([u.basis, v.basis])
-    sigma = np.linalg.svd(stacked, compute_uv=False)
+    sigma = np.linalg.svd(np.hstack([u, v]), compute_uv=False)
     rank = int(np.count_nonzero(sigma > eps_rank * sigma[0]))
-    return max(u.dim + v.dim - rank, 0)
+    return max(u.shape[1] + v.shape[1] - rank, 0)
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
@@ -265,7 +220,7 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_density(dim: int, rank: int, seed) -> DensityOperator:
+def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     """Random state of exact numerical rank.
 
     Spectrum is Dirichlet-like with a floor of 0.05/(1 + 0.05 rank) so the

@@ -20,7 +20,7 @@ from .errors import DimensionMismatchError, InvalidWeightsError
 from .states import (
     DEFAULT_EPS_MEM,
     PureState,
-    as_effect,
+    SpectralOperator,
     as_rng,
     pure_state,
     random_pure,
@@ -40,34 +40,32 @@ class StrengthResult:
     near_boundary: bool = False
 
 
-def strength(effect, phi: PureState, eps_mem: float = DEFAULT_EPS_MEM) -> StrengthResult:
+def strength(effect: SpectralOperator, phi: PureState, eps_mem: float = DEFAULT_EPS_MEM) -> StrengthResult:
     """Spectral closed form: 1 / sum_i |<e_i, phi>|^2 / t_i over the support."""
-    t = as_effect(effect)
-    if phi.dim != t.dim:
-        raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {t.dim}")
-    coeffs = t.eigenvectors.conj().T @ phi.vector
+    if phi.dim != effect.dim:
+        raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {effect.dim}")
+    coeffs = effect.eigenvectors.conj().T @ phi.vector
     weights = np.abs(coeffs) ** 2
-    on_support = np.zeros(t.dim, dtype=bool)
-    on_support[: t.numerical_rank] = True
+    on_support = np.zeros(effect.dim, dtype=bool)
+    on_support[: effect.numerical_rank] = True
     kernel_sq = float(weights[~on_support].sum())
     if kernel_sq > eps_mem:
         return StrengthResult(0.0, False, kernel_sq <= NEAR_BOUNDARY_SQ)
-    denom = float((weights[on_support] / t.eigenvalues[on_support]).sum())
+    denom = float((weights[on_support] / effect.eigenvalues[on_support]).sum())
     if denom <= 0.0:
         return StrengthResult(0.0, False, False)
     return StrengthResult(min(1.0, 1.0 / denom), True, False)
 
 
-def strength_oracle(effect, phi: PureState, tol: float = 1e-10) -> float:
+def strength_oracle(effect: SpectralOperator, phi: PureState, tol: float = 1e-10) -> float:
     """Bisection on t of the smallest eigenvalue of T - t * |phi><phi|.
 
     Returns the largest t in [0, 1] whose floor eigenvalue stays above
     -1e-13, to absolute tolerance ``tol``. Independent of the closed form.
     """
-    t = as_effect(effect)
-    if phi.dim != t.dim:
-        raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {t.dim}")
-    tm = t.matrix
+    if phi.dim != effect.dim:
+        raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {effect.dim}")
+    tm = effect.matrix
     pm = phi.projection
 
     def floor_eig(lam: float) -> float:
@@ -112,7 +110,9 @@ def two_state_formula(weight_low: float, weight_high: float, overlap: float) -> 
     return weight_low * weight_high / ((weight_high - weight_low) * x + weight_low)
 
 
-def effects_equal_by_strength(first, second, n_rays: int = 50, seed=0, tol: float = 1e-8) -> bool:
+def effects_equal_by_strength(
+    first: SpectralOperator, second: SpectralOperator, n_rays: int = 50, seed=0, tol: float = 1e-8
+) -> bool:
     """Probe two effects along sampled rays and compare their strengths.
 
     The ray set always contains the eigenvector rays of both effects (random
@@ -120,15 +120,13 @@ def effects_equal_by_strength(first, second, n_rays: int = 50, seed=0, tol: floa
     strength vanishes identically off-range), plus ``n_rays`` seeded random
     rays.
     """
-    s = as_effect(first)
-    t = as_effect(second)
-    if s.dim != t.dim:
-        raise DimensionMismatchError(f"effect dims differ: {s.dim} != {t.dim}")
+    if first.dim != second.dim:
+        raise DimensionMismatchError(f"effect dims differ: {first.dim} != {second.dim}")
     rng = as_rng(seed)
-    rays = [pure_state(s.eigenvectors[:, k], normalize=True) for k in range(s.dim)]
-    rays += [pure_state(t.eigenvectors[:, k], normalize=True) for k in range(t.dim)]
-    rays += [random_pure(s.dim, rng) for _ in range(n_rays)]
+    rays = [pure_state(first.eigenvectors[:, k], normalize=True) for k in range(first.dim)]
+    rays += [pure_state(second.eigenvectors[:, k], normalize=True) for k in range(second.dim)]
+    rays += [random_pure(first.dim, rng) for _ in range(n_rays)]
     for ray in rays:
-        if abs(strength(s, ray).value - strength(t, ray).value) > tol:
+        if abs(strength(first, ray).value - strength(second, ray).value) > tol:
             return False
     return True

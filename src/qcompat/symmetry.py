@@ -24,8 +24,8 @@ from .errors import (
     ValidationError,
 )
 from .states import (
-    DensityOperator,
     PureState,
+    SpectralOperator,
     SymmetryOp,
     child_rng,
     pure_state,
@@ -61,7 +61,7 @@ class CharacterizationProbe:
     rank: int
     is_pure: bool
     consistent: bool
-    witness: DensityOperator | None
+    witness: SpectralOperator | None
     n_ic_sampled: int
     n_double_ic: int
 
@@ -79,21 +79,6 @@ def transition_prob(p: PureState, q: PureState) -> float:
     if p.dim != q.dim:
         raise DimensionMismatchError(f"pure state dims differ: {p.dim} != {q.dim}")
     return float(abs(np.vdot(p.vector, q.vector)) ** 2)
-
-
-def independent(pures) -> bool:
-    """True iff the vectors of the pure states are linearly independent."""
-    pures = list(pures)
-    if not pures:
-        raise ValidationError("independence needs at least one pure state")
-    dim = pures[0].dim
-    for p in pures:
-        if p.dim != dim:
-            raise DimensionMismatchError("pure states must share one dimension")
-    m = np.column_stack([p.vector for p in pures])
-    s = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.count_nonzero(s > 1e-10 * s[0])) if s[0] > 0 else 0
-    return rank == len(pures)
 
 
 def pure_state_map(pairs) -> PureStateMap:
@@ -130,7 +115,7 @@ def transform_pure(sym: SymmetryOp, p: PureState) -> PureState:
     return pure_state(sym.u @ v, normalize=True)
 
 
-def apply_symmetry(sym: SymmetryOp, state: DensityOperator) -> DensityOperator:
+def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator:
     m = state.matrix.conj() if sym.antiunitary else state.matrix
     return validate_density(sym.u @ m @ sym.u.conj().T)
 
@@ -248,7 +233,7 @@ def verify_theorem(
 ) -> VerificationResult:
     """Check that a state map is implemented by one unitary/antiunitary.
 
-    ``transform`` maps DensityOperator to DensityOperator. Pure probes must
+    ``transform`` maps SpectralOperator to SpectralOperator. Pure probes must
     map to pure outputs (else NotASymmetryError); the reconstructed operator
     is then compared against the map on ``n_mixed`` seeded mixed states of
     cycling ranks and, via strength functions, on the first two of them.
@@ -304,21 +289,7 @@ def verify_theorem(
     )
 
 
-def ic_set_member(candidate: DensityOperator, members) -> bool:
-    """True when ``candidate`` is incompatible with every state in ``members``.
-
-    Tests membership of the incompatible set of the collection; vacuously
-    true on an empty collection.
-    """
-    for m in members:
-        if candidate.dim != m.dim:
-            raise DimensionMismatchError("ic-set membership needs one common dimension")
-        if is_compatible(candidate, m):
-            return False
-    return True
-
-
-def rank_via_compatibility(state: DensityOperator, budget: int | None = None, seed: int = 0) -> int:
+def rank_via_compatibility(state: SpectralOperator, budget: int | None = None, seed: int = 0) -> int:
     """Operational rank: count independent pure states compatible with it.
 
     Samples ``budget`` random rays plus the spectral rays, keeps those whose
@@ -347,10 +318,10 @@ def rank_via_compatibility(state: DensityOperator, budget: int | None = None, se
     return len(kept)
 
 
-def _characterization_pool(state: DensityOperator, samples: int, seed: int) -> list[DensityOperator]:
+def _characterization_pool(state: SpectralOperator, samples: int, seed: int) -> list[SpectralOperator]:
     """Sample pool mixing ranks, enriched with support rays of the state."""
     d = state.dim
-    pool: list[DensityOperator] = []
+    pool: list[SpectralOperator] = []
     for k in range(samples):
         rank = (k % d) + 1
         pool.append(random_density(d, rank, seed=child_rng(seed, 4, k)))
@@ -364,7 +335,7 @@ def _characterization_pool(state: DensityOperator, samples: int, seed: int) -> l
 
 
 def pure_characterization_probe(
-    state: DensityOperator, samples: int = 120, seed: int = 0
+    state: SpectralOperator, samples: int = 120, seed: int = 0
 ) -> CharacterizationProbe:
     """Sampled falsification test: only pure states are pinned down by
     their incompatible set.
@@ -391,7 +362,7 @@ def pure_characterization_probe(
     for cand in pool:
         if float(np.linalg.norm(cand.matrix - state.matrix)) <= 1e-8:
             continue
-        if ic_set_member(cand, ic_pool):
+        if not any(is_compatible(cand, m) for m in ic_pool):
             n_double += 1
             if witness is None:
                 witness = cand

@@ -104,6 +104,17 @@ class TestCompatCommand:
         assert rep["result"]["compatible"] is True
 
 
+def test_input_files_are_closed(files):
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "qcompat",
+         "compat", "--a", files("proj0.json"), "--b", files("proj1.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "ResourceWarning" not in proc.stderr
+
+
 class TestMeasureCommand:
     def test_identical_states(self, files):
         rc, rep, _ = run_cli(

@@ -151,6 +151,32 @@ class TestEffectsEqualByStrength:
         assert not effects_equal_by_strength(e, f)
 
 
+_DENSITY_MATRICES = {
+    "pure": random_pure(3, seed=21).projection,
+    "maximally-mixed": np.eye(4, dtype=complex) / 4,
+    "rank-2-of-4": random_density(4, 2, seed=22).matrix,
+    "full-rank-5": random_density(5, 5, seed=23).matrix,
+    "diagonal-deficient": np.diag([0.7, 0.3, 0.0]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSITY_MATRICES))
+def test_density_and_effect_constructors_agree_bitwise(name):
+    # strength and its companions read one spectral type, whichever
+    # constructor validated the matrix
+    m = _DENSITY_MATRICES[name]
+    dens, eff = validate_density(m), validate_effect(m)
+    d = dens.dim
+    other = validate_effect(random_density(d, d, seed=24).matrix)
+    in_support = dens.eigenvectors[:, : dens.numerical_rank] @ np.linspace(1.0, 2.0, dens.numerical_rank)
+    rays = [pure_state(in_support, normalize=True)] + [random_pure(d, seed=s) for s in range(3)]
+    for phi in rays:
+        assert strength(dens, phi) == strength(eff, phi)
+        assert strength_oracle(dens, phi) == strength_oracle(eff, phi)
+    assert effects_equal_by_strength(dens, eff)
+    assert effects_equal_by_strength(dens, other) == effects_equal_by_strength(eff, other)
+
+
 @given(seed=seeds, anti=st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_strength_symmetry_invariance(seed, anti):

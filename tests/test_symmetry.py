@@ -9,8 +9,6 @@ from qcompat import (
     ValidationError,
     apply_symmetry,
     haar_unitary,
-    ic_set_member,
-    independent,
     probe_pure_states,
     pure_characterization_probe,
     pure_state,
@@ -51,19 +49,6 @@ class TestTransitionProb:
     def test_equal_superposition(self):
         q = pure_state(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
         assert abs(transition_prob(_basis(0, 2), q) - 0.5) < 1e-14
-
-
-class TestIndependent:
-    def test_basis_is_independent(self):
-        assert independent([_basis(0, 2), _basis(1, 2)])
-
-    def test_repeated_ray_is_dependent(self):
-        assert not independent([_basis(0, 2), _basis(0, 2)])
-
-    def test_three_vectors_in_a_plane(self):
-        v = pure_state(np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2))
-        assert not independent([_basis(0, 3), _basis(1, 3), v])
-        assert independent([_basis(0, 3), _basis(1, 3), _basis(2, 3)])
 
 
 class TestApplySymmetry:
@@ -226,16 +211,6 @@ class TestRankViaCompatibility:
 
 
 class TestCharacterization:
-    def test_disjoint_candidate_is_vacuous_member(self):
-        a = validate_density(np.diag([1.0, 0.0]).astype(complex))
-        b = validate_density(np.diag([0.0, 1.0]).astype(complex))
-        assert ic_set_member(a, [b])
-
-    def test_member_state_excluded(self):
-        rho = validate_density(np.eye(2, dtype=complex) / 2)
-        assert not ic_set_member(rho, [rho])
-        assert ic_set_member(rho, [])
-
     def test_pure_state_is_consistent(self):
         probe = pure_characterization_probe(random_density(3, 1, seed=17), samples=60, seed=0)
         assert probe.is_pure
