@@ -6,8 +6,8 @@ digests of the inputs, the effective config (every tolerance and seed), the
 result payload, and elapsed milliseconds. Results are deterministic given
 flags; elapsed time is the only varying field and sits outside `result`.
 
-Exit codes: 0 ok, 1 selftest failure, 2 file/parse error, 3 validation
-error, 4 infeasible decomposition, 5 not a symmetry.
+Exit codes: 0 ok, 1 selftest failure, 2 file/parse error or invalid flag
+value, 3 validation error, 4 infeasible decomposition, 5 not a symmetry.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -74,6 +75,16 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _digest(path) -> str:
     try:
         data = Path(path).read_bytes()
@@ -131,13 +142,11 @@ def _cmd_measure(args):
     a = validate_density(qio.load_matrix(args.a))
     b = validate_density(qio.load_matrix(args.b))
     cfg = MeasureConfig(
-        components=args.components,
         restarts=args.restarts,
         seed=args.seed,
         feas_tol=args.feas_tol,
     )
     config = {
-        "components": cfg.components,
         "restarts": cfg.restarts,
         "seed": cfg.seed,
         "feas_tol": cfg.feas_tol,
@@ -215,30 +224,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strength", help="largest weight of a ray inside an effect")
     p.add_argument("--state", required=True, help="effect or density matrix file")
     p.add_argument("--vector", required=True, help="unit vector file")
-    p.add_argument("--tol-rank", type=float, default=DEFAULT_EPS_RANK)
-    p.add_argument("--tol-mem", type=float, default=DEFAULT_EPS_MEM)
+    p.add_argument("--tol-rank", type=_tolerance, default=DEFAULT_EPS_RANK)
+    p.add_argument("--tol-mem", type=_tolerance, default=DEFAULT_EPS_MEM)
     p.add_argument("--oracle", action="store_true", help="also run the bisection cross-check")
     p.set_defaults(fn=_cmd_strength)
 
     p = sub.add_parser("compat", help="support intersection test for two states")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--tol-rank", type=float, default=DEFAULT_EPS_RANK)
+    p.add_argument("--tol-rank", type=_tolerance, default=DEFAULT_EPS_RANK)
     p.set_defaults(fn=_cmd_compat)
 
     p = sub.add_parser("measure", help="joint decomposition overlap measure")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--components", type=int, default=None)
     p.add_argument("--restarts", type=int, default=MeasureConfig().restarts)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--feas-tol", type=float, default=MeasureConfig().feas_tol)
+    p.add_argument("--feas-tol", type=_tolerance, default=MeasureConfig().feas_tol)
     p.add_argument("--symmetric", action="store_true", help="run both argument orders")
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("reconstruct", help="rebuild the operator behind a pure-state map")
     p.add_argument("--map", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(fn=_cmd_reconstruct)
 
     p = sub.add_parser("verify", help="check a stored symmetry or map end to end")
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--map")
     p.add_argument("--n-mixed", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the built-in acceptance criteria")

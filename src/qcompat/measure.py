@@ -10,8 +10,8 @@ between the two weight vectors found. Every reported value is a certified
 lower bound: it is recomputed from an explicit joint decomposition whose
 reconstruction residuals are checked against the feasibility tolerance.
 
-Search layout per restart: a set of free component rays (warm-started from
-structured certificates or seeded at random) is refined by alternating
+Search layout per restart: 2 * dim free component rays (warm-started from
+structured certificates or seeded at random) are refined by alternating
 penalized projected weight ascent with per-component eigenvector updates;
 a fixed backbone holding the two spectral families and the support
 intersection directions keeps the exact-decomposition polytope nonempty, so
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InfeasibleError
+from .errors import DimensionMismatchError, InfeasibleError, ValidationError
 from .states import (
     DEFAULT_EPS_RANK,
     PureState,
@@ -46,6 +46,7 @@ SMOOTHING = tuple(10.0 ** (-4 - 2 * k) for k in range(5))  # 1e-4 .. 1e-12
 
 _ASCENT_ITERS = 90
 _POLISH_STEPS = 40
+_REPAIR_ITERS = 600
 _CAND_TOL = 1e-9
 _FINAL_TOL = 5e-13
 
@@ -77,7 +78,6 @@ class MeasureResult:
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    components: int | None = None  # free search components, default 2 * dim
     restarts: int = DEFAULT_RESTARTS
     seed: int = 0
     feas_tol: float = DEFAULT_FEAS_TOL
@@ -101,9 +101,8 @@ def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _intersection_vectors(a: SpectralOperator, b: SpectralOperator, count: int) -> list[np.ndarray]:
+def _intersection_vectors(sa: np.ndarray, sb: np.ndarray, count: int) -> list[np.ndarray]:
     """Principal directions of the support overlap, one per shared dimension."""
-    sa, sb = support(a), support(b)
     overlap = sa.conj().T @ sb
     u, _, _ = np.linalg.svd(overlap)
     vecs = []
@@ -130,15 +129,14 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 class _JointSearch:
-    """Mutable optimizer state: component rays plus weights for both targets."""
+    """Mutable optimizer state: 2 * dim free rays, then the backbone, plus weights for both targets."""
 
-    def __init__(self, a: SpectralOperator, b: SpectralOperator, vectors: np.ndarray, n_free: int):
+    def __init__(self, a: SpectralOperator, b: SpectralOperator, vectors: np.ndarray):
         self.a = a
         self.b = b
         self.d = a.dim
         self.iu = np.triu_indices(self.d, k=1)
         self.vectors = vectors.copy()
-        self.n_free = n_free
         self.target_a = _realify(a.matrix, self.iu)
         self.target_b = _realify(b.matrix, self.iu)
         self.n = vectors.shape[0]
@@ -179,11 +177,11 @@ class _JointSearch:
         smooth = np.sqrt(np.clip(lam * mu, 0.0, None) + delta).sum()
         return smooth - rho * (ra @ ra + rb @ rb)
 
-    def ascend(self, rho: float, delta: float, iters: int = _ASCENT_ITERS) -> None:
+    def ascend(self, rho: float, delta: float) -> None:
         lam, mu = self.lam, self.mu
         obj = self._objective(lam, mu, rho, delta)
         step = 0.1
-        for _ in range(iters):
+        for _ in range(_ASCENT_ITERS):
             root = np.sqrt(np.clip(lam * mu, 0.0, None) + delta)
             ga = mu / (2.0 * root) - 2.0 * rho * ((lam @ self.rows - self.target_a) @ self.rows.T)
             gb = lam / (2.0 * root) - 2.0 * rho * ((mu @ self.rows - self.target_b) @ self.rows.T)
@@ -211,7 +209,7 @@ class _JointSearch:
         ea = sa - self.a.matrix
         eb = sb - self.b.matrix
         changed = False
-        for n in range(self.n_free):
+        for n in range(2 * self.d):
             ln, mn = self.lam[n], self.mu[n]
             pn = projs[n]
             if ln + mn < 1e-10:
@@ -236,20 +234,19 @@ class _JointSearch:
 
     # -- exact-polytope repair and polish --
 
-    def dykstra(self, side: str, x0: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float]:
-        target = self.target_a if side == "a" else self.target_b
+    def dykstra(self, target: np.ndarray, x0: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float]:
         pinv, _ = self._factorization()
         x = np.maximum(x0, 0.0)
         p = np.zeros_like(x)
         q = np.zeros_like(x)
-        best_x, best_v = x, self.viol_one(x, target)
+        best_x, best_v = x, float(np.linalg.norm(x @ self.rows - target))
         for _ in range(max_iter):
             y = x + p
             y = y - (y @ self.rows - target) @ pinv
             p = (x + p) - y
             xn = np.maximum(y + q, 0.0)
             q = (y + q) - xn
-            v = self.viol_one(xn, target)
+            v = float(np.linalg.norm(xn @ self.rows - target))
             if v < best_v:
                 best_x, best_v = xn, v
             if v <= tol and np.abs(xn - x).max() <= tol:
@@ -257,18 +254,15 @@ class _JointSearch:
             x = xn
         return best_x, best_v
 
-    def viol_one(self, x: np.ndarray, target: np.ndarray) -> float:
-        return float(np.linalg.norm(x @ self.rows - target))
-
-    def polish(self, tol: float, max_iter: int = 600) -> tuple[np.ndarray, np.ndarray, float, float]:
+    def polish(self, tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Repair current weights onto the exact polytopes, then ascend inside.
 
         Movement stays in the null space of the constraint rows, so affine
         feasibility is preserved to machine precision; positivity is kept by
         backtracking. Returns (lam, mu, value, viol).
         """
-        lam, va = self.dykstra("a", self.lam, tol, max_iter)
-        mu, vb = self.dykstra("b", self.mu, tol, max_iter)
+        lam, _ = self.dykstra(self.target_a, self.lam, tol, _REPAIR_ITERS)
+        mu, _ = self.dykstra(self.target_b, self.mu, tol, _REPAIR_ITERS)
         _, null = self._factorization()
         if null.shape[1] > 0:
             step = 0.1
@@ -296,16 +290,14 @@ class _JointSearch:
         return lam, mu, self.value_of(lam, mu), self.viol(lam, mu)
 
 
-def _scheme_common_ray(a, b, inter_vecs, n_free, layout, rng):
+def _scheme_common_ray(a, b, inter_vecs, total, rng):
     """Exact certificate threading the best shared support direction.
 
     Puts weight s * (1 - 1e-9) on the strongest intersection ray (s being the
     strength of each state along it) and decomposes both residues spectrally
-    into the free slots. Needs n_free >= 2 * dim.
+    into the 2 * dim free slots.
     """
     d = a.dim
-    if n_free < 2 * d or not inter_vecs:
-        return None
     candidates = list(inter_vecs)
     if len(inter_vecs) >= 2:
         for _ in range(2):
@@ -328,9 +320,9 @@ def _scheme_common_ray(a, b, inter_vecs, n_free, layout, rng):
     eps_a = s_a * (1.0 - 1e-9)
     eps_b = s_b * (1.0 - 1e-9)
     pc = np.outer(c, c.conj())
-    free = np.zeros((n_free, d), dtype=np.complex128)
-    lam0 = np.zeros(layout["total"])
-    mu0 = np.zeros(layout["total"])
+    free = np.zeros((2 * d, d), dtype=np.complex128)
+    lam0 = np.zeros(total)
+    mu0 = np.zeros(total)
 
     for offset, (state, eps, weights) in enumerate(
         [(a, eps_a, lam0), (b, eps_b, mu0)]
@@ -343,13 +335,9 @@ def _scheme_common_ray(a, b, inter_vecs, n_free, layout, rng):
         free[sl] = v.T
         weights[offset * d : (offset + 1) * d] = w
 
-    for i in range(2 * d, n_free):
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        free[i] = z / np.linalg.norm(z)
-
-    # locate c among the backbone intersection slots (first one by construction
+    # locate c among the backbone intersection slots, the last rows (first one
     # only when c is the first principal direction; match explicitly instead)
-    inter_start = layout["inter_start"]
+    inter_start = total - len(inter_vecs)
     ci = inter_start
     best_ov = -1.0
     for k, v in enumerate(inter_vecs):
@@ -362,7 +350,7 @@ def _scheme_common_ray(a, b, inter_vecs, n_free, layout, rng):
     return free, lam0, mu0
 
 
-def _scheme_spectral(a, b, inter_vecs, n_free, layout, rng):
+def _scheme_spectral(a, b, inter_vecs, total, rng):
     """Free slots seeded with the spectral family of a, weights paired.
 
     Side a gets its exact eigenvalues. Side b gets the diagonal of b in the
@@ -372,42 +360,39 @@ def _scheme_spectral(a, b, inter_vecs, n_free, layout, rng):
     """
     d = a.dim
     ra, rb = a.numerical_rank, b.numerical_rank
-    free = np.zeros((n_free, d), dtype=np.complex128)
-    lam0 = np.zeros(layout["total"])
-    mu0 = np.zeros(layout["total"])
+    free = np.zeros((2 * d, d), dtype=np.complex128)
+    lam0 = np.zeros(total)
+    mu0 = np.zeros(total)
     free[:ra] = a.eigenvectors[:, :ra].T
     lam0[:ra] = a.eigenvalues[:ra]
     diag_b = np.einsum("ni,ij,nj->n", free[:ra].conj(), b.matrix, free[:ra]).real
     mu0[:ra] = np.clip(diag_b, 0.0, None)
-    pos = ra
-    for k in range(min(rb, n_free - pos)):
-        free[pos] = b.eigenvectors[:, k]
-        pos += 1
-    for i in range(pos, n_free):
+    free[ra : ra + rb] = b.eigenvectors[:, :rb].T
+    for i in range(ra + rb, 2 * d):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         free[i] = z / np.linalg.norm(z)
     return free, lam0, mu0
 
 
-def _scheme_mixture(a, b, inter_vecs, n_free, layout, rng):
+def _scheme_mixture(a, b, inter_vecs, total, rng):
     """Free slots from the spectral family of the midpoint state."""
     d = a.dim
     mid = (a.matrix + b.matrix) / 2.0
     w, v = np.linalg.eigh((mid + mid.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
     keep = [i for i in order if w[i] > 1e-12]
-    free = np.zeros((n_free, d), dtype=np.complex128)
-    for slot, i in enumerate(keep[:n_free]):
+    free = np.zeros((2 * d, d), dtype=np.complex128)
+    for slot, i in enumerate(keep):
         free[slot] = v[:, i]
-    for i in range(min(len(keep), n_free), n_free):
+    for i in range(len(keep), 2 * d):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         free[i] = z / np.linalg.norm(z)
     return free, None, None
 
 
-def _scheme_random(a, b, inter_vecs, n_free, layout, rng):
+def _scheme_random(a, b, inter_vecs, total, rng):
     d = a.dim
-    z = rng.standard_normal((n_free, d)) + 1j * rng.standard_normal((n_free, d))
+    z = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
     free = z / np.linalg.norm(z, axis=1, keepdims=True)
     return free, None, None
 
@@ -429,26 +414,18 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     if a.dim != b.dim:
         raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
     cfg = cfg or MeasureConfig()
-    d = a.dim
-    n_free = cfg.components if cfg.components is not None else 2 * d
-    if n_free < max(a.numerical_rank, b.numerical_rank):
-        raise ValueError("components must be at least the larger state rank")
+    n_free = 2 * a.dim
     if cfg.restarts < 1:
-        raise ValueError("restarts must be positive")
+        raise ValidationError("restarts must be positive")
 
-    inter_dim = subspace_intersection_dim(support(a), support(b))
+    sa, sb = support(a), support(b)
+    inter_dim = subspace_intersection_dim(sa, sb)
     if inter_dim == 0:
         return MeasureResult(0.0, None, None, 0.0, 0, n_free)
 
-    inter_vecs = _intersection_vectors(a, b, inter_dim)
-    ra, rb = a.numerical_rank, b.numerical_rank
-    backbone = np.vstack(
-        [support(a).T, support(b).T] + [v[None, :] for v in inter_vecs]
-    )
-    layout = {
-        "total": n_free + backbone.shape[0],
-        "inter_start": n_free + ra + rb,
-    }
+    inter_vecs = _intersection_vectors(sa, sb, inter_dim)
+    backbone = np.vstack([sa.T, sb.T] + [v[None, :] for v in inter_vecs])
+    total = n_free + backbone.shape[0]
     schemes = [_scheme_common_ray, _scheme_spectral, _scheme_mixture]
 
     best = None  # (value, lam, mu, system)
@@ -457,11 +434,11 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
         used = ridx + 1
         rng = child_rng(cfg.seed, 1, ridx)
         builder = schemes[ridx] if ridx < len(schemes) else _scheme_random
-        built = builder(a, b, inter_vecs, n_free, layout, rng)
+        built = builder(a, b, inter_vecs, total, rng)
         if built is None:
-            built = _scheme_random(a, b, inter_vecs, n_free, layout, rng)
+            built = _scheme_random(a, b, inter_vecs, total, rng)
         free, lam0, mu0 = built
-        system = _JointSearch(a, b, np.vstack([free, backbone]), n_free)
+        system = _JointSearch(a, b, np.vstack([free, backbone]))
 
         # every restart begins from repaired weights; exact constructions
         # pass through the repair untouched
@@ -469,8 +446,8 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
             lam0 = _heuristic_weights(system, a)
         if mu0 is None:
             mu0 = _heuristic_weights(system, b)
-        lam0, _ = system.dykstra("a", lam0, 1e-11, 600)
-        mu0, _ = system.dykstra("b", mu0, 1e-11, 600)
+        lam0, _ = system.dykstra(system.target_a, lam0, 1e-11, _REPAIR_ITERS)
+        mu0, _ = system.dykstra(system.target_b, mu0, 1e-11, _REPAIR_ITERS)
         system.lam, system.mu = lam0.copy(), mu0.copy()
 
         # candidates carry a snapshot of the rays they were scored against,
@@ -499,9 +476,9 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
         raise InfeasibleError("no restart produced a feasible joint decomposition")
 
     _, lam, mu, vectors = best
-    system = _JointSearch(a, b, vectors, n_free)
-    lam, _ = system.dykstra("a", lam, _FINAL_TOL, 4000)
-    mu, _ = system.dykstra("b", mu, _FINAL_TOL, 4000)
+    system = _JointSearch(a, b, vectors)
+    lam, _ = system.dykstra(system.target_a, lam, _FINAL_TOL, 4000)
+    mu, _ = system.dykstra(system.target_b, mu, _FINAL_TOL, 4000)
 
     pures = tuple(pure_state(v, normalize=True) for v in system.vectors)
     dec_a = Decomposition(lam.copy(), pures)

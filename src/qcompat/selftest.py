@@ -419,7 +419,7 @@ def _criterion_rank_detection(seed: int, dims_cap, quick: bool) -> CriterionOutc
         d = dims[k % len(dims)]
         rank = 1 + (k // len(dims)) % d
         state = random_density(d, rank, seed=child_rng(seed, 20, k))
-        found = rank_via_compatibility(state, budget=d * d, seed=seed + k)
+        found = rank_via_compatibility(state, seed=seed + k)
         if found != state.numerical_rank:
             bad.append(k)
     ok = not bad

@@ -31,6 +31,7 @@ from .states import (
 NEAR_BOUNDARY_SQ = 1e-4
 PSD_FLOOR = -1e-13
 BISECTION_MAX_ITER = 80
+BISECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,11 @@ def strength(effect: SpectralOperator, phi: PureState, eps_mem: float = DEFAULT_
     return StrengthResult(min(1.0, 1.0 / denom), True, False)
 
 
-def strength_oracle(effect: SpectralOperator, phi: PureState, tol: float = 1e-10) -> float:
+def strength_oracle(effect: SpectralOperator, phi: PureState) -> float:
     """Bisection on t of the smallest eigenvalue of T - t * |phi><phi|.
 
     Returns the largest t in [0, 1] whose floor eigenvalue stays above
-    -1e-13, to absolute tolerance ``tol``. Independent of the closed form.
+    -1e-13, to absolute tolerance BISECTION_TOL. Independent of the closed form.
     """
     if phi.dim != effect.dim:
         raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {effect.dim}")
@@ -77,7 +78,7 @@ def strength_oracle(effect: SpectralOperator, phi: PureState, tol: float = 1e-10
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= tol:
+        if hi - lo <= BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
         if floor_eig(mid) >= PSD_FLOOR:

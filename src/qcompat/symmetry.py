@@ -142,7 +142,7 @@ def _match_probe(pmap: PureStateMap, target: PureState) -> PureState | None:
     return None
 
 
-def wigner_reconstruct(pmap: PureStateMap, dim: int | None = None, tol: float = 1e-8) -> SymmetryOp:
+def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     """Rebuild the implementing operator from probe images.
 
     Raises IncompleteMapError when a required probe input is absent, and
@@ -152,8 +152,6 @@ def wigner_reconstruct(pmap: PureStateMap, dim: int | None = None, tol: float = 
     some pair of the map.
     """
     d = pmap.dim
-    if dim is not None and dim != d:
-        raise DimensionMismatchError(f"map dimension {d} does not match requested {dim}")
 
     # transition probabilities must already match on every input pair
     n = len(pmap.pairs)
@@ -238,9 +236,12 @@ def verify_theorem(
     is then compared against the map on ``n_mixed`` seeded mixed states of
     cycling ranks and, via strength functions, on the first two of them.
     Mixed-state disagreements are collected as failures with verdict False
-    rather than raised.
+    rather than raised. Raises ValidationError when ``n_mixed < 1``, since
+    the verdict would then rest on no mixed state at all.
     """
     _require_dim2(dim)
+    if n_mixed < 1:
+        raise ValidationError(f"n_mixed must be at least 1, got {n_mixed}")
     pairs = []
     for label, probe in probe_pure_states(dim):
         dens = validate_density(probe.projection)
@@ -289,20 +290,16 @@ def verify_theorem(
     )
 
 
-def rank_via_compatibility(state: SpectralOperator, budget: int | None = None, seed: int = 0) -> int:
+def rank_via_compatibility(state: SpectralOperator, seed: int = 0) -> int:
     """Operational rank: count independent pure states compatible with it.
 
-    Samples ``budget`` random rays plus the spectral rays, keeps those whose
+    Samples dim**2 random rays plus the spectral rays, keeps those whose
     ray lies in the support (the compatibility criterion for a pure
     companion), and greedily orthogonalizes the survivors.
     """
     d = state.dim
     _require_dim2(d)
-    if budget is None:
-        budget = d * d
-    if budget < d * d:
-        raise ValidationError(f"budget {budget} below required {d * d}")
-    candidates = [random_pure(d, seed=child_rng(seed, 3, k)) for k in range(budget)]
+    candidates = [random_pure(d, seed=child_rng(seed, 3, k)) for k in range(d * d)]
     candidates += [pure_state(state.eigenvectors[:, i]) for i in range(d)]
 
     kept: list[np.ndarray] = []

@@ -161,6 +161,22 @@ class TestMeasureCommand:
         assert rep["config"]["symmetric"] is True
         assert 0.0 <= rep["result"]["value"] <= 1.0
 
+    def test_zero_restarts_is_validation_error(self, files):
+        rc, rep, err = run_cli(
+            "measure", "--a", files("mm4.json"), "--b", files("mm4.json"), "--restarts", "0"
+        )
+        assert rc == 3
+        assert rep["error"]["type"] == "ValidationError"
+        assert "Traceback" not in err
+
+    def test_config_has_no_components_entry(self, files):
+        rc, rep, _ = run_cli(
+            "measure", "--a", files("mm4.json"), "--b", files("mm4.json"), "--restarts", "1"
+        )
+        assert rc == 0
+        assert set(rep["config"]) == {"restarts", "seed", "feas_tol", "symmetric"}
+        assert rep["result"]["components"] == 8
+
 
 class TestReconstructCommand:
     def test_unitary_map(self, files):
@@ -198,6 +214,49 @@ class TestVerifyCommand:
         rc, rep, _ = run_cli("verify", "--map", files("map_broken.json"), "--n-mixed", "4")
         assert rc == 5
         assert rep["error"]["probe"]
+
+    def test_zero_mixed_states_is_validation_error(self, files):
+        rc, rep, _ = run_cli("verify", "--symmetry", files("sym.json"), "--n-mixed", "0")
+        assert rc == 3
+        assert rep["error"]["type"] == "ValidationError"
+
+
+TOLERANCE_FLAGS = [
+    ("strength", "--tol-rank"),
+    ("strength", "--tol-mem"),
+    ("compat", "--tol-rank"),
+    ("measure", "--feas-tol"),
+    ("reconstruct", "--tol"),
+    ("verify", "--tol"),
+]
+
+
+def _operands(files, command):
+    return {
+        "strength": ["--state", files("mm4.json"), "--vector", files("e0.json")],
+        "compat": ["--a", files("proj0.json"), "--b", files("mm4.json")],
+        "measure": ["--a", files("proj0.json"), "--b", files("mm4.json"), "--restarts", "1"],
+        "reconstruct": ["--map", files("map_unitary.json")],
+        "verify": ["--map", files("map_unitary.json"), "--n-mixed", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command,flag", TOLERANCE_FLAGS)
+def test_bad_tolerance_is_usage_error(files, command, flag, value):
+    rc, rep, err = run_cli(command, *_operands(files, command), flag, value)
+    assert rc == 2
+    assert rep is None
+    assert "tolerance must be" in err
+
+
+@pytest.mark.parametrize("command,flag", TOLERANCE_FLAGS)
+def test_zero_tolerance_is_accepted(files, command, flag):
+    # zero is a legal, if strict, tolerance: the command runs and may then
+    # report an infeasible decomposition (4) or a rejected map (5)
+    rc, rep, _ = run_cli(command, *_operands(files, command), flag, "0")
+    assert rc in (0, 4, 5)
+    assert rep["command"] == command
 
 
 class TestSelftestCommand:

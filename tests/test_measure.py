@@ -79,6 +79,7 @@ class TestExampleMeasure:
         assert res.decomposition_a is None
         assert res.decomposition_b is None
         assert res.restarts_used == 0
+        assert res.components == 8
 
     def test_certificate_reconstructs_inputs(self):
         a, b = _intersecting(3, seed=7)
@@ -119,9 +120,12 @@ class TestExampleMeasure:
     def test_config_validation(self):
         a = random_density(3, 3, seed=1)
         with pytest.raises(ValueError):
-            example_measure(a, a, MeasureConfig(components=2))
-        with pytest.raises(ValueError):
             example_measure(a, a, MeasureConfig(restarts=0))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_search_width_is_twice_the_dimension(self, d):
+        a, b = _intersecting(d, seed=d)
+        assert example_measure(a, b, MeasureConfig(restarts=1, seed=0)).components == 2 * d
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

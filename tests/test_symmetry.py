@@ -189,6 +189,12 @@ class TestVerifyTheorem:
             verify_theorem(depolarize, 3, n_mixed=4, seed=0)
         assert exc.value.probe
 
+    @pytest.mark.parametrize("n_mixed", [0, -1])
+    def test_needs_a_mixed_state(self, n_mixed):
+        s = random_symmetry(2, antiunitary=False, seed=18)
+        with pytest.raises(ValidationError):
+            verify_theorem(lambda rho: apply_symmetry(s, rho), 2, n_mixed=n_mixed, seed=0)
+
 
 class TestRankViaCompatibility:
     def test_pure_state(self):
@@ -204,10 +210,6 @@ class TestRankViaCompatibility:
             r = 1 + k % d
             rho = random_density(d, r, seed=300 + k)
             assert rank_via_compatibility(rho, seed=k) == r
-
-    def test_budget_guard(self):
-        with pytest.raises(ValidationError):
-            rank_via_compatibility(random_density(3, 2, seed=16), budget=4)
 
 
 class TestCharacterization:
