@@ -3,8 +3,11 @@
 Every command loads its operands from the text formats in `io`, runs one
 operation, and prints a single JSON report to stdout: command name, sha256
 digests of the inputs, the effective config (every tolerance and seed), the
-result payload, and elapsed milliseconds. Results are deterministic given
-flags; elapsed time is the only varying field and sits outside `result`.
+result payload, and elapsed milliseconds. `measure` adds a `bounds` block
+(the closed-form upper bound its restarts stopped against, the gap from the
+value to it, and the stop reason) beside `result`, so `result` keeps its
+keys. Results are deterministic given flags; elapsed time is the only
+varying field and sits outside `result`.
 
 Exit codes: 0 ok, 1 selftest failure, 2 file/parse error or invalid flag
 value, 3 validation error, 4 infeasible decomposition, 5 not a symmetry.
@@ -122,7 +125,7 @@ def _cmd_strength(args):
         oracle = strength_oracle(eff, phi)
         result["oracle"] = oracle
         result["difference"] = abs(res.value - oracle)
-    return inputs, config, result, EXIT_OK
+    return {"inputs": inputs, "config": config, "result": result}, EXIT_OK
 
 
 def _cmd_compat(args):
@@ -134,7 +137,7 @@ def _cmd_compat(args):
         "compatible": is_compatible(a, b, eps_rank=args.tol_rank),
         "intersection_dim": subspace_intersection_dim(support(a), support(b), args.tol_rank),
     }
-    return inputs, config, result, EXIT_OK
+    return {"inputs": inputs, "config": config, "result": result}, EXIT_OK
 
 
 def _cmd_measure(args):
@@ -161,7 +164,12 @@ def _cmd_measure(args):
         "components": int(res.components),
         "certificate": _certificate(res),
     }
-    return inputs, config, result, EXIT_OK
+    bounds = {
+        "upper_bound": float(res.upper_bound),
+        "gap": float(res.upper_bound - res.value),
+        "stop_reason": res.stop_reason,
+    }
+    return {"inputs": inputs, "config": config, "result": result, "bounds": bounds}, EXIT_OK
 
 
 def _cmd_reconstruct(args):
@@ -170,7 +178,7 @@ def _cmd_reconstruct(args):
     config = {"tol": args.tol}
     sym = wigner_reconstruct(pmap, tol=args.tol)
     result = {"antiunitary": bool(sym.antiunitary), "u": qio.matrix_payload(sym.u)}
-    return inputs, config, result, EXIT_OK
+    return {"inputs": inputs, "config": config, "result": result}, EXIT_OK
 
 
 def _cmd_verify(args):
@@ -196,7 +204,7 @@ def _cmd_verify(args):
             "u": qio.matrix_payload(res.symmetry.u),
         },
     }
-    return inputs, config, result, EXIT_OK
+    return {"inputs": inputs, "config": config, "result": result}, EXIT_OK
 
 
 def _cmd_selftest(args):
@@ -211,7 +219,7 @@ def _cmd_selftest(args):
         print(f"[{marker}] {o.ident}: {o.detail}", file=sys.stderr)
     result = selftest_payload(outcomes)
     code = EXIT_OK if result["all_passed"] else EXIT_SELFTEST
-    return {}, config, result, code
+    return {"inputs": {}, "config": config, "result": result}, code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +284,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        inputs, config, result, code = args.fn(args)
+        report, code = args.fn(args)
     except (FileFormatError, OSError) as exc:
         _emit({"command": args.command, "error": {"type": type(exc).__name__, "message": str(exc)}})
         return EXIT_IO
@@ -299,15 +307,7 @@ def main(argv=None) -> int:
         _emit({"command": args.command, "error": {"type": type(exc).__name__, "message": str(exc)}})
         return EXIT_VALIDATION
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    _emit(
-        {
-            "command": args.command,
-            "inputs": inputs,
-            "config": config,
-            "result": result,
-            "elapsed_ms": elapsed_ms,
-        }
-    )
+    _emit({"command": args.command, **report, "elapsed_ms": elapsed_ms})
     return code
 
 

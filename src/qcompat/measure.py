@@ -16,11 +16,20 @@ penalized projected weight ascent with per-component eigenvector updates;
 a fixed backbone holding the two spectral families and the support
 intersection directions keeps the exact-decomposition polytope nonempty, so
 the final weights can always be repaired onto it.
+
+Restarts stop early once the best value found reaches a closed-form upper
+bound to within _GAP_TOL: sqrt(strength) of the other state along the ray
+when one side is pure (then the measure's exact value), the Uhlmann fidelity
+otherwise. The bound draws no random numbers and every restart keeps its own
+seeded stream, so an early stop changes nothing but ``restarts_used``, unless
+a later restart would have beaten a value already within _GAP_TOL of the
+bound. The result records the bound (``upper_bound``) and why the loop
+stopped (``stop_reason``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +58,7 @@ _POLISH_STEPS = 40
 _REPAIR_ITERS = 600
 _CAND_TOL = 1e-9
 _FINAL_TOL = 5e-13
+_GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,8 @@ class MeasureResult:
     residual: float
     restarts_used: int
     components: int
+    upper_bound: float  # the closed-form bound the restarts stopped against
+    stop_reason: str  # "bound", "exhausted" or "disjoint"
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,15 @@ def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
     value = float(np.sqrt(np.clip(w, 0.0, None)).sum())
     return min(1.0, max(0.0, value))
+
+
+def _upper_bound(a: SpectralOperator, b: SpectralOperator) -> float:
+    """sqrt(strength) of the other state along a pure side's ray, else the fidelity."""
+    for pure, other in ((a, b), (b, a)):
+        if pure.numerical_rank == 1:
+            ray = pure_state(pure.eigenvectors[:, 0], normalize=True)
+            return float(np.sqrt(strength(other, ray).value))
+    return fidelity(a, b)
 
 
 def _intersection_vectors(sa: np.ndarray, sb: np.ndarray, count: int) -> list[np.ndarray]:
@@ -407,9 +428,13 @@ def _heuristic_weights(system: _JointSearch, state: SpectralOperator) -> np.ndar
 def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
     """Best joint pure-state decomposition overlap found across restarts.
 
-    Returns 0 with an empty certificate when the supports are disjoint.
-    Raises InfeasibleError when no restart yields reconstruction residuals
-    within ``cfg.feas_tol``. Ties across restarts keep the earliest restart.
+    Returns 0 with an empty certificate when the supports are disjoint
+    (``stop_reason`` "disjoint", ``upper_bound`` 0.0). Otherwise the restarts
+    stop as soon as the best value is within _GAP_TOL of ``upper_bound``
+    (``stop_reason`` "bound"), or after ``cfg.restarts`` ("exhausted");
+    ``restarts_used`` counts the restarts run. Raises InfeasibleError when no
+    restart yields reconstruction residuals within ``cfg.feas_tol``. Ties
+    across restarts keep the earliest restart.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
@@ -421,15 +446,17 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     sa, sb = support(a), support(b)
     inter_dim = subspace_intersection_dim(sa, sb)
     if inter_dim == 0:
-        return MeasureResult(0.0, None, None, 0.0, 0, n_free)
+        return MeasureResult(0.0, None, None, 0.0, 0, n_free, 0.0, "disjoint")
 
     inter_vecs = _intersection_vectors(sa, sb, inter_dim)
     backbone = np.vstack([sa.T, sb.T] + [v[None, :] for v in inter_vecs])
     total = n_free + backbone.shape[0]
     schemes = [_scheme_common_ray, _scheme_spectral, _scheme_mixture]
+    ub = _upper_bound(a, b)
 
     best = None  # (value, lam, mu, system)
     used = 0
+    stop_reason = "exhausted"
     for ridx in range(cfg.restarts):
         used = ridx + 1
         rng = child_rng(cfg.seed, 1, ridx)
@@ -469,7 +496,8 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
         for cand in candidates:
             if best is None or cand[0] > best[0] + 1e-15:
                 best = cand
-        if best is not None and best[0] >= 1.0 - 1e-12:
+        if best is not None and best[0] >= ub - _GAP_TOL:
+            stop_reason = "bound"
             break
 
     if best is None:
@@ -494,7 +522,7 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
             f"best decomposition residual {residual:.3e} exceeds feas_tol {cfg.feas_tol:.3e}"
         )
     value = min(1.0, _JointSearch.value_of(lam, mu))
-    return MeasureResult(value, dec_a, dec_b, residual, used, n_free)
+    return MeasureResult(value, dec_a, dec_b, residual, used, n_free, ub, stop_reason)
 
 
 def _result_key(res: MeasureResult) -> bytes:
@@ -513,6 +541,8 @@ def measure_symmetric(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConf
     Both orders run with the same seed, and exact value ties resolve by a
     content-based key, so the reported result is identical (with the two
     decompositions swapped) whichever way the arguments are passed.
+    ``restarts_used``, ``upper_bound`` and ``stop_reason`` are those of the
+    winning order.
     """
     r_ab = example_measure(a, b, cfg)
     r_ba = example_measure(b, a, cfg)
@@ -521,11 +551,4 @@ def measure_symmetric(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConf
     )
     if not swapped:
         return r_ab
-    return MeasureResult(
-        r_ba.value,
-        r_ba.decomposition_b,
-        r_ba.decomposition_a,
-        r_ba.residual,
-        r_ba.restarts_used,
-        r_ba.components,
-    )
+    return replace(r_ba, decomposition_a=r_ba.decomposition_b, decomposition_b=r_ba.decomposition_a)

@@ -152,6 +152,9 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     some pair of the map.
     """
     d = pmap.dim
+    # rounding alone moves a transition probability by ~1e-16, so even tol=0
+    # accepts an exact map
+    floor = max(tol, 1e-12)
 
     # transition probabilities must already match on every input pair
     n = len(pmap.pairs)
@@ -159,7 +162,7 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
         for j in range(i + 1, n):
             t_in = transition_prob(pmap.pairs[i][0], pmap.pairs[j][0])
             t_out = transition_prob(pmap.pairs[i][1], pmap.pairs[j][1])
-            if abs(t_in - t_out) > tol:
+            if abs(t_in - t_out) > floor:
                 raise NotASymmetryError(
                     f"transition probability broken between inputs {i} and {j}: "
                     f"{t_in:.6f} -> {t_out:.6f}",
@@ -196,9 +199,9 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     minus = (cols[:, 0] - 1j * cols[:, 1]) / np.sqrt(2.0)
     t_plus = abs(np.vdot(plus, h)) ** 2
     t_minus = abs(np.vdot(minus, h)) ** 2
-    if t_plus >= 1.0 - 10.0 * tol:
+    if t_plus >= 1.0 - 10.0 * floor:
         antiunitary = False
-    elif t_minus >= 1.0 - 10.0 * tol:
+    elif t_minus >= 1.0 - 10.0 * floor:
         antiunitary = True
     else:
         raise NotASymmetryError(
@@ -214,7 +217,7 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
 
     for k, (p, q) in enumerate(pmap.pairs):
         predicted = transform_pure(sym, p)
-        if transition_prob(predicted, q) < 1.0 - max(tol, 1e-12):
+        if transition_prob(predicted, q) < 1.0 - floor:
             raise NotASymmetryError(
                 f"assembled operator fails to reproduce map pair {k}",
                 probe=f"pair-{k}",

@@ -48,6 +48,7 @@ def files(tmp_path_factory):
     sym = random_symmetry(3, antiunitary=True, seed=2)
     save_symmetry(p("sym.json"), sym)
     save_map(p("map_unitary.json"), symmetry_probe_map(random_symmetry(2, antiunitary=False, seed=3)))
+    save_map(p("map_antiunitary.json"), symmetry_probe_map(random_symmetry(4, antiunitary=True, seed=4)))
 
     probes = probe_pure_states(2)
     save_map(p("map_truncated.json"), pure_state_map([(q, q) for _, q in probes[:2]]))
@@ -177,6 +178,19 @@ class TestMeasureCommand:
         assert set(rep["config"]) == {"restarts", "seed", "feas_tol", "symmetric"}
         assert rep["result"]["components"] == 8
 
+    @pytest.mark.parametrize("extra", [[], ["--symmetric"]], ids=["plain", "symmetric"])
+    def test_bounds_sit_beside_result(self, files, extra):
+        rc, rep, _ = run_cli(
+            "measure", "--a", files("mm4.json"), "--b", files("proj0.json"), "--restarts", "4", *extra
+        )
+        assert rc == 0
+        assert set(rep["result"]) == {"value", "residual", "restarts_used", "components", "certificate"}
+        bounds = rep["bounds"]
+        assert set(bounds) == {"upper_bound", "gap", "stop_reason"}
+        assert abs(bounds["upper_bound"] - 0.5) < 1e-12
+        assert bounds["gap"] == bounds["upper_bound"] - rep["result"]["value"]
+        assert bounds["stop_reason"] == "bound"
+
 
 class TestReconstructCommand:
     def test_unitary_map(self, files):
@@ -184,6 +198,12 @@ class TestReconstructCommand:
         assert rc == 0
         assert rep["result"]["antiunitary"] is False
         assert rep["result"]["u"]["dim"] == 2
+
+    @pytest.mark.parametrize("name,anti", [("map_unitary.json", False), ("map_antiunitary.json", True)])
+    def test_zero_tolerance_accepts_exact_map(self, files, name, anti):
+        rc, rep, _ = run_cli("reconstruct", "--map", files(name), "--tol", "0")
+        assert rc == 0
+        assert rep["result"]["antiunitary"] is anti
 
     def test_truncated_map(self, files):
         rc, rep, _ = run_cli("reconstruct", "--map", files("map_truncated.json"))

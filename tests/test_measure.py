@@ -35,6 +35,20 @@ def _intersecting(d, seed):
     return a, b
 
 
+def _pure_side_pair():
+    """A of rank 2 at d=3 against a ray P inside supp A: the measure is sqrt(strength)."""
+    a = random_density(3, 2, seed=13)
+    rng = child_rng(13, 52)
+    coef = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v = a.eigenvectors[:, :2] @ coef
+    v /= np.linalg.norm(v)
+    return a, validate_density(np.outer(v, v.conj())), strength(a, pure_state(v)).value
+
+
+def _generic_full_rank_pair():
+    return random_density(2, 2, seed=31), random_density(2, 2, seed=32)
+
+
 class TestCompatibility:
     def test_orthogonal_pures_incompatible(self):
         a = validate_density(np.diag([1.0, 0.0]).astype(complex))
@@ -80,6 +94,8 @@ class TestExampleMeasure:
         assert res.decomposition_b is None
         assert res.restarts_used == 0
         assert res.components == 8
+        assert res.stop_reason == "disjoint"
+        assert res.upper_bound == 0.0
 
     def test_certificate_reconstructs_inputs(self):
         a, b = _intersecting(3, seed=7)
@@ -102,13 +118,7 @@ class TestExampleMeasure:
         assert res.value >= lower - 1e-9
 
     def test_value_squared_tracks_strength_of_supported_ray(self):
-        a = random_density(3, 2, seed=13)
-        rng = child_rng(13, 52)
-        coef = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = a.eigenvectors[:, :2] @ coef
-        v /= np.linalg.norm(v)
-        p = validate_density(np.outer(v, v.conj()))
-        s = strength(a, pure_state(v)).value
+        a, p, s = _pure_side_pair()
         res = example_measure(a, p, MeasureConfig(restarts=8, seed=3))
         assert s - 2e-3 <= res.value**2 <= s + 1e-9
 
@@ -150,6 +160,37 @@ class TestExampleMeasure:
         res = example_measure(a, b, MeasureConfig(restarts=3, seed=seed))
         assert 0.0 <= res.value <= 1.0
         assert res.residual <= MeasureConfig().feas_tol
+
+
+class TestStopRule:
+    def test_pure_side_stops_at_the_bound(self):
+        a, p, s = _pure_side_pair()
+        cfg = MeasureConfig(seed=0)
+        res = example_measure(a, p, cfg)
+        assert cfg.restarts == 32
+        assert res.stop_reason == "bound"
+        assert res.restarts_used == 1
+        assert abs(res.upper_bound - np.sqrt(s)) <= 1e-12
+        one = example_measure(a, p, MeasureConfig(restarts=1, seed=0))
+        assert res.value == one.value
+        np.testing.assert_array_equal(res.decomposition_a.weights, one.decomposition_a.weights)
+        np.testing.assert_array_equal(res.decomposition_b.weights, one.decomposition_b.weights)
+
+    def test_generic_full_rank_pair_exhausts_restarts(self):
+        a, b = _generic_full_rank_pair()
+        cfg = MeasureConfig(restarts=3, seed=0)
+        res = example_measure(a, b, cfg)
+        assert res.stop_reason == "exhausted"
+        assert res.restarts_used == cfg.restarts
+        assert res.upper_bound == fidelity(a, b)
+        assert res.value < res.upper_bound
+
+    @pytest.mark.parametrize("pair", [_pure_side_pair, _generic_full_rank_pair], ids=["pure-side", "full-rank"])
+    def test_more_restarts_never_lower_the_value(self, pair):
+        a, b = pair()[:2]
+        three = example_measure(a, b, MeasureConfig(restarts=3, seed=0))
+        eight = example_measure(a, b, MeasureConfig(restarts=8, seed=0))
+        assert eight.value >= three.value
 
 
 class TestMeasureSymmetric:

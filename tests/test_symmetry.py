@@ -143,6 +143,13 @@ class TestWignerReconstruct:
             wigner_reconstruct(pure_state_map(pairs))
         assert exc.value.probe
 
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_zero_tolerance_accepts_exact_map(self, anti):
+        s = random_symmetry(4, antiunitary=anti, seed=10)
+        rec = wigner_reconstruct(symmetry_probe_map(s), tol=0.0)
+        assert rec.antiunitary == anti
+        assert symmetry_overlap(s, rec) > 1 - 1e-9
+
     def test_reconstruction_reproduces_unlisted_states(self):
         s = random_symmetry(4, antiunitary=True, seed=9)
         rec = wigner_reconstruct(symmetry_probe_map(s))
