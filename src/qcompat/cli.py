@@ -4,13 +4,13 @@ Every command loads its operands from the text formats in `io`, runs one
 operation, and prints a single JSON report to stdout: command name, sha256
 digests of the inputs, the effective config (every tolerance and seed), the
 result payload, and elapsed milliseconds. `measure` adds a `bounds` block
-(the closed-form upper bound its restarts stopped against, the gap from the
-value to it, and the stop reason) beside `result`, so `result` keeps its
-keys. Results are deterministic given flags; elapsed time is the only
-varying field and sits outside `result`.
+(the Uhlmann fidelity and its gap to the value) beside `result`, so
+`result` keeps its keys. Results are deterministic given flags; elapsed
+time is the only varying field and sits outside `result`.
 
 Exit codes: 0 ok, 1 selftest failure, 2 file/parse error or invalid flag
-value, 3 validation error, 4 infeasible decomposition, 5 not a symmetry.
+value, 3 validation error, 4 measure certificate residual above
+`--feas-tol`, 5 not a symmetry.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     NotASymmetryError,
     ValidationError,
 )
-from .measure import MeasureConfig, example_measure, is_compatible, measure_symmetric
+from .measure import MeasureConfig, example_measure, fidelity, is_compatible, measure_symmetric
 from .selftest import payload as selftest_payload
 from .selftest import run_criteria
 from .states import (
@@ -164,11 +164,8 @@ def _cmd_measure(args):
         "components": int(res.components),
         "certificate": _certificate(res),
     }
-    bounds = {
-        "upper_bound": float(res.upper_bound),
-        "gap": float(res.upper_bound - res.value),
-        "stop_reason": res.stop_reason,
-    }
+    f = fidelity(a, b)
+    bounds = {"fidelity": f, "gap": f - float(res.value)}
     return {"inputs": inputs, "config": config, "result": result, "bounds": bounds}, EXIT_OK
 
 
@@ -246,8 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="joint decomposition overlap measure")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--restarts", type=int, default=MeasureConfig().restarts)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument(
+        "--restarts", type=int, default=MeasureConfig().restarts, help="accepted, no effect (must be >= 1)"
+    )
+    p.add_argument("--seed", type=int, default=None, help="accepted, no effect")
     p.add_argument("--feas-tol", type=_tolerance, default=MeasureConfig().feas_tol)
     p.add_argument("--symmetric", action="store_true", help="run both argument orders")
     p.set_defaults(fn=_cmd_measure)

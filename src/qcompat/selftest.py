@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotASymmetryError, ValidationError
-from .measure import MeasureConfig, example_measure, is_compatible, measure_symmetric
+from .measure import MeasureConfig, example_measure, fidelity, is_compatible, measure_symmetric
 from .states import (
     SpectralOperator,
     as_rng,
@@ -144,9 +144,7 @@ def _supported_pure(a: SpectralOperator, rng) -> "np.ndarray":
 def _criterion_measure_vs_strength(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
     dims = _dims((2, 3), dims_cap)
     total = 6 if quick else 50
-    restarts = 6 if quick else MeasureConfig().restarts
-    worst_low = 0.0  # amount the squared value fell below strength
-    worst_high = 0.0  # amount it exceeded strength
+    worst = 0.0
     n = 0
     for k in range(total):
         d = dims[k % len(dims)]
@@ -156,17 +154,81 @@ def _criterion_measure_vs_strength(seed: int, dims_cap, quick: bool) -> Criterio
         v = _supported_pure(a, rng)
         p_dens = validate_density(np.outer(v, v.conj()))
         s = strength(a, pure_state(v, normalize=True)).value
-        res = example_measure(a, p_dens, MeasureConfig(restarts=restarts, seed=seed + k))
-        sq = res.value**2
-        worst_low = max(worst_low, s - sq)
-        worst_high = max(worst_high, sq - s)
+        worst = max(worst, abs(example_measure(a, p_dens).value ** 2 - s))
         n += 1
-    ok = worst_low <= 2e-3 and worst_high <= 1e-9
+    ok = worst <= 1e-9
     return CriterionOutcome(
         "measure-vs-strength",
-        "squared measure against a supported ray stays in [strength - 2e-3, strength + 1e-9]",
+        "squared measure against a supported ray equals strength within 1e-9",
         ok,
-        f"n={n} max_below={worst_low!r} max_above={worst_high!r}",
+        f"n={n} max_delta={worst!r}",
+    )
+
+
+def _joint_decomposition(d: int, kind: int, rng):
+    """Two states built from one shared ray list; returns (a, b, rays, lam, mu).
+
+    kind 0: fewer rays than d (rank-deficient sides), 1: d to 2d - 1 rays
+    (nearly full rank), 2: orthonormal rays (commuting states), 3: side a is
+    the first ray alone. About 30% of the weights are zeroed on each side.
+    """
+    if kind == 2:
+        rays = haar_unitary(d, rng).T
+    else:
+        n = int(rng.integers(1, d)) if kind == 0 else d + int(rng.integers(0, d))
+        z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        rays = z / np.linalg.norm(z, axis=1, keepdims=True)
+    n = rays.shape[0]
+    weights = []
+    for _ in range(2):
+        w = rng.dirichlet(np.ones(n)) * (rng.random(n) >= 0.3)
+        if w.sum() == 0.0:
+            w[int(rng.integers(n))] = 1.0
+        weights.append(w / w.sum())
+    lam, mu = weights
+    if kind == 3:
+        lam = np.eye(n)[0]
+    states = []
+    for w in (lam, mu):
+        m = (rays.T * w) @ rays.conj()
+        states.append(validate_density((m + m.conj().T) / 2.0))
+    return states[0], states[1], rays, lam, mu
+
+
+def _criterion_measure_exact(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
+    dims = _dims((2, 3, 4, 5, 6, 7, 8), dims_cap)
+    total = 16 if quick else 96
+    limits = dict(overlap=1e-10, pure=1e-9, commuting=1e-10, lb=1e-10, fidelity=1e-10, swap=1e-10, residual=1e-12)
+    worst = dict.fromkeys(limits, 0.0)
+    for k in range(total):
+        d = dims[k % len(dims)]
+        kind = k % 4
+        rng = child_rng(seed, 22, k)
+        a, b, rays, lam, mu = _joint_decomposition(d, kind, rng)
+        res, swapped = example_measure(a, b), example_measure(b, a)
+        overlap = float(np.sqrt(lam * mu).sum())
+        worst["overlap"] = max(worst["overlap"], overlap - res.value)  # (i)
+        if kind == 3:  # (ii)
+            s = strength_oracle(b, pure_state(rays[0], normalize=True))
+            worst["pure"] = max(worst["pure"], abs(res.value**2 - s))
+        if kind == 2:  # (iii)
+            worst["commuting"] = max(worst["commuting"], abs(res.value - overlap))
+        one_ray = max(
+            float(np.sqrt(strength(a, ray).value * strength(b, ray).value))
+            for ray in (pure_state(c, normalize=True) for c in rays)
+        )
+        worst["lb"] = max(worst["lb"], one_ray - res.value)  # (iv)
+        worst["fidelity"] = max(worst["fidelity"], res.value - fidelity(a, b))
+        worst["swap"] = max(worst["swap"], abs(res.value - swapped.value))  # (v)
+        worst["residual"] = max(worst["residual"], res.residual, swapped.residual)  # (vi)
+    ok = all(worst[key] <= limit for key, limit in limits.items())
+    return CriterionOutcome(
+        "measure-exact",
+        "on constructed joint decompositions the measure reaches their overlap, equals sqrt(strength) "
+        "with a pure side and sum sqrt(pq) for commuting states, sits between the one-ray bound and "
+        "the fidelity, ignores argument order and reconstructs both states within 1e-12",
+        ok,
+        " ".join([f"n={total}"] + [f"max_{key}={value!r}" for key, value in worst.items()]),
     )
 
 
@@ -180,7 +242,8 @@ def _disjoint_pair(d: int, rng) -> tuple[SpectralOperator, SpectralOperator]:
     return validate_density(a), validate_density(b)
 
 
-def _intersecting_pair(d: int, rng) -> tuple[SpectralOperator, SpectralOperator]:
+def _intersecting_pair(d: int, rng) -> tuple[SpectralOperator, SpectralOperator, np.ndarray]:
+    """Two states whose supports share the planted ray c; returns (a, b, c)."""
     u = haar_unitary(d, rng)
     c = u[:, 0]
     pc = np.outer(c, c.conj())
@@ -192,27 +255,28 @@ def _intersecting_pair(d: int, rng) -> tuple[SpectralOperator, SpectralOperator]
     wb = wb / wb.sum() * 0.65
     a = 0.35 * pc + (u[:, :ka] * wa) @ u[:, :ka].conj().T
     b = 0.35 * pc + (u[:, d - kb :] * wb) @ u[:, d - kb :].conj().T
-    return validate_density(a), validate_density(b)
+    return validate_density(a), validate_density(b), c
 
 
 def _criterion_support_split(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
     dims = _dims((2, 3, 4), dims_cap)
     per_side = 10 if quick else 50
-    restarts = 3 if quick else 6
     bad = []
     for k in range(per_side):
         d = dims[k % len(dims)]
         a, b = _disjoint_pair(d, child_rng(seed, 14, k))
-        res = example_measure(a, b, MeasureConfig(restarts=restarts, seed=seed + k))
+        res = example_measure(a, b)
         if is_compatible(a, b) or res.value > 1e-6 or res.decomposition_a is not None:
             bad.append(f"disjoint-{k}")
     for k in range(per_side):
         d = dims[k % len(dims)]
-        a, b = _intersecting_pair(d, child_rng(seed, 15, k))
-        res = example_measure(a, b, MeasureConfig(restarts=restarts, seed=seed + k))
+        a, b, c = _intersecting_pair(d, child_rng(seed, 15, k))
+        res = example_measure(a, b)
+        ray = pure_state(c, normalize=True)
+        planted = np.sqrt(strength(a, ray).value * strength(b, ray).value)
         cert_ok = (
             res.decomposition_a is not None
-            and res.value > 0.0
+            and res.value >= planted - 1e-10
             and res.residual <= MeasureConfig().feas_tol
         )
         if not is_compatible(a, b) or not cert_ok:
@@ -220,7 +284,7 @@ def _criterion_support_split(seed: int, dims_cap, quick: bool) -> CriterionOutco
     ok = not bad
     return CriterionOutcome(
         "support-split",
-        "disjoint supports give zero, intersecting supports give a positive certificate",
+        "disjoint supports give zero, intersecting supports reach the planted ray's one-ray bound",
         ok,
         f"n={2 * per_side} failures={bad!r}",
     )
@@ -229,14 +293,12 @@ def _criterion_support_split(seed: int, dims_cap, quick: bool) -> CriterionOutco
 def _criterion_symmetry_of_measure(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
     dims = _dims((2, 3), dims_cap)
     total = 4 if quick else 12
-    restarts = 4 if quick else 8
     bad = []
     for k in range(total):
         d = dims[k % len(dims)]
-        a, b = _intersecting_pair(d, child_rng(seed, 16, k))
-        cfg = MeasureConfig(restarts=restarts, seed=seed + k)
-        r1 = measure_symmetric(a, b, cfg)
-        r2 = measure_symmetric(b, a, cfg)
+        a, b, _ = _intersecting_pair(d, child_rng(seed, 16, k))
+        r1 = measure_symmetric(a, b)
+        r2 = measure_symmetric(b, a)
         same_value = r1.value == r2.value
         same_cert = (
             np.array_equal(r1.decomposition_a.weights, r2.decomposition_b.weights)
@@ -459,12 +521,14 @@ def _criterion_invariance(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
 
         a = random_density(d, 1 + (k // len(dims)) % d, seed=rng)
         b = random_density(d, 1 + (k // len(dims) + 1) % d, seed=rng)
-        if is_compatible(a, b) != is_compatible(apply_symmetry(sym, a), apply_symmetry(sym, b)):
+        a1, b1 = apply_symmetry(sym, a), apply_symmetry(sym, b)
+        if is_compatible(a, b) != is_compatible(a1, b1):
             bool_bad.append(k)
+        worst = max(worst, abs(example_measure(a, b).value - example_measure(a1, b1).value))
     ok = worst <= 1e-10 and not bool_bad
     return CriterionOutcome(
         "symmetry-invariance",
-        "strength, transition probability, and compatibility are symmetry invariant",
+        "strength, transition probability, the measure and compatibility are symmetry invariant",
         ok,
         f"n={total} max_delta={worst!r} bool_failures={bool_bad!r}",
     )
@@ -492,6 +556,7 @@ _CRITERIA = (
     _criterion_strength_oracle,
     _criterion_two_state,
     _criterion_measure_vs_strength,
+    _criterion_measure_exact,
     _criterion_support_split,
     _criterion_symmetry_of_measure,
     _criterion_roundtrip,

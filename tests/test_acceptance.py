@@ -20,6 +20,7 @@ IDENTS = [
     "strength-oracle",
     "two-state-closed-form",
     "measure-vs-strength",
+    "measure-exact",
     "support-split",
     "measure-argument-symmetry",
     "symmetry-roundtrip",

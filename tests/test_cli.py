@@ -176,7 +176,16 @@ class TestMeasureCommand:
         )
         assert rc == 0
         assert set(rep["config"]) == {"restarts", "seed", "feas_tol", "symmetric"}
-        assert rep["result"]["components"] == 8
+        assert rep["config"]["restarts"] == 1
+        assert rep["result"]["components"] == 4
+
+    def test_restarts_and_seed_are_no_ops(self, files):
+        reports = [
+            run_cli("measure", "--a", files("mm4.json"), "--b", files("proj0.json"), *extra)[1]
+            for extra in ([], ["--restarts", "1", "--seed", "9"])
+        ]
+        assert reports[0]["result"] == reports[1]["result"]
+        assert reports[1]["config"]["restarts"] == 1 and reports[1]["config"]["seed"] == 9
 
     @pytest.mark.parametrize("extra", [[], ["--symmetric"]], ids=["plain", "symmetric"])
     def test_bounds_sit_beside_result(self, files, extra):
@@ -186,10 +195,10 @@ class TestMeasureCommand:
         assert rc == 0
         assert set(rep["result"]) == {"value", "residual", "restarts_used", "components", "certificate"}
         bounds = rep["bounds"]
-        assert set(bounds) == {"upper_bound", "gap", "stop_reason"}
-        assert abs(bounds["upper_bound"] - 0.5) < 1e-12
-        assert bounds["gap"] == bounds["upper_bound"] - rep["result"]["value"]
-        assert bounds["stop_reason"] == "bound"
+        assert set(bounds) == {"fidelity", "gap"}
+        assert abs(bounds["fidelity"] - 0.5) < 1e-12
+        assert bounds["gap"] == bounds["fidelity"] - rep["result"]["value"]
+        assert abs(bounds["gap"]) < 1e-12
 
 
 class TestReconstructCommand:
@@ -286,4 +295,4 @@ class TestSelftestCommand:
         assert rep["result"]["all_passed"] is True
         assert "PASS" in err
         idents = [c["ident"] for c in rep["result"]["criteria"]]
-        assert len(idents) == len(set(idents)) == 10
+        assert len(idents) == len(set(idents)) == 11
