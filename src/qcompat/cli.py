@@ -31,7 +31,7 @@ from .errors import (
     NotASymmetryError,
     ValidationError,
 )
-from .measure import MeasureConfig, example_measure, fidelity, is_compatible, measure_symmetric
+from .measure import MeasureConfig, example_measure, fidelity, is_compatible
 from .selftest import payload as selftest_payload
 from .selftest import run_criteria
 from .states import (
@@ -155,8 +155,7 @@ def _cmd_measure(args):
         "feas_tol": cfg.feas_tol,
         "symmetric": bool(args.symmetric),
     }
-    runner = measure_symmetric if args.symmetric else example_measure
-    res = runner(a, b, cfg)
+    res = example_measure(a, b, cfg)
     result = {
         "value": float(res.value),
         "residual": float(res.residual),
@@ -248,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=None, help="accepted, no effect")
     p.add_argument("--feas-tol", type=_tolerance, default=MeasureConfig().feas_tol)
-    p.add_argument("--symmetric", action="store_true", help="run both argument orders")
+    p.add_argument("--symmetric", action="store_true", help="accepted, no effect")
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("reconstruct", help="rebuild the operator behind a pure-state map")

@@ -9,7 +9,8 @@ operator of X to S (Anderson & Trapp 1975) and # the Kubo–Ando geometric mean
 characterisation of # bounds the sum by that trace, and `example_measure`
 builds a decomposition pair that attains it. Every reported value is
 recomputed from that certificate, whose reconstruction residual is checked
-against the feasibility tolerance.
+against the feasibility tolerance. Like #, the result is symmetric in A and B,
+bit for bit: swapping the arguments only swaps the two decompositions.
 """
 
 from __future__ import annotations
@@ -41,11 +42,8 @@ class Decomposition:
     pures: tuple[PureState, ...]
 
     def reconstruction(self) -> np.ndarray:
-        dim = self.pures[0].dim if self.pures else 0
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for w, p in zip(self.weights, self.pures):
-            out += w * p.projection
-        return out
+        rays = np.array([p.vector for p in self.pures])
+        return (rays.T * self.weights) @ rays.conj()
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,12 @@ def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _hermitian_power(m: np.ndarray, power: float) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+def _hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh((m + m.conj().T) / 2.0)
+
+
+def _power(eig: tuple[np.ndarray, np.ndarray], power: float) -> np.ndarray:
+    w, v = eig
     return (v * w**power) @ v.conj().T
 
 
@@ -103,13 +105,13 @@ def _split(op: SpectralOperator, rot: np.ndarray, k: int) -> tuple[np.ndarray, n
     """
     r = op.numerical_rank
     m = (rot.conj().T * op.eigenvalues[:r]) @ rot
-    f = m[:, k:] @ _hermitian_power(m[k:, k:], -0.5)
+    f = m[:, k:] @ _power(_hermitian_eigh(m[k:, k:]), -0.5)
     y, s, _ = np.linalg.svd(op.eigenvectors[:, :r] @ rot @ f, full_matrices=False)
     return m[:k, :k] - f[:k] @ f[:k].conj().T, s**2, y.T
 
 
-def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
-    """The measure tr([A]_S # [B]_S), with the joint decomposition that attains it.
+def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -> MeasureResult:
+    """tr([A]_S # [B]_S) and its certificate, in the argument order given.
 
     Q is an orthonormal basis of S, A~ = (Q* A^+ Q)^-1 and B~ = (Q* B^+ Q)^-1,
     and (m_j, e_j) are the eigenpairs of A~^-1/2 B~ A~^-1/2. The certificate
@@ -117,17 +119,7 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     mu_j = m_j lam_j in B, then adds the spectral rays of A - Q A~ Q* (mu = 0)
     and of B - Q B~ Q* (lam = 0): rank A + rank B - dim S <= dim components.
     A~ and B~ trade roles when B~ has the larger smallest eigenvalue.
-
-    Returns 0 with no certificate when the supports are disjoint. Raises
-    InfeasibleError when the certificate's reconstruction residual exceeds
-    ``cfg.feas_tol``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
-    cfg = cfg or MeasureConfig()
-    if cfg.restarts < 1:
-        raise ValidationError("restarts must be positive")
-
     sa, sb = support(a), support(b)
     k = subspace_intersection_dim(sa, sb)
     if k == 0:
@@ -139,27 +131,22 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     bt, mu_b, rays_b = _split(b, vh.conj().T, k)
     # the square roots go to the better-conditioned short: the other side's
     # reconstruction error grows with the condition number of the rooted one
-    root_b = np.linalg.eigvalsh(bt)[0] > np.linalg.eigvalsh(at)[0]
-    x, y = (bt, at) if root_b else (at, bt)
-    inv_root = _hermitian_power(x, -0.5)
+    eig_a, eig_b = _hermitian_eigh(at), _hermitian_eigh(bt)
+    root_b = eig_b[0][0] > eig_a[0][0]
+    x, y = (eig_b, at) if root_b else (eig_a, bt)
+    inv_root = _power(x, -0.5)
     m, e = np.linalg.eigh(inv_root @ y @ inv_root)
-    shared = (q @ _hermitian_power(x, 0.5) @ e).T
+    shared = (q @ _power(x, 0.5) @ e).T
     w_x = np.linalg.norm(shared, axis=1) ** 2
     w_y = np.clip(m, 0.0, None) * w_x
     lam_s, mu_s = (w_y, w_x) if root_b else (w_x, w_y)
 
-    zeros_a, zeros_b = np.zeros(len(lam_a)), np.zeros(len(mu_b))
-    lam = np.concatenate([lam_s, lam_a, zeros_b])
-    mu = np.concatenate([mu_s, zeros_a, mu_b])
+    lam = np.concatenate([lam_s, lam_a, np.zeros(len(mu_b))])
+    mu = np.concatenate([mu_s, np.zeros(len(lam_a)), mu_b])
     pures = tuple(pure_state(v, normalize=True) for v in np.vstack([shared, rays_a, rays_b]))
     dec_a = Decomposition(lam, pures)
     dec_b = Decomposition(mu, pures)
-    residual = float(
-        max(
-            np.linalg.norm(dec_a.reconstruction() - a.matrix),
-            np.linalg.norm(dec_b.reconstruction() - b.matrix),
-        )
-    )
+    residual = float(max(np.linalg.norm(d.reconstruction() - s.matrix) for d, s in ((dec_a, a), (dec_b, b))))
     if not residual <= cfg.feas_tol:  # also catches a NaN residual
         raise InfeasibleError(
             f"certificate residual {residual:.3e} exceeds feas_tol {cfg.feas_tol:.3e}"
@@ -168,19 +155,28 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     return MeasureResult(value, dec_a, dec_b, residual, 1, len(pures))
 
 
-def measure_symmetric(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
-    """Runs both argument orders and keeps the larger value.
+def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
+    """The measure tr([A]_S # [B]_S), with the joint decomposition that attains it.
 
-    The closed form is symmetric up to rounding. Exact value ties resolve on
-    the bytes of the two input matrices, so the reported result is identical
-    (with the two decompositions swapped) whichever way the arguments are
-    passed.
+    The closed form runs once, on the two states in the order of their matrix
+    bytes, so swapping ``a`` and ``b`` gives a bit-identical value, residual
+    and certificate, with the two decompositions swapped.
+
+    Returns 0 with no certificate when the supports are disjoint. Raises
+    InfeasibleError when the certificate's reconstruction residual exceeds
+    ``cfg.feas_tol``.
     """
-    r_ab = example_measure(a, b, cfg)
-    r_ba = example_measure(b, a, cfg)
-    swapped = r_ba.value > r_ab.value or (
-        r_ba.value == r_ab.value and b.matrix.tobytes() < a.matrix.tobytes()
-    )
-    if not swapped:
-        return r_ab
-    return replace(r_ba, decomposition_a=r_ba.decomposition_b, decomposition_b=r_ba.decomposition_a)
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
+    cfg = cfg or MeasureConfig()
+    if cfg.restarts < 1:
+        raise ValidationError("restarts must be positive")
+    if not b.matrix.tobytes() < a.matrix.tobytes():
+        return _closed_form(a, b, cfg)
+    res = _closed_form(b, a, cfg)
+    return replace(res, decomposition_a=res.decomposition_b, decomposition_b=res.decomposition_a)
+
+
+def measure_symmetric(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
+    """Alias of `example_measure`, which is already independent of argument order."""
+    return example_measure(a, b, cfg)

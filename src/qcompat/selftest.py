@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotASymmetryError, ValidationError
-from .measure import MeasureConfig, example_measure, fidelity, is_compatible, measure_symmetric
+from .measure import MeasureConfig, _closed_form, example_measure, fidelity, is_compatible
 from .states import (
     SpectralOperator,
     as_rng,
@@ -205,7 +205,7 @@ def _criterion_measure_exact(seed: int, dims_cap, quick: bool) -> CriterionOutco
         kind = k % 4
         rng = child_rng(seed, 22, k)
         a, b, rays, lam, mu = _joint_decomposition(d, kind, rng)
-        res, swapped = example_measure(a, b), example_measure(b, a)
+        res, swapped = _closed_form(a, b, MeasureConfig()), _closed_form(b, a, MeasureConfig())
         overlap = float(np.sqrt(lam * mu).sum())
         worst["overlap"] = max(worst["overlap"], overlap - res.value)  # (i)
         if kind == 3:  # (ii)
@@ -219,7 +219,7 @@ def _criterion_measure_exact(seed: int, dims_cap, quick: bool) -> CriterionOutco
         )
         worst["lb"] = max(worst["lb"], one_ray - res.value)  # (iv)
         worst["fidelity"] = max(worst["fidelity"], res.value - fidelity(a, b))
-        worst["swap"] = max(worst["swap"], abs(res.value - swapped.value))  # (v)
+        worst["swap"] = max(worst["swap"], abs(res.value - swapped.value))  # (v), of the formula itself
         worst["residual"] = max(worst["residual"], res.residual, swapped.residual)  # (vi)
     ok = all(worst[key] <= limit for key, limit in limits.items())
     return CriterionOutcome(
@@ -277,7 +277,7 @@ def _criterion_support_split(seed: int, dims_cap, quick: bool) -> CriterionOutco
         cert_ok = (
             res.decomposition_a is not None
             and res.value >= planted - 1e-10
-            and res.residual <= MeasureConfig().feas_tol
+            and res.residual <= 1e-12
         )
         if not is_compatible(a, b) or not cert_ok:
             bad.append(f"intersecting-{k}")
@@ -297,12 +297,13 @@ def _criterion_symmetry_of_measure(seed: int, dims_cap, quick: bool) -> Criterio
     for k in range(total):
         d = dims[k % len(dims)]
         a, b, _ = _intersecting_pair(d, child_rng(seed, 16, k))
-        r1 = measure_symmetric(a, b)
-        r2 = measure_symmetric(b, a)
-        same_value = r1.value == r2.value
+        r1, r2 = example_measure(a, b), example_measure(b, a)
+        same_value = r1.value == r2.value and r1.residual == r2.residual
         same_cert = (
             np.array_equal(r1.decomposition_a.weights, r2.decomposition_b.weights)
             and np.array_equal(r1.decomposition_b.weights, r2.decomposition_a.weights)
+            and [p.vector.tobytes() for p in r1.decomposition_a.pures]
+            == [p.vector.tobytes() for p in r2.decomposition_a.pures]
         )
         if not (same_value and same_cert):
             bad.append(k)

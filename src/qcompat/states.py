@@ -89,14 +89,17 @@ class SpectralOperator:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector together with its rank-one projection."""
+    """Unit vector; its rank-one projection is built on demand."""
 
     vector: np.ndarray
-    projection: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
+
+    @property
+    def projection(self) -> np.ndarray:
+        return np.outer(self.vector, self.vector.conj())
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ def pure_state(vector, normalize: bool = False) -> PureState:
         v = v / norm
     elif abs(norm - 1.0) > 1e-12:
         raise NotUnitVectorError(f"norm {norm!r} differs from 1 beyond 1e-12")
-    return PureState(v, np.outer(v, v.conj()))
+    return PureState(v)
 
 
 def symmetry_op(u, antiunitary: bool = False) -> SymmetryOp:

@@ -9,6 +9,7 @@ import pytest
 from qcompat import (
     probe_pure_states,
     pure_state_map,
+    random_density,
     random_symmetry,
     symmetry_probe_map,
 )
@@ -41,6 +42,8 @@ def files(tmp_path_factory):
     save_matrix(p("proj0.json"), np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     save_matrix(p("proj1.json"), np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
     save_matrix(p("bad.json"), np.diag([2.0, -1.0]).astype(complex))
+    save_matrix(p("r43.json"), random_density(4, 3, seed=0).matrix)
+    save_matrix(p("r42.json"), random_density(4, 2, seed=1000).matrix)
     e0 = np.zeros(4, dtype=complex)
     e0[0] = 1.0
     save_vector(p("e0.json"), e0)
@@ -161,6 +164,17 @@ class TestMeasureCommand:
         assert rc == 0
         assert rep["config"]["symmetric"] is True
         assert 0.0 <= rep["result"]["value"] <= 1.0
+
+    def test_symmetric_flag_is_a_no_op(self, files):
+        def measure(a, b, *extra):
+            return run_cli("measure", "--a", files(a), "--b", files(b), *extra)[1]["result"]
+
+        plain = measure("r43.json", "r42.json")
+        assert measure("r43.json", "r42.json", "--symmetric") == plain
+        swapped = measure("r42.json", "r43.json")
+        assert swapped["value"] == plain["value"]
+        cert, swapped_cert = plain["certificate"], swapped["certificate"]
+        assert swapped_cert["weights_a"] == cert["weights_b"] and swapped_cert["vectors"] == cert["vectors"]
 
     def test_zero_restarts_is_validation_error(self, files):
         rc, rep, err = run_cli(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,13 @@ def _pure_side_pair():
 
 def _generic_full_rank_pair():
     return random_density(2, 2, seed=31), random_density(2, 2, seed=32)
+
+
+def _assert_bit_identical(r1, r2):
+    assert (r1.value, r1.residual, r1.components) == (r2.value, r2.residual, r2.components)
+    for d1, d2 in ((r1.decomposition_a, r2.decomposition_a), (r1.decomposition_b, r2.decomposition_b)):
+        assert d1.weights.tobytes() == d2.weights.tobytes()
+        assert [p.vector.tobytes() for p in d1.pures] == [p.vector.tobytes() for p in d2.pures]
 
 
 def _power(m, p):
@@ -199,6 +208,13 @@ class TestExampleMeasure:
         with pytest.raises(DimensionMismatchError):
             example_measure(random_density(2, 1, seed=0), random_density(3, 1, seed=0))
 
+    def test_argument_order_is_bit_identical(self):
+        # the closed form alone differs in the last bits between these two orders
+        a, b = random_density(4, 3, seed=0), random_density(4, 2, seed=1000)
+        r1, r2 = example_measure(a, b), example_measure(b, a)
+        mirrored = replace(r2, decomposition_a=r2.decomposition_b, decomposition_b=r2.decomposition_a)
+        _assert_bit_identical(r1, mirrored)
+
     def test_deterministic_given_seed(self):
         a, b = _intersecting(3, seed=21)
         r1 = example_measure(a, b, FAST)
@@ -223,22 +239,13 @@ class TestExampleMeasure:
 class TestStopRule:
     """``restarts`` and ``seed`` are accepted and ignored."""
 
-    def test_restarts_and_seed_are_no_ops(self):
-        a, p, s = _pure_side_pair()
-        res = example_measure(a, p, MeasureConfig(seed=0))
-        assert res.restarts_used == 1
-        assert abs(res.value - np.sqrt(s)) <= 1e-9
-        one = example_measure(a, p, MeasureConfig(restarts=1, seed=7))
-        assert res.value == one.value
-        np.testing.assert_array_equal(res.decomposition_a.weights, one.decomposition_a.weights)
-        np.testing.assert_array_equal(res.decomposition_b.weights, one.decomposition_b.weights)
-
     @pytest.mark.parametrize("pair", [_pure_side_pair, _generic_full_rank_pair], ids=["pure-side", "full-rank"])
-    def test_more_restarts_never_lower_the_value(self, pair):
+    def test_restarts_and_seed_are_no_ops(self, pair):
         a, b = pair()[:2]
-        three = example_measure(a, b, MeasureConfig(restarts=3, seed=0))
-        eight = example_measure(a, b, MeasureConfig(restarts=8, seed=0))
-        assert eight.value >= three.value
+        res = example_measure(a, b, MeasureConfig(seed=0))
+        assert res.restarts_used == 1
+        for cfg in (MeasureConfig(restarts=1, seed=7), MeasureConfig(restarts=3), MeasureConfig(restarts=8)):
+            _assert_bit_identical(example_measure(a, b, cfg), res)
 
 
 class TestMeasureSymmetric:
@@ -251,10 +258,10 @@ class TestMeasureSymmetric:
         np.testing.assert_array_equal(r1.decomposition_a.weights, r2.decomposition_b.weights)
         np.testing.assert_array_equal(r1.decomposition_b.weights, r2.decomposition_a.weights)
 
-    def test_at_least_as_good_as_one_sided(self):
+    def test_is_example_measure(self):
         a, b = _intersecting(2, seed=23)
         cfg = MeasureConfig(restarts=3, seed=1)
-        assert measure_symmetric(a, b, cfg).value >= example_measure(a, b, cfg).value - 1e-15
+        _assert_bit_identical(measure_symmetric(a, b, cfg), example_measure(a, b, cfg))
 
 
 class TestFidelity:

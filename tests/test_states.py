@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from qcompat import (
     NotPSDError,
     NotUnitaryError,
     NotUnitVectorError,
+    PureState,
     TraceNotOneError,
     haar_unitary,
     kernel_overlap_sq,
@@ -104,6 +107,9 @@ class TestPureState:
     def test_projection_idempotent(self):
         p = random_pure(4, seed=3)
         np.testing.assert_allclose(p.projection @ p.projection, p.projection, atol=1e-12)
+
+    def test_stores_only_its_vector(self):
+        assert [f.name for f in dataclasses.fields(PureState)] == ["vector"]
 
 
 class TestSymmetryOp:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,17 @@ class TestRankViaCompatibility:
             r = 1 + k % d
             rho = random_density(d, r, seed=300 + k)
             assert rank_via_compatibility(rho, seed=k) == r
+
+    def test_candidate_rays_stay_small_at_max_dim(self):
+        # 4160 candidate rays at d = 64; keeping a 64x64 projection per ray would take ~266 MB
+        rho = random_density(64, 32, seed=1)
+        tracemalloc.start()
+        try:
+            assert rank_via_compatibility(rho) == 32
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestCharacterization:
