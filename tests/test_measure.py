@@ -239,13 +239,21 @@ class TestExampleMeasure:
 class TestStopRule:
     """``restarts`` and ``seed`` are accepted and ignored."""
 
+    def test_restarts_and_seed_are_no_ops(self):
+        a, p, s = _pure_side_pair()
+        assert abs(example_measure(a, p, MeasureConfig(seed=0)).value - np.sqrt(s)) <= 1e-9
+        for a, b in ((a, p), _generic_full_rank_pair()):
+            res = example_measure(a, b, MeasureConfig(seed=0))
+            assert res.restarts_used == 1
+            for cfg in (MeasureConfig(restarts=1, seed=7), MeasureConfig(restarts=3), MeasureConfig(restarts=8)):
+                _assert_bit_identical(example_measure(a, b, cfg), res)
+
     @pytest.mark.parametrize("pair", [_pure_side_pair, _generic_full_rank_pair], ids=["pure-side", "full-rank"])
-    def test_restarts_and_seed_are_no_ops(self, pair):
+    def test_more_restarts_never_lower_the_value(self, pair):
         a, b = pair()[:2]
-        res = example_measure(a, b, MeasureConfig(seed=0))
-        assert res.restarts_used == 1
-        for cfg in (MeasureConfig(restarts=1, seed=7), MeasureConfig(restarts=3), MeasureConfig(restarts=8)):
-            _assert_bit_identical(example_measure(a, b, cfg), res)
+        three = example_measure(a, b, MeasureConfig(restarts=3, seed=0))
+        eight = example_measure(a, b, MeasureConfig(restarts=8, seed=0))
+        assert eight.value >= three.value
 
 
 class TestMeasureSymmetric:
