@@ -4,8 +4,9 @@ Every command loads its operands from the text formats in `io`, runs one
 operation, and prints a single JSON report to stdout: command name, sha256
 digests of the inputs, the effective config (every tolerance and seed), the
 result payload, and elapsed milliseconds. `measure` adds a `bounds` block
-(the Uhlmann fidelity and its gap to the value) beside `result`, so
-`result` keeps its keys. Results are deterministic given flags; elapsed
+(the Uhlmann fidelity and its gap to the value) and `selftest` a
+`criteria_elapsed_ms` map (criterion id to milliseconds) beside `result`,
+so `result` keeps its keys. Results are deterministic given flags; elapsed
 time is the only varying field and sits outside `result`.
 
 Exit codes: 0 ok, 1 selftest failure, 2 file/parse error or invalid flag
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .measure import MeasureConfig, example_measure, fidelity, is_compatible
 from .selftest import payload as selftest_payload
-from .selftest import run_criteria
+from .selftest import timed_criteria
 from .states import (
     DEFAULT_EPS_MEM,
     DEFAULT_EPS_RANK,
@@ -209,13 +210,16 @@ def _cmd_selftest(args):
         "dims": None if args.dims is None else f"{args.dims[0]}..{args.dims[1]}",
         "quick": bool(args.quick),
     }
-    outcomes = run_criteria(seed=args.seed, dims_cap=args.dims, quick=args.quick)
-    for o in outcomes:
+    outcomes = []
+    elapsed = {}
+    for o, ms in timed_criteria(seed=args.seed, dims_cap=args.dims, quick=args.quick):
         marker = "PASS" if o.passed else "FAIL"
-        print(f"[{marker}] {o.ident}: {o.detail}", file=sys.stderr)
+        print(f"[{marker}] {o.ident}: {o.detail} ({ms:.1f} ms)", file=sys.stderr)
+        outcomes.append(o)
+        elapsed[o.ident] = ms
     result = selftest_payload(outcomes)
     code = EXIT_OK if result["all_passed"] else EXIT_SELFTEST
-    return {"inputs": {}, "config": config, "result": result}, code
+    return {"inputs": {}, "config": config, "result": result, "criteria_elapsed_ms": elapsed}, code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -76,9 +76,15 @@ def is_compatible(a: SpectralOperator, b: SpectralOperator, eps_rank: float = DE
 
 
 def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
-    """Uhlmann fidelity ||sqrt(A) sqrt(B)||_1, an upper bound on the measure."""
+    """Uhlmann fidelity ||sqrt(A) sqrt(B)||_1, an upper bound on the measure.
+
+    Evaluated in the order of the two matrices' bytes, like `example_measure`,
+    so swapping the arguments gives a bit-identical value.
+    """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
+    if b.matrix.tobytes() < a.matrix.tobytes():
+        a, b = b, a
     value = float(np.linalg.svd(sqrt_psd(a) @ sqrt_psd(b), compute_uv=False).sum())
     return min(1.0, max(0.0, value))
 
@@ -160,7 +166,9 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
 
     The closed form runs once, on the two states in the order of their matrix
     bytes, so swapping ``a`` and ``b`` gives a bit-identical value, residual
-    and certificate, with the two decompositions swapped.
+    and certificate, with the two decompositions swapped. When the bytes are
+    equal, both sides get A's decomposition, and the value (sum of its
+    weights) and residual are recomputed from it.
 
     Returns 0 with no certificate when the supports are disjoint. Raises
     InfeasibleError when the certificate's reconstruction residual exceeds
@@ -171,10 +179,19 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     cfg = cfg or MeasureConfig()
     if cfg.restarts < 1:
         raise ValidationError("restarts must be positive")
-    if not b.matrix.tobytes() < a.matrix.tobytes():
-        return _closed_form(a, b, cfg)
-    res = _closed_form(b, a, cfg)
-    return replace(res, decomposition_a=res.decomposition_b, decomposition_b=res.decomposition_a)
+    key_a, key_b = a.matrix.tobytes(), b.matrix.tobytes()
+    if key_b < key_a:
+        res = _closed_form(b, a, cfg)
+        return replace(res, decomposition_a=res.decomposition_b, decomposition_b=res.decomposition_a)
+    res = _closed_form(a, b, cfg)
+    if key_a != key_b:
+        return res
+    # one state on both sides: mirror A's decomposition, whose residual
+    # _closed_form has already checked against feas_tol
+    dec = res.decomposition_a
+    value = min(1.0, float(dec.weights.sum()))
+    residual = float(np.linalg.norm(dec.reconstruction() - a.matrix))
+    return replace(res, value=value, residual=residual, decomposition_b=dec)
 
 
 def measure_symmetric(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:

@@ -9,7 +9,9 @@ seed produce byte-identical payloads.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -568,10 +570,24 @@ _CRITERIA = (
 )
 
 
+def timed_criteria(
+    seed: int = 0, dims_cap: tuple[int, int] | None = None, quick: bool = False
+) -> Iterator[tuple[CriterionOutcome, float]]:
+    """Run the criteria in order, yielding each outcome with its wall time in ms.
+
+    The times are kept apart from the outcomes, whose payload stays
+    byte-identical across runs.
+    """
+    for fn in _CRITERIA:
+        t0 = time.perf_counter()
+        outcome = fn(seed, dims_cap, quick)
+        yield outcome, (time.perf_counter() - t0) * 1000.0
+
+
 def run_criteria(
     seed: int = 0, dims_cap: tuple[int, int] | None = None, quick: bool = False
 ) -> list[CriterionOutcome]:
-    return [fn(seed, dims_cap, quick) for fn in _CRITERIA]
+    return [outcome for outcome, _ in timed_criteria(seed, dims_cap, quick)]
 
 
 def payload(outcomes: list[CriterionOutcome]) -> dict:

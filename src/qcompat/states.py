@@ -150,6 +150,24 @@ def validate_effect(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> SpectralOpera
     return _validate(matrix, eps_rank, density=False)
 
 
+def _pure_density(p: PureState) -> SpectralOperator:
+    """Density operator of a pure state, with its spectral data in closed form.
+
+    The matrix is ``p.projection``, the spectrum (1, 0, ..., 0) and the
+    eigenvectors the Householder reflection I - 2 w w*/|w|^2 with
+    w = e_0 - c v, whose first column is c v; the phase c sets
+    c v_0 = -|v_0|, so w_0 = 1 + |v_0| never cancels. No eigh is needed.
+    """
+    v = p.vector
+    c = -v[0].conj() / abs(v[0]) if v[0] != 0 else -1.0
+    w = -c * v
+    w[0] += 1.0
+    vecs = np.eye(p.dim, dtype=np.complex128) - np.outer(w, w.conj()) * (2.0 / np.vdot(w, w).real)
+    vals = np.zeros(p.dim)
+    vals[0] = 1.0
+    return SpectralOperator(p.projection, vals, vecs, 1)
+
+
 def pure_state(vector, normalize: bool = False) -> PureState:
     """Build a pure state; with ``normalize`` the vector is rescaled first."""
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)

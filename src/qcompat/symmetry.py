@@ -7,6 +7,13 @@ NotASymmetryError naming the probe that failed. `verify_theorem` closes the
 loop for a full state map: reconstruct from pure probes, then confirm the
 operator reproduces the map on mixed states and on strength functionals.
 
+The pairwise checks (duplicate inputs, preserved transition probabilities,
+probe matching and the final reproduction of every pair) are Gram-matrix
+tests over the stacked input and output rays, and an error names the first
+failing pair in row-major (i, j) order. The pure probes that
+`verify_theorem` feeds to the map get their spectral data in closed form
+instead of from an eigendecomposition.
+
 Also here: rank estimation through compatibility queries alone, and a purity
 probe built from sampled incompatible sets.
 """
@@ -27,6 +34,7 @@ from .states import (
     PureState,
     SpectralOperator,
     SymmetryOp,
+    _pure_density,
     child_rng,
     pure_state,
     random_density,
@@ -81,6 +89,22 @@ def transition_prob(p: PureState, q: PureState) -> float:
     return float(abs(np.vdot(p.vector, q.vector)) ** 2)
 
 
+def _rays(states) -> np.ndarray:
+    """Stack the vectors of pure states as the rows of one (n, dim) array."""
+    return np.array([p.vector for p in states])
+
+
+def _overlaps(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """|<rows_i|cols_j>|^2 for every pair of stacked rays."""
+    return np.abs(rows.conj() @ cols.T) ** 2
+
+
+def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:
+    """First (i, j) with i < j where ``mask`` holds, in row-major order."""
+    hits = np.argwhere(np.triu(mask, 1))
+    return (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
+
+
 def pure_state_map(pairs) -> PureStateMap:
     pairs = tuple((p, q) for p, q in pairs)
     if not pairs:
@@ -90,10 +114,10 @@ def pure_state_map(pairs) -> PureStateMap:
     for p, q in pairs:
         if p.dim != dim or q.dim != dim:
             raise DimensionMismatchError("all map entries must share one dimension")
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if abs(np.vdot(pairs[i][0].vector, pairs[j][0].vector)) ** 2 > _DUPLICATE_OVERLAP:
-                raise ValidationError(f"duplicate input ray at pairs {i} and {j}")
+    ins = _rays(p for p, _ in pairs)
+    dup = _first_pair(_overlaps(ins, ins) > _DUPLICATE_OVERLAP)
+    if dup is not None:
+        raise ValidationError(f"duplicate input ray at pairs {dup[0]} and {dup[1]}")
     return PureStateMap(dim, pairs)
 
 
@@ -135,13 +159,6 @@ def symmetry_overlap(first: SymmetryOp, second: SymmetryOp) -> float:
     return float(abs(np.trace(first.u.conj().T @ second.u)) / d)
 
 
-def _match_probe(pmap: PureStateMap, target: PureState) -> PureState | None:
-    for p, q in pmap.pairs:
-        if abs(np.vdot(p.vector, target.vector)) ** 2 >= _RAY_MATCH:
-            return q
-    return None
-
-
 def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     """Rebuild the implementing operator from probe images.
 
@@ -149,41 +166,45 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     NotASymmetryError (with the offending probe id) when transition
     probabilities are not preserved, the phase data fits neither the unitary
     nor the antiunitary branch, or the assembled operator fails to reproduce
-    some pair of the map.
+    some pair of the map. The transition check compares the Gram matrices
+    |<in_i|in_j>|^2 and |<out_i|out_j>|^2 of the stacked rays on i < j, and
+    probe matching and the final reproduction check are one matrix product
+    each; every error names the first failing pair in row-major order.
     """
     d = pmap.dim
     # rounding alone moves a transition probability by ~1e-16, so even tol=0
     # accepts an exact map
     floor = max(tol, 1e-12)
+    ins = _rays(p for p, _ in pmap.pairs)
+    outs = _rays(q for _, q in pmap.pairs)
 
     # transition probabilities must already match on every input pair
-    n = len(pmap.pairs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            t_in = transition_prob(pmap.pairs[i][0], pmap.pairs[j][0])
-            t_out = transition_prob(pmap.pairs[i][1], pmap.pairs[j][1])
-            if abs(t_in - t_out) > floor:
-                raise NotASymmetryError(
-                    f"transition probability broken between inputs {i} and {j}: "
-                    f"{t_in:.6f} -> {t_out:.6f}",
-                    probe=f"overlap-{i}-{j}",
-                )
+    t_in, t_out = _overlaps(ins, ins), _overlaps(outs, outs)
+    broken = _first_pair(np.abs(t_in - t_out) > floor)
+    if broken is not None:
+        i, j = broken
+        raise NotASymmetryError(
+            f"transition probability broken between inputs {i} and {j}: "
+            f"{t_in[i, j]:.6f} -> {t_out[i, j]:.6f}",
+            probe=f"overlap-{i}-{j}",
+        )
 
-    images: dict[str, PureState] = {}
-    for label, probe in probe_pure_states(d):
-        out = _match_probe(pmap, probe)
-        if out is None:
-            raise IncompleteMapError(f"map lacks an input matching probe {label}")
-        images[label] = out
+    # each probe's image is the output of the first input on the probe's ray
+    labels, probes = zip(*probe_pure_states(d))
+    matches = _overlaps(_rays(probes), ins) >= _RAY_MATCH
+    missing = np.flatnonzero(~matches.any(axis=1))
+    if len(missing):
+        raise IncompleteMapError(f"map lacks an input matching probe {labels[missing[0]]}")
+    images = dict(zip(labels, outs[matches.argmax(axis=1)]))
 
     cols = np.zeros((d, d), dtype=np.complex128)
-    f0 = images["basis-0"].vector
+    f0 = images["basis-0"]
     nz = np.flatnonzero(np.abs(f0) > 1e-8)[0]
     cols[:, 0] = f0 * (f0[nz].conj() / abs(f0[nz]))
 
     for j in range(1, d):
-        fj = images[f"basis-{j}"].vector
-        gj = images[f"pair-0-{j}"].vector
+        fj = images[f"basis-{j}"]
+        gj = images[f"pair-0-{j}"]
         a = np.vdot(cols[:, 0], gj)
         b = np.vdot(fj, gj)
         if abs(a) < 0.1 or abs(b) < 0.1:
@@ -194,7 +215,7 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
         phase = b / a
         cols[:, j] = fj * (phase / abs(phase))
 
-    h = images["imag-0-1"].vector
+    h = images["imag-0-1"]
     plus = (cols[:, 0] + 1j * cols[:, 1]) / np.sqrt(2.0)
     minus = (cols[:, 0] - 1j * cols[:, 1]) / np.sqrt(2.0)
     t_plus = abs(np.vdot(plus, h)) ** 2
@@ -215,13 +236,17 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     u = uu @ vh
     sym = symmetry_op(u, antiunitary=antiunitary)
 
-    for k, (p, q) in enumerate(pmap.pairs):
-        predicted = transform_pure(sym, p)
-        if transition_prob(predicted, q) < 1.0 - floor:
-            raise NotASymmetryError(
-                f"assembled operator fails to reproduce map pair {k}",
-                probe=f"pair-{k}",
-            )
+    # rows of `predicted` are transform_pure of each input
+    predicted = (ins.conj() if antiunitary else ins) @ u.T
+    predicted /= np.linalg.norm(predicted, axis=1, keepdims=True)
+    fit = np.abs(np.einsum("ij,ij->i", predicted.conj(), outs)) ** 2
+    missed = np.flatnonzero(fit < 1.0 - floor)
+    if len(missed):
+        k = missed[0]
+        raise NotASymmetryError(
+            f"assembled operator fails to reproduce map pair {k}",
+            probe=f"pair-{k}",
+        )
     return sym
 
 
@@ -235,9 +260,12 @@ def verify_theorem(
     """Check that a state map is implemented by one unitary/antiunitary.
 
     ``transform`` maps SpectralOperator to SpectralOperator. Pure probes must
-    map to pure outputs (else NotASymmetryError); the reconstructed operator
-    is then compared against the map on ``n_mixed`` seeded mixed states of
-    cycling ranks and, via strength functions, on the first two of them.
+    map to pure outputs (else NotASymmetryError). Each probe reaches
+    ``transform`` with its spectral data built in closed form, not by an
+    eigendecomposition; the outputs are validated as usual. The
+    reconstructed operator is then compared against the map on ``n_mixed``
+    seeded mixed states of cycling ranks and, via strength functions, on the
+    first two of them.
     Mixed-state disagreements are collected as failures with verdict False
     rather than raised. Raises ValidationError when ``n_mixed < 1``, since
     the verdict would then rest on no mixed state at all.
@@ -247,9 +275,8 @@ def verify_theorem(
         raise ValidationError(f"n_mixed must be at least 1, got {n_mixed}")
     pairs = []
     for label, probe in probe_pure_states(dim):
-        dens = validate_density(probe.projection)
         try:
-            out = transform(dens)
+            out = transform(_pure_density(probe))
         except ValidationError as exc:
             raise NotASymmetryError(
                 f"map output rejected on probe {label}: {exc}", probe=label
@@ -326,11 +353,10 @@ def _characterization_pool(state: SpectralOperator, samples: int, seed: int) -> 
         rank = (k % d) + 1
         pool.append(random_density(d, rank, seed=child_rng(seed, 4, k)))
     for i in range(state.numerical_rank):
-        pool.append(validate_density(np.outer(state.eigenvectors[:, i], state.eigenvectors[:, i].conj())))
+        pool.append(_pure_density(pure_state(state.eigenvectors[:, i])))
     if state.numerical_rank >= 2:
         mix = state.eigenvectors[:, 0] + state.eigenvectors[:, 1]
-        mix = mix / np.linalg.norm(mix)
-        pool.append(validate_density(np.outer(mix, mix.conj())))
+        pool.append(_pure_density(pure_state(mix, normalize=True)))
     return pool
 
 

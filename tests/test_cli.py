@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -176,6 +177,14 @@ class TestMeasureCommand:
         cert, swapped_cert = plain["certificate"], swapped["certificate"]
         assert swapped_cert["weights_a"] == cert["weights_b"] and swapped_cert["vectors"] == cert["vectors"]
 
+    def test_bounds_do_not_depend_on_argument_order(self, files):
+        reports = [
+            run_cli("measure", "--a", files(a), "--b", files(b))[1]
+            for a, b in (("r43.json", "r42.json"), ("r42.json", "r43.json"))
+        ]
+        assert reports[0]["bounds"] == reports[1]["bounds"]
+        assert reports[0]["result"]["value"] == reports[1]["result"]["value"]
+
     def test_zero_restarts_is_validation_error(self, files):
         rc, rep, err = run_cli(
             "measure", "--a", files("mm4.json"), "--b", files("mm4.json"), "--restarts", "0"
@@ -310,3 +319,15 @@ class TestSelftestCommand:
         assert "PASS" in err
         idents = [c["ident"] for c in rep["result"]["criteria"]]
         assert len(idents) == len(set(idents)) == 11
+
+    def test_criterion_times_sit_beside_result(self, files):
+        rc, rep, err = run_cli("selftest", "--quick", "--dims", "2..2")
+        assert rc == 0
+        idents = [c["ident"] for c in rep["result"]["criteria"]]
+        elapsed = rep["criteria_elapsed_ms"]
+        assert sorted(elapsed) == sorted(idents)
+        assert all(ms >= 0.0 for ms in elapsed.values())
+        assert "elapsed" not in json.dumps(rep["result"])
+        lines = [line for line in err.splitlines() if line.startswith(("[PASS]", "[FAIL]"))]
+        assert len(lines) == len(idents)
+        assert all(re.search(r" \(\d+\.\d ms\)$", line) for line in lines)

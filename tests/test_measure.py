@@ -125,6 +125,15 @@ class TestExampleMeasure:
         assert abs(res.value - 1.0) <= 1e-9
         assert res.residual <= 1e-9
 
+    @pytest.mark.parametrize("d,rank,seed", [(1, 1, 0), (2, 1, 3), (3, 2, 4), (4, 4, 5), (8, 5, 6)])
+    def test_byte_equal_inputs_mirror_one_decomposition(self, d, rank, seed):
+        a = random_density(d, rank, seed=seed)
+        for b in (a, validate_density(a.matrix.copy())):
+            res = example_measure(a, b)
+            assert res.decomposition_a.weights.tobytes() == res.decomposition_b.weights.tobytes()
+            assert abs(res.value - 1.0) <= 1e-12
+            assert res.residual <= 1e-12
+
     def test_disjoint_supports_give_zero(self):
         u = haar_unitary(4, seed=2)
         a = validate_density(np.outer(u[:, 0], u[:, 0].conj()))
@@ -285,6 +294,11 @@ class TestFidelity:
     def test_argument_order_agrees(self):
         a, b = random_density(4, 3, seed=5), random_density(4, 3, seed=6)
         assert abs(fidelity(a, b) - fidelity(b, a)) <= 1e-12
+
+    def test_argument_order_is_bit_identical(self):
+        # evaluated in the given order these differ in the last bit
+        a, b = random_density(4, 3, seed=0), random_density(4, 2, seed=1000)
+        assert fidelity(a, b) == fidelity(b, a)
 
     def test_pure_overlap(self):
         v = np.array([1.0, 0.0], dtype=complex)

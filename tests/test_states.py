@@ -17,6 +17,7 @@ from qcompat import (
     TraceNotOneError,
     haar_unitary,
     kernel_overlap_sq,
+    probe_pure_states,
     pure_state,
     random_density,
     random_pure,
@@ -29,6 +30,7 @@ from qcompat import (
     validate_density,
     validate_effect,
 )
+from qcompat.states import _pure_density
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -89,6 +91,22 @@ class TestValidateEffect:
 
     def test_density_is_effect(self):
         validate_effect(np.diag([0.7, 0.3]).astype(complex))
+
+
+class TestPureDensity:
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    def test_closed_form_spectral_data_of_every_probe(self, d):
+        for _, p in probe_pure_states(d):
+            op = _pure_density(p)
+            vecs = op.eigenvectors
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(d), atol=1e-14)
+            phase = np.vdot(p.vector, vecs[:, 0])
+            assert abs(abs(phase) - 1.0) <= 1e-14
+            np.testing.assert_allclose(vecs[:, 0], phase * p.vector, atol=1e-14)
+            np.testing.assert_allclose((vecs * op.eigenvalues) @ vecs.conj().T, p.projection, atol=1e-14)
+            assert op.eigenvalues.tolist() == [1.0] + [0.0] * (d - 1)
+            assert op.numerical_rank == 1
+            assert op.matrix.tobytes() == validate_density(p.projection).matrix.tobytes()
 
 
 class TestPureState:

@@ -97,6 +97,13 @@ class TestPureStateMapValidation:
         with pytest.raises(ValidationError):
             pure_state_map([])
 
+    def test_first_duplicate_pair_is_named(self):
+        # duplicates at (0, 3) and (1, 2): row-major order names (0, 3) first
+        e0, e1 = _basis(0, 2), _basis(1, 2)
+        pairs = [(e0, e0), (e1, e1), (pure_state(1j * e1.vector), e1), (pure_state(-e0.vector), e0)]
+        with pytest.raises(ValidationError, match=r"^duplicate input ray at pairs 0 and 3$"):
+            pure_state_map(pairs)
+
     def test_dim_one_rejected(self):
         one = pure_state(np.array([1.0], dtype=complex))
         with pytest.raises(ValidationError):
@@ -144,6 +151,37 @@ class TestWignerReconstruct:
         with pytest.raises(NotASymmetryError) as exc:
             wigner_reconstruct(pure_state_map(pairs))
         assert exc.value.probe
+
+    def test_first_broken_transition_is_named(self):
+        # outputs break inputs (0, 4) and (1, 2) only; row-major order names (0, 4)
+        outs = {2: np.array([0, 1, 1]) / np.sqrt(2.0), 4: np.array([0, 0, 1])}
+        pairs = [(p, pure_state(outs[k]) if k in outs else p) for k, (_, p) in enumerate(probe_pure_states(3))]
+        with pytest.raises(NotASymmetryError) as exc:
+            wigner_reconstruct(pure_state_map(pairs))
+        assert exc.value.probe == "overlap-0-4"
+        assert str(exc.value) == "transition probability broken between inputs 0 and 4: 0.500000 -> 0.000000"
+
+    @given(seed=seeds, anti=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_broken_transition_matches_loop_reference(self, seed, anti):
+        rng = child_rng(seed, 62)
+        d = int(rng.integers(2, 6))
+        pairs = list(symmetry_probe_map(random_symmetry(d, antiunitary=anti, seed=rng)).pairs)
+        for k in rng.choice(len(pairs), size=int(rng.integers(1, 4)), replace=False):
+            pairs[k] = (pairs[k][0], random_pure(d, seed=rng))
+        expected = next(
+            (
+                f"overlap-{i}-{j}"
+                for i in range(len(pairs))
+                for j in range(i + 1, len(pairs))
+                if abs(transition_prob(pairs[i][0], pairs[j][0]) - transition_prob(pairs[i][1], pairs[j][1])) > 1e-8
+            ),
+            None,
+        )
+        assert expected is not None
+        with pytest.raises(NotASymmetryError) as exc:
+            wigner_reconstruct(pure_state_map(pairs))
+        assert exc.value.probe == expected
 
     @pytest.mark.parametrize("anti", [False, True])
     def test_zero_tolerance_accepts_exact_map(self, anti):
@@ -197,6 +235,22 @@ class TestVerifyTheorem:
         with pytest.raises(NotASymmetryError) as exc:
             verify_theorem(depolarize, 3, n_mixed=4, seed=0)
         assert exc.value.probe
+
+    def test_probes_skip_the_eigendecomposition(self, monkeypatch):
+        # 2d probe outputs are validated, and 3 eighs per mixed state (the
+        # state, the map's output, the prediction); the probes need none
+        s = random_symmetry(16, antiunitary=False, seed=19)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(m, *args, **kwargs):
+            calls.append(m.shape)
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        res = verify_theorem(lambda rho: apply_symmetry(s, rho), 16, n_mixed=4, seed=0)
+        assert res.verdict
+        assert len(calls) == 2 * 16 + 3 * 4
 
     @pytest.mark.parametrize("n_mixed", [0, -1])
     def test_needs_a_mixed_state(self, n_mixed):
