@@ -1,6 +1,8 @@
 """Numerical toolkit for state compatibility, decomposition overlap
 measures, and symmetry reconstruction from pure-state data."""
 
+from importlib import import_module as _import_module
+
 from .errors import (
     DimensionMismatchError,
     FileFormatError,
@@ -52,23 +54,35 @@ from .strength import (
     strength_oracle,
     two_state_formula,
 )
-from .symmetry import (
-    CharacterizationProbe,
-    PureStateMap,
-    VerificationResult,
-    apply_symmetry,
-    probe_pure_states,
-    pure_characterization_probe,
-    pure_state_map,
-    rank_via_compatibility,
-    symmetry_overlap,
-    symmetry_probe_map,
-    transform_pure,
-    transition_prob,
-    verify_theorem,
-    wigner_reconstruct,
+
+# The symmetry layer loads on first use (PEP 562), so CLI commands that never
+# reach it start without it. The other layers stay eager: `strength` names
+# both a submodule and a function here.
+_SYMMETRY_NAMES = (
+    "CharacterizationProbe",
+    "PureStateMap",
+    "VerificationResult",
+    "apply_symmetry",
+    "probe_pure_states",
+    "pure_characterization_probe",
+    "pure_state_map",
+    "rank_via_compatibility",
+    "symmetry_overlap",
+    "symmetry_probe_map",
+    "transform_pure",
+    "transition_prob",
+    "verify_theorem",
+    "wigner_reconstruct",
 )
+
+
+def __getattr__(name: str):
+    if name == "symmetry" or name in _SYMMETRY_NAMES:
+        symmetry = _import_module(".symmetry", __name__)
+        return symmetry if name == "symmetry" else getattr(symmetry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["symmetry", *_SYMMETRY_NAMES]

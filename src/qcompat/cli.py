@@ -33,8 +33,6 @@ from .errors import (
     ValidationError,
 )
 from .measure import MeasureConfig, example_measure, fidelity, is_compatible
-from .selftest import payload as selftest_payload
-from .selftest import timed_criteria
 from .states import (
     DEFAULT_EPS_MEM,
     DEFAULT_EPS_RANK,
@@ -45,7 +43,6 @@ from .states import (
     validate_effect,
 )
 from .strength import strength, strength_oracle
-from .symmetry import apply_symmetry, verify_theorem, wigner_reconstruct
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -170,6 +167,8 @@ def _cmd_measure(args):
 
 
 def _cmd_reconstruct(args):
+    from .symmetry import wigner_reconstruct
+
     inputs = _inputs(map=args.map)
     pmap = qio.load_map(args.map)
     config = {"tol": args.tol}
@@ -179,6 +178,8 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_verify(args):
+    from .symmetry import apply_symmetry, verify_theorem, wigner_reconstruct
+
     if args.symmetry is not None:
         inputs = _inputs(symmetry=args.symmetry)
         sym = qio.load_symmetry(args.symmetry)
@@ -205,6 +206,9 @@ def _cmd_verify(args):
 
 
 def _cmd_selftest(args):
+    from .selftest import payload as selftest_payload
+    from .selftest import timed_criteria
+
     config = {
         "seed": args.seed,
         "dims": None if args.dims is None else f"{args.dims[0]}..{args.dims[1]}",

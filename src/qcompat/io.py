@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FileFormatError
 from .states import MAX_DIM, PureState, SymmetryOp, pure_state, symmetry_op
-from .symmetry import PureStateMap, pure_state_map
+
+if TYPE_CHECKING:
+    from .symmetry import PureStateMap
 
 
 def _entries(a: np.ndarray) -> list[list[float]]:
@@ -129,6 +132,8 @@ def save_map(path, pmap: PureStateMap) -> None:
 
 
 def load_map(path) -> PureStateMap:
+    from .symmetry import pure_state_map
+
     obj = _load_json(path)
     dim = _check_dim(obj, str(path))
     raw = obj.get("pairs")

@@ -114,25 +114,38 @@ class SymmetryOp:
         return self.u.shape[0]
 
 
-def _validate(matrix, eps_rank: float, density: bool) -> SpectralOperator:
+def _checked_hermitian(matrix) -> np.ndarray:
     m = _square_complex(matrix)
     defect = hermitian_defect(m)
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
+    return m
+
+
+def _check_unit_trace(m: np.ndarray) -> None:
+    trace = float(np.real(np.trace(m)))
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL}")
+
+
+def _numerical_rank(w: np.ndarray, eps_rank: float) -> int:
+    # eigenvalues above eps_rank relative to the largest (w is descending)
+    return int(np.count_nonzero(w > eps_rank * w[0])) if w[0] > 0.0 else 0
+
+
+def _validate(matrix, eps_rank: float, density: bool) -> SpectralOperator:
+    m = _checked_hermitian(matrix)
     w, v = _spectral(m)
     if w[-1] < -PSD_TOL:
         raise NotPSDError(f"lowest eigenvalue {w[-1]:.3e} below -{PSD_TOL}")
     if density:
-        trace = float(np.real(np.trace(m)))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL}")
+        _check_unit_trace(m)
         w = np.clip(w, 0.0, None)
     else:
         if w[0] > 1.0 + PSD_TOL:
             raise NotAnEffectError(f"largest eigenvalue {w[0]!r} exceeds 1 beyond {PSD_TOL}")
         w = np.clip(w, 0.0, 1.0)
-    rank = int(np.count_nonzero(w > eps_rank * w[0])) if w[0] > 0.0 else 0
-    return SpectralOperator(m, w, v, rank, float(eps_rank))
+    return SpectralOperator(m, w, v, _numerical_rank(w, eps_rank), float(eps_rank))
 
 
 def validate_density(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> SpectralOperator:
@@ -148,6 +161,21 @@ def validate_density(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> SpectralOper
 def validate_effect(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> SpectralOperator:
     """Check Hermiticity and that the spectrum sits in [0, 1]."""
     return _validate(matrix, eps_rank, density=False)
+
+
+def _density_with_spectrum(matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> SpectralOperator:
+    """Density operator whose eigensystem the caller already knows.
+
+    Runs the O(d^2) checks of `validate_density` (square, Hermitian, unit
+    trace) with the same errors, and takes the descending ``eigenvalues`` and
+    unitary ``eigenvectors`` as given, so no eigh runs. The caller vouches
+    that they diagonalize ``matrix``, e.g. as the unitary image of a
+    validated spectrum, which also stands in for the PSD check. The rank
+    follows `validate_density`'s rule with DEFAULT_EPS_RANK.
+    """
+    m = _checked_hermitian(matrix)
+    _check_unit_trace(m)
+    return SpectralOperator(m, eigenvalues, eigenvectors, _numerical_rank(eigenvalues, DEFAULT_EPS_RANK))
 
 
 def _pure_density(p: PureState) -> SpectralOperator:
@@ -169,8 +197,12 @@ def _pure_density(p: PureState) -> SpectralOperator:
 
 
 def pure_state(vector, normalize: bool = False) -> PureState:
-    """Build a pure state; with ``normalize`` the vector is rescaled first."""
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    """Build a pure state; with ``normalize`` the vector is rescaled first.
+
+    The vector is copied, so a state made from a matrix column never keeps
+    the whole matrix alive.
+    """
+    v = np.array(vector, dtype=np.complex128).reshape(-1)
     if not 1 <= v.shape[0] <= MAX_DIM:
         raise DimensionMismatchError(f"dimension {v.shape[0]} outside 1..{MAX_DIM}")
     norm = float(np.linalg.norm(v))
@@ -202,15 +234,17 @@ def support(op: SpectralOperator) -> np.ndarray:
     return op.eigenvectors[:, : op.numerical_rank].copy()
 
 
+def _kernel_weights(op: SpectralOperator, vectors: np.ndarray) -> np.ndarray:
+    """Squared norm of each column's component inside the kernel eigenspace."""
+    coeffs = op.eigenvectors[:, op.numerical_rank :].conj().T @ vectors
+    return np.einsum("ij,ij->j", coeffs.conj(), coeffs).real
+
+
 def kernel_overlap_sq(op: SpectralOperator, phi: PureState) -> float:
     """Squared norm of the component of ``phi`` inside the kernel eigenspace."""
     if phi.dim != op.dim:
         raise DimensionMismatchError(f"vector dim {phi.dim} != operator dim {op.dim}")
-    kernel = op.eigenvectors[:, op.numerical_rank :]
-    if kernel.shape[1] == 0:
-        return 0.0
-    coeffs = kernel.conj().T @ phi.vector
-    return float(np.real(np.vdot(coeffs, coeffs)))
+    return float(_kernel_weights(op, phi.vector[:, None])[0])
 
 
 def range_membership(op: SpectralOperator, phi: PureState, eps_mem: float = DEFAULT_EPS_MEM) -> bool:

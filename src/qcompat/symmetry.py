@@ -10,12 +10,18 @@ operator reproduces the map on mixed states and on strength functionals.
 The pairwise checks (duplicate inputs, preserved transition probabilities,
 probe matching and the final reproduction of every pair) are Gram-matrix
 tests over the stacked input and output rays, and an error names the first
-failing pair in row-major (i, j) order. The pure probes that
-`verify_theorem` feeds to the map get their spectral data in closed form
-instead of from an eigendecomposition.
+failing pair in row-major (i, j) order.
 
-Also here: rank estimation through compatibility queries alone, and a purity
-probe built from sampled incompatible sets.
+No eigendecomposition is repeated for data that is already known. The pure
+probes that `verify_theorem` feeds to the map get their spectral data in
+closed form, and `apply_symmetry` carries the input's spectrum through the
+symmetry: the image of a state with spectrum w and eigenvectors V has
+spectrum w and eigenvectors U·V (U·conj(V) for an antiunitary). A d = 64
+`verify_theorem` of an `apply_symmetry` map runs one eigh per mixed state.
+
+Also here: rank estimation through compatibility queries alone, with the
+support test run on a block of candidate rays at a time, and a purity probe
+built from sampled incompatible sets.
 """
 
 from __future__ import annotations
@@ -31,17 +37,17 @@ from .errors import (
     ValidationError,
 )
 from .states import (
+    DEFAULT_EPS_MEM,
     PureState,
     SpectralOperator,
     SymmetryOp,
+    _density_with_spectrum,
+    _kernel_weights,
     _pure_density,
     child_rng,
     pure_state,
     random_density,
-    random_pure,
-    range_membership,
     symmetry_op,
-    validate_density,
 )
 from .measure import is_compatible
 from .strength import effects_equal_by_strength
@@ -140,8 +146,19 @@ def transform_pure(sym: SymmetryOp, p: PureState) -> PureState:
 
 
 def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator:
-    m = state.matrix.conj() if sym.antiunitary else state.matrix
-    return validate_density(sym.u @ m @ sym.u.conj().T)
+    """Image U rho U* (U conj(rho) U* for an antiunitary) as a density operator.
+
+    The matrix passes `validate_density`'s square, Hermiticity and trace
+    checks, with the same errors; an effect whose trace is not one still
+    raises TraceNotOneError. The spectrum is the input's and the
+    eigenvectors are U·V (U·conj(V)), so no eigh runs. The rank is recounted
+    from that spectrum with the default rule, whatever ``eps_rank`` the
+    input was validated with.
+    """
+    anti = sym.antiunitary
+    m = state.matrix.conj() if anti else state.matrix
+    v = state.eigenvectors.conj() if anti else state.eigenvectors
+    return _density_with_spectrum(sym.u @ m @ sym.u.conj().T, state.eigenvalues, sym.u @ v)
 
 
 def symmetry_probe_map(sym: SymmetryOp) -> PureStateMap:
@@ -262,7 +279,9 @@ def verify_theorem(
     ``transform`` maps SpectralOperator to SpectralOperator. Pure probes must
     map to pure outputs (else NotASymmetryError). Each probe reaches
     ``transform`` with its spectral data built in closed form, not by an
-    eigendecomposition; the outputs are validated as usual. The
+    eigendecomposition, and each prediction comes from `apply_symmetry`,
+    which carries the state's spectrum through; so with an `apply_symmetry`
+    transform the only eigh calls are the ``n_mixed`` in `random_density`. The
     reconstructed operator is then compared against the map on ``n_mixed``
     seeded mixed states of cycling ranks and, via strength functions, on the
     first two of them.
@@ -323,26 +342,35 @@ def verify_theorem(
 def rank_via_compatibility(state: SpectralOperator, seed: int = 0) -> int:
     """Operational rank: count independent pure states compatible with it.
 
-    Samples dim**2 random rays plus the spectral rays, keeps those whose
-    ray lies in the support (the compatibility criterion for a pure
-    companion), and greedily orthogonalizes the survivors.
+    Samples dim**2 random rays from one generator, in dim blocks of dim
+    rays, then the spectral rays. Per block, one product keeps the rays in
+    the support (`range_membership`, the compatibility criterion for a pure
+    companion), and the survivors are greedily orthogonalized. The count
+    stops at dim, since no further ray can be independent.
     """
     d = state.dim
     _require_dim2(d)
-    candidates = [random_pure(d, seed=child_rng(seed, 3, k)) for k in range(d * d)]
-    candidates += [pure_state(state.eigenvectors[:, i]) for i in range(d)]
-
-    kept: list[np.ndarray] = []
-    for p in candidates:
-        if not range_membership(state, p):
-            continue
-        v = p.vector.copy()
-        for w in kept:
-            v -= np.vdot(w, v) * w
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            kept.append(v / nrm)
-    return len(kept)
+    rng = child_rng(seed, 3)
+    kept = np.zeros((d, d), dtype=np.complex128)
+    k = 0
+    for block in range(d + 1):
+        if block < d:
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            rays = z / np.linalg.norm(z, axis=0)
+        else:
+            rays = state.eigenvectors
+        for v in rays[:, _kernel_weights(state, rays) <= DEFAULT_EPS_MEM].T:
+            basis = kept[:, :k]
+            # classical Gram-Schmidt, run twice to stay orthogonal to rounding
+            for _ in range(2):
+                v = v - basis @ (basis.conj().T @ v)
+            nrm = np.linalg.norm(v)
+            if nrm > 1e-8:
+                kept[:, k] = v / nrm
+                k += 1
+                if k == d:
+                    return k
+    return k
 
 
 def _characterization_pool(state: SpectralOperator, samples: int, seed: int) -> list[SpectralOperator]:

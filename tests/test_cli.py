@@ -120,6 +120,19 @@ def test_input_files_are_closed(files):
     assert "ResourceWarning" not in proc.stderr
 
 
+def test_compat_skips_the_symmetry_and_selftest_modules(files):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qcompat",
+         "compat", "--a", files("proj0.json"), "--b", files("proj1.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "qcompat.cli" in loaded
+    assert not {"qcompat.symmetry", "qcompat.selftest"} & loaded
+
+
 class TestMeasureCommand:
     def test_identical_states(self, files):
         rc, rep, _ = run_cli(

@@ -30,7 +30,7 @@ from qcompat import (
     validate_density,
     validate_effect,
 )
-from qcompat.states import _pure_density
+from qcompat.states import _kernel_weights, _pure_density
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -129,6 +129,12 @@ class TestPureState:
     def test_stores_only_its_vector(self):
         assert [f.name for f in dataclasses.fields(PureState)] == ["vector"]
 
+    def test_copies_a_matrix_column(self):
+        vecs = random_density(8, 3, seed=4).eigenvectors
+        p = pure_state(vecs[:, 0])
+        assert not np.shares_memory(p.vector, vecs)
+        np.testing.assert_array_equal(p.vector, vecs[:, 0])
+
 
 class TestSymmetryOp:
     def test_rejects_non_unitary(self):
@@ -158,6 +164,17 @@ class TestSupportAndRange:
         d = validate_density(np.diag([0.5, 0.5, 0.0]).astype(complex))
         v = np.array([0.0, 0.0, 1.0], dtype=complex)
         assert not range_membership(d, pure_state(v))
+
+    @pytest.mark.parametrize("rank", [1, 5, 8])
+    def test_stacked_kernel_weights_match_each_ray(self, rank):
+        # reference: a unit ray's kernel weight is one minus its support weight
+        d = random_density(8, rank, seed=rank)
+        rays = [random_pure(8, seed=k) for k in range(6)]
+        weights = _kernel_weights(d, np.stack([p.vector for p in rays], axis=1))
+        for w, p in zip(weights, rays):
+            inside = np.linalg.norm(support(d).conj().T @ p.vector) ** 2
+            assert abs(w - (1.0 - inside)) < 1e-13
+            assert abs(w - kernel_overlap_sq(d, p)) < 1e-14
 
     def test_sqrt_psd_squares_back(self):
         d = random_density(4, 3, seed=9)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qcompat import (
     IncompleteMapError,
     NotASymmetryError,
+    TraceNotOneError,
     ValidationError,
     apply_symmetry,
     haar_unitary,
@@ -25,10 +26,11 @@ from qcompat import (
     transform_pure,
     transition_prob,
     validate_density,
+    validate_effect,
     verify_theorem,
     wigner_reconstruct,
 )
-from qcompat.states import child_rng
+from qcompat.states import DEFAULT_EPS_RANK, child_rng
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -73,6 +75,34 @@ class TestApplySymmetry:
         s = random_symmetry(d, antiunitary=anti, seed=rng)
         out = apply_symmetry(s, rho)
         np.testing.assert_allclose(out.eigenvalues, rho.eigenvalues, atol=1e-12)
+
+    @pytest.mark.parametrize("anti", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 16, 64])
+    def test_closed_form_spectral_data(self, d, anti):
+        # the image's spectrum is the input's and its eigenvectors are U.V,
+        # and they agree with a fresh eigendecomposition of the image
+        s = random_symmetry(d, antiunitary=anti, seed=d)
+        for rank in sorted({1, max(d // 2, 1), d}):
+            out = apply_symmetry(s, random_density(d, rank, seed=10 * d + rank))
+            v = out.eigenvectors
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-13)
+            np.testing.assert_allclose((v * out.eigenvalues) @ v.conj().T, out.matrix, atol=1e-13)
+            fresh = validate_density(out.matrix)
+            np.testing.assert_allclose(out.eigenvalues, fresh.eigenvalues, atol=1e-13)
+            assert out.numerical_rank == fresh.numerical_rank == rank
+
+    def test_effect_with_other_trace_rejected(self):
+        s = random_symmetry(3, antiunitary=False, seed=8)
+        with pytest.raises(TraceNotOneError):
+            apply_symmetry(s, validate_effect(np.diag([1.0, 0.5, 0.0]).astype(complex)))
+
+    def test_rank_follows_the_default_rule(self):
+        # 0.05 sits below 0.1 x the top eigenvalue but far above the default threshold
+        rho = validate_density(np.diag([0.6, 0.35, 0.05]).astype(complex), eps_rank=0.1)
+        assert rho.numerical_rank == 2
+        out = apply_symmetry(random_symmetry(3, antiunitary=True, seed=9), rho)
+        assert out.numerical_rank == 3
+        assert out.eps_rank == DEFAULT_EPS_RANK
 
     def test_transform_pure_preserves_probabilities(self):
         s = random_symmetry(3, antiunitary=True, seed=5)
@@ -237,8 +267,9 @@ class TestVerifyTheorem:
         assert exc.value.probe
 
     def test_probes_skip_the_eigendecomposition(self, monkeypatch):
-        # 2d probe outputs are validated, and 3 eighs per mixed state (the
-        # state, the map's output, the prediction); the probes need none
+        # apply_symmetry carries the spectrum through, so neither the probe
+        # images nor the map's outputs and predictions on mixed states need
+        # an eigh: the only ones left are in random_density, one per mixed state
         s = random_symmetry(16, antiunitary=False, seed=19)
         calls = []
         eigh = np.linalg.eigh
@@ -250,7 +281,19 @@ class TestVerifyTheorem:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         res = verify_theorem(lambda rho: apply_symmetry(s, rho), 16, n_mixed=4, seed=0)
         assert res.verdict
-        assert len(calls) == 2 * 16 + 3 * 4
+        assert len(calls) == 4
+
+    def test_memory_stays_small_at_max_dim(self):
+        # each probe image keeps only its own vector, not the d x d eigenvectors
+        s = random_symmetry(64, antiunitary=False, seed=20)
+        tracemalloc.start()
+        try:
+            res = verify_theorem(lambda rho: apply_symmetry(s, rho), 64, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.verdict
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("n_mixed", [0, -1])
     def test_needs_a_mixed_state(self, n_mixed):
@@ -273,6 +316,11 @@ class TestRankViaCompatibility:
             r = 1 + k % d
             rho = random_density(d, r, seed=300 + k)
             assert rank_via_compatibility(rho, seed=k) == r
+
+    @pytest.mark.parametrize("rank", [1, 32, 63, 64])
+    def test_exact_at_max_dim(self, rank):
+        rho = random_density(64, rank, seed=rank)
+        assert rank_via_compatibility(rho, seed=rank) == rank
 
     def test_candidate_rays_stay_small_at_max_dim(self):
         # 4160 candidate rays at d = 64; keeping a 64x64 projection per ray would take ~266 MB
