@@ -7,6 +7,7 @@ decomposition, so downstream formulas never re-diagonalize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +118,15 @@ class SymmetryOp:
 def _checked_hermitian(matrix) -> np.ndarray:
     m = _square_complex(matrix)
     defect = hermitian_defect(m)
-    if defect > HERMITIAN_TOL:
+    # written so that a NaN defect (a non-finite entry) fails too
+    if not defect <= HERMITIAN_TOL:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
     return m
 
 
 def _check_unit_trace(m: np.ndarray) -> None:
     trace = float(np.real(np.trace(m)))
-    if abs(trace - 1.0) > TRACE_TOL:
+    if not abs(trace - 1.0) <= TRACE_TOL:
         raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL}")
 
 
@@ -169,9 +171,9 @@ def _density_with_spectrum(matrix, eigenvalues: np.ndarray, eigenvectors: np.nda
     Runs the O(d^2) checks of `validate_density` (square, Hermitian, unit
     trace) with the same errors, and takes the descending ``eigenvalues`` and
     unitary ``eigenvectors`` as given, so no eigh runs. The caller vouches
-    that they diagonalize ``matrix``, e.g. as the unitary image of a
-    validated spectrum, which also stands in for the PSD check. The rank
-    follows `validate_density`'s rule with DEFAULT_EPS_RANK.
+    that they diagonalize ``matrix``, e.g. as the spectrum and basis it was
+    built from, which also stands in for the PSD check. The rank follows
+    `validate_density`'s rule with DEFAULT_EPS_RANK.
     """
     m = _checked_hermitian(matrix)
     _check_unit_trace(m)
@@ -208,9 +210,11 @@ def pure_state(vector, normalize: bool = False) -> PureState:
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise NotUnitVectorError("zero vector cannot be normalized")
+    if not math.isfinite(norm):
+        raise NotUnitVectorError(f"norm {norm!r} is not finite")
     if normalize:
         v = v / norm
-    elif abs(norm - 1.0) > 1e-12:
+    elif not abs(norm - 1.0) <= 1e-12:
         raise NotUnitVectorError(f"norm {norm!r} differs from 1 beyond 1e-12")
     return PureState(v)
 
@@ -218,7 +222,7 @@ def pure_state(vector, normalize: bool = False) -> PureState:
 def symmetry_op(u, antiunitary: bool = False) -> SymmetryOp:
     m = _square_complex(u)
     defect = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")
     return SymmetryOp(m, bool(antiunitary))
 
@@ -279,7 +283,10 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     """Random state of exact numerical rank.
 
     Spectrum is Dirichlet-like with a floor of 0.05/(1 + 0.05 rank) so the
-    requested rank never collapses through the rank threshold.
+    requested rank never collapses through the rank threshold. The drawn
+    spectrum (padded with zeros) and the Haar basis it sits on are returned
+    as the eigensystem, so no eigh runs; the matrix passes the O(d^2) checks
+    of `validate_density`.
     """
     if not 1 <= dim <= MAX_DIM:
         raise DimensionMismatchError(f"dimension {dim} outside 1..{MAX_DIM}")
@@ -292,15 +299,28 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     lam = np.sort(lam)[::-1]
     lam = lam / lam.sum()
     m = (v[:, :rank] * lam) @ v[:, :rank].conj().T
-    return validate_density((m + m.conj().T) / 2.0)
+    w = np.zeros(dim)
+    w[:rank] = lam
+    return _density_with_spectrum((m + m.conj().T) / 2.0, w, v)
+
+
+def _random_rays(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` random unit vectors as the columns of a (dim, count) array.
+
+    Ray k is built from the k-th pair of ``dim`` standard-normal draws (real
+    parts, then imaginary parts) and divided by its own norm, so the columns
+    are bit for bit the vectors of ``count`` successive `random_pure` calls
+    on the same generator.
+    """
+    g = rng.standard_normal((count, 2, dim))
+    z = g[:, 0] + 1j * g[:, 1]
+    return (z / np.array([np.linalg.norm(r) for r in z])[:, None]).T
 
 
 def random_pure(dim: int, seed) -> PureState:
     if not 1 <= dim <= MAX_DIM:
         raise DimensionMismatchError(f"dimension {dim} outside 1..{MAX_DIM}")
-    rng = as_rng(seed)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return pure_state(z, normalize=True)
+    return pure_state(_random_rays(dim, 1, as_rng(seed))[:, 0])
 
 
 def random_symmetry(dim: int, antiunitary: bool = False, seed=0) -> SymmetryOp:

@@ -21,9 +21,8 @@ from .states import (
     DEFAULT_EPS_MEM,
     PureState,
     SpectralOperator,
+    _random_rays,
     as_rng,
-    pure_state,
-    random_pure,
 )
 
 # rays whose squared kernel component lands in (eps_mem, NEAR_BOUNDARY_SQ]
@@ -41,21 +40,30 @@ class StrengthResult:
     near_boundary: bool = False
 
 
+def _strengths(
+    effect: SpectralOperator, rays: np.ndarray, eps_mem: float = DEFAULT_EPS_MEM
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed form on every column of ``rays``: values, in-range and near-boundary flags.
+
+    A column off the support (kernel weight above ``eps_mem``) gets value 0;
+    one on it gets 1 / sum_i |<e_i, phi>|^2 / t_i, clipped at 1.
+    """
+    weights = np.abs(effect.eigenvectors.conj().T @ rays) ** 2
+    r = effect.numerical_rank
+    kernel_sq = weights[r:].sum(axis=0)
+    denom = (weights[:r] / effect.eigenvalues[:r, None]).sum(axis=0)
+    in_range = (kernel_sq <= eps_mem) & (denom > 0.0)
+    values = np.minimum(1.0, np.divide(1.0, denom, out=np.zeros_like(denom), where=in_range))
+    near = (kernel_sq > eps_mem) & (kernel_sq <= NEAR_BOUNDARY_SQ)
+    return values, in_range, near
+
+
 def strength(effect: SpectralOperator, phi: PureState, eps_mem: float = DEFAULT_EPS_MEM) -> StrengthResult:
     """Spectral closed form: 1 / sum_i |<e_i, phi>|^2 / t_i over the support."""
     if phi.dim != effect.dim:
         raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {effect.dim}")
-    coeffs = effect.eigenvectors.conj().T @ phi.vector
-    weights = np.abs(coeffs) ** 2
-    on_support = np.zeros(effect.dim, dtype=bool)
-    on_support[: effect.numerical_rank] = True
-    kernel_sq = float(weights[~on_support].sum())
-    if kernel_sq > eps_mem:
-        return StrengthResult(0.0, False, kernel_sq <= NEAR_BOUNDARY_SQ)
-    denom = float((weights[on_support] / effect.eigenvalues[on_support]).sum())
-    if denom <= 0.0:
-        return StrengthResult(0.0, False, False)
-    return StrengthResult(min(1.0, 1.0 / denom), True, False)
+    values, in_range, near = _strengths(effect, phi.vector[:, None], eps_mem)
+    return StrengthResult(float(values[0]), bool(in_range[0]), bool(near[0]))
 
 
 def strength_oracle(effect: SpectralOperator, phi: PureState) -> float:
@@ -119,15 +127,13 @@ def effects_equal_by_strength(
     The ray set always contains the eigenvector rays of both effects (random
     rays alone cannot separate effects with different supports, since the
     strength vanishes identically off-range), plus ``n_rays`` seeded random
-    rays.
+    rays, the same ones ``n_rays`` `random_pure` calls would draw. All rays
+    sit in one (dim, 2 dim + n_rays) array, and each effect's strengths come
+    from one stacked product.
     """
     if first.dim != second.dim:
         raise DimensionMismatchError(f"effect dims differ: {first.dim} != {second.dim}")
-    rng = as_rng(seed)
-    rays = [pure_state(first.eigenvectors[:, k], normalize=True) for k in range(first.dim)]
-    rays += [pure_state(second.eigenvectors[:, k], normalize=True) for k in range(second.dim)]
-    rays += [random_pure(first.dim, rng) for _ in range(n_rays)]
-    for ray in rays:
-        if abs(strength(first, ray).value - strength(second, ray).value) > tol:
-            return False
-    return True
+    eig_rays = np.hstack([first.eigenvectors, second.eigenvectors])
+    rays = np.hstack([eig_rays / np.linalg.norm(eig_rays, axis=0), _random_rays(first.dim, n_rays, as_rng(seed))])
+    gap = np.abs(_strengths(first, rays)[0] - _strengths(second, rays)[0])
+    return bool(np.all(gap <= tol))

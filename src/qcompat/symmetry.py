@@ -14,10 +14,12 @@ failing pair in row-major (i, j) order.
 
 No eigendecomposition is repeated for data that is already known. The pure
 probes that `verify_theorem` feeds to the map get their spectral data in
-closed form, and `apply_symmetry` carries the input's spectrum through the
-symmetry: the image of a state with spectrum w and eigenvectors V has
-spectrum w and eigenvectors U·V (U·conj(V) for an antiunitary). A d = 64
-`verify_theorem` of an `apply_symmetry` map runs one eigh per mixed state.
+closed form, `random_density` returns the spectrum and basis it drew, and
+`apply_symmetry` carries the input's spectrum through the symmetry: the
+image of a state with spectrum w and eigenvectors V has spectrum w and
+eigenvectors W = U·V (U·conj(V) for an antiunitary), and its matrix is
+built from them. A `verify_theorem` of an `apply_symmetry` map runs no eigh
+at all, and one d x d product per image.
 
 Also here: rank estimation through compatibility queries alone, with the
 support test run on a block of candidate rays at a time, and a purity probe
@@ -38,11 +40,13 @@ from .errors import (
 )
 from .states import (
     DEFAULT_EPS_MEM,
+    DEFAULT_EPS_RANK,
     PureState,
     SpectralOperator,
     SymmetryOp,
-    _density_with_spectrum,
+    _check_unit_trace,
     _kernel_weights,
+    _numerical_rank,
     _pure_density,
     child_rng,
     pure_state,
@@ -148,17 +152,24 @@ def transform_pure(sym: SymmetryOp, p: PureState) -> PureState:
 def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator:
     """Image U rho U* (U conj(rho) U* for an antiunitary) as a density operator.
 
-    The matrix passes `validate_density`'s square, Hermiticity and trace
-    checks, with the same errors; an effect whose trace is not one still
-    raises TraceNotOneError. The spectrum is the input's and the
-    eigenvectors are U·V (U·conj(V)), so no eigh runs. The rank is recounted
-    from that spectrum with the default rule, whatever ``eps_rank`` the
-    input was validated with.
+    The image is built from the input's carried spectral decomposition: its
+    eigenvectors are W = U·V (U·conj(V)), its spectrum is the input's, and
+    its matrix is (W+ · w+) W+* over the columns with w > 0. That is one
+    d x d product for W and O(d^2) per nonzero eigenvalue, so a rank-one
+    image costs one product and no eigh runs. The matrix is thus the image
+    of the spectral decomposition, which agrees with U rho U* to rounding
+    plus the eigenvalues in [-1e-12, 0) that validation clipped to zero.
+    The unit-trace check runs on the input, whose trace the image shares,
+    so an effect whose trace is not one still raises TraceNotOneError while
+    that clipped mass cannot. The rank is recounted from the spectrum with
+    the default rule, whatever ``eps_rank`` the input was validated with.
     """
-    anti = sym.antiunitary
-    m = state.matrix.conj() if anti else state.matrix
-    v = state.eigenvectors.conj() if anti else state.eigenvectors
-    return _density_with_spectrum(sym.u @ m @ sym.u.conj().T, state.eigenvalues, sym.u @ v)
+    _check_unit_trace(state.matrix)
+    w = state.eigenvalues
+    vecs = sym.u @ (state.eigenvectors.conj() if sym.antiunitary else state.eigenvectors)
+    on = w > 0.0
+    image = vecs[:, on]
+    return SpectralOperator((image * w[on]) @ image.conj().T, w, vecs, _numerical_rank(w, DEFAULT_EPS_RANK))
 
 
 def symmetry_probe_map(sym: SymmetryOp) -> PureStateMap:
@@ -278,12 +289,13 @@ def verify_theorem(
 
     ``transform`` maps SpectralOperator to SpectralOperator. Pure probes must
     map to pure outputs (else NotASymmetryError). Each probe reaches
-    ``transform`` with its spectral data built in closed form, not by an
-    eigendecomposition, and each prediction comes from `apply_symmetry`,
-    which carries the state's spectrum through; so with an `apply_symmetry`
-    transform the only eigh calls are the ``n_mixed`` in `random_density`. The
-    reconstructed operator is then compared against the map on ``n_mixed``
-    seeded mixed states of cycling ranks and, via strength functions, on the
+    ``transform`` with its spectral data built in closed form, each mixed
+    state comes from `random_density` with the eigensystem it drew, and each
+    prediction comes from `apply_symmetry`, which carries the state's
+    spectrum through; so with an `apply_symmetry` transform no eigh runs.
+    The reconstructed operator is then compared against the map on
+    ``n_mixed`` seeded mixed states of cycling ranks and, via strength
+    functions on one stacked ray set (`effects_equal_by_strength`), on the
     first two of them.
     Mixed-state disagreements are collected as failures with verdict False
     rather than raised. Raises ValidationError when ``n_mixed < 1``, since

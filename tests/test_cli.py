@@ -15,6 +15,7 @@ from qcompat import (
     symmetry_probe_map,
 )
 from qcompat.io import save_map, save_matrix, save_symmetry, save_vector
+from qcompat.states import SymmetryOp
 
 
 def run_cli(*args, env_extra=None):
@@ -61,6 +62,18 @@ def files(tmp_path_factory):
         out = probes[0][1] if label == "pair-0-1" else q
         broken.append((q, out))
     save_map(p("map_broken.json"), pure_state_map(broken))
+
+    # non-finite entries; json writes them as NaN / Infinity
+    nan4 = np.eye(4, dtype=complex) / 4
+    nan4[1, 2] = nan4[2, 1] = np.nan
+    save_matrix(p("nan4.json"), nan4)
+    save_vector(p("nanvec4.json"), np.array([1.0, np.nan, 0.0, 0.0]))
+    inf3 = np.eye(3, dtype=complex)
+    inf3[0, 0] = np.inf
+    save_symmetry(p("infsym3.json"), SymmetryOp(inf3))
+    nan_pair = {"dim": 2, "entries": [[np.nan, 0.0], [0.0, 0.0]]}
+    with open(p("nanmap2.json"), "w") as fh:
+        json.dump({"dim": 2, "pairs": [[nan_pair, nan_pair]]}, fh)
     return p
 
 
@@ -322,6 +335,23 @@ def test_zero_tolerance_is_accepted(files, command, flag):
     rc, rep, _ = run_cli(command, *_operands(files, command), flag, "0")
     assert rc in (0, 4, 5)
     assert rep["command"] == command
+
+
+NON_FINITE_CALLS = {
+    "compat": (["compat", "--a", "nan4.json", "--b", "mm4.json"], "NotHermitianError"),
+    "strength": (["strength", "--state", "mm4.json", "--vector", "nanvec4.json"], "NotUnitVectorError"),
+    "measure": (["measure", "--a", "nan4.json", "--b", "mm4.json"], "NotHermitianError"),
+    "verify": (["verify", "--symmetry", "infsym3.json", "--n-mixed", "1"], "NotUnitaryError"),
+    "reconstruct": (["reconstruct", "--map", "nanmap2.json"], "NotUnitVectorError"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_is_validation_error(files, name):
+    args, error = NON_FINITE_CALLS[name]
+    rc, rep, _ = run_cli(*(files(a) if a.endswith(".json") else a for a in args))
+    assert rc == 3
+    assert rep["error"]["type"] == error
 
 
 class TestSelftestCommand:

@@ -109,6 +109,46 @@ class TestPureDensity:
             assert op.matrix.tobytes() == validate_density(p.projection).matrix.tobytes()
 
 
+class TestRandomDensity:
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    def test_drawn_spectral_data(self, d):
+        # the returned eigensystem is the drawn one, and a fresh eigh agrees
+        for rank in sorted({1, d // 2, d}):
+            op = random_density(d, rank, seed=100 * d + rank)
+            v = op.eigenvectors
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-13)
+            np.testing.assert_allclose((v * op.eigenvalues) @ v.conj().T, op.matrix, atol=1e-13)
+            fresh = validate_density(op.matrix)
+            np.testing.assert_allclose(op.eigenvalues, fresh.eigenvalues, atol=1e-13)
+            assert op.numerical_rank == fresh.numerical_rank == rank
+            assert op.eigenvalues[rank:].tolist() == [0.0] * (d - rank)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_matrix_rejected(self, bad, where):
+        m = np.eye(3, dtype=complex) / 3
+        m[where] = bad
+        with pytest.raises(NotHermitianError):
+            validate_density(m)
+        with pytest.raises(NotHermitianError):
+            validate_effect(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_symmetry_rejected(self, bad):
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(NotUnitaryError):
+            symmetry_op(u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_vector_rejected(self, bad, normalize):
+        with pytest.raises(NotUnitVectorError):
+            pure_state(np.array([1.0, bad, 0.0]), normalize=normalize)
+
+
 class TestPureState:
     def test_requires_unit_norm(self):
         with pytest.raises(NotUnitVectorError):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcompat import (
@@ -16,7 +16,8 @@ from qcompat import (
     validate_density,
     validate_effect,
 )
-from qcompat.states import child_rng
+from qcompat.states import _random_rays, as_rng, child_rng
+from qcompat.strength import _strengths
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -149,6 +150,67 @@ class TestEffectsEqualByStrength:
         e = validate_effect(np.diag([0.9, 0.5, 0.1]).astype(complex))
         f = validate_effect(u @ e.matrix @ u.conj().T)
         assert not effects_equal_by_strength(e, f)
+
+
+def _old_random_pure_stream(d, n, seed):
+    # reference draw: per ray, real then imaginary parts, scaled by pure_state
+    rng = as_rng(seed)
+    return [pure_state(rng.standard_normal(d) + 1j * rng.standard_normal(d), normalize=True) for _ in range(n)]
+
+
+def _effect_pair(rng):
+    """Two effects on tilted bases: kernel rays, near-boundary rays, other supports.
+
+    The second effect's basis turns the first's by an angle t between a
+    support vector and a kernel vector, so its eigenvector rays have kernel
+    weight sin(t)^2 under the first, from below eps_mem through the
+    near-boundary band to plainly outside; its rank may also differ.
+    """
+    d = int(rng.integers(2, 7))
+    u = haar_unitary(d, rng)
+    r1 = int(rng.integers(1, d + 1))
+    w1 = np.zeros(d)
+    w1[:r1] = rng.uniform(0.05, 1.0, r1)
+    t = float(10.0 ** rng.uniform(-6.0, -0.5)) if r1 < d else 0.0
+    c, s = np.cos(t), np.sin(t)
+    v = u.copy()
+    v[:, 0], v[:, -1] = c * u[:, 0] + s * u[:, -1], -s * u[:, 0] + c * u[:, -1]
+    w2 = w1.copy() if rng.random() < 0.5 else np.roll(w1, int(rng.integers(0, d)))
+    first = validate_effect((u * w1) @ u.conj().T)
+    second = validate_effect((v * w2) @ v.conj().T)
+    return first, second
+
+
+class TestStackedStrength:
+    @given(seed=seeds, n_rays=st.integers(0, 12), tol=st.sampled_from([1e-12, 1e-8, 1e-6, 1e-2]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_ray_loop(self, seed, n_rays, tol):
+        first, second = _effect_pair(child_rng(seed, 95))
+        d = first.dim
+        rays = [pure_state(first.eigenvectors[:, k], normalize=True) for k in range(d)]
+        rays += [pure_state(second.eigenvectors[:, k], normalize=True) for k in range(d)]
+        rays += _old_random_pure_stream(d, n_rays, seed)
+        gaps = [abs(strength(first, ray).value - strength(second, ray).value) for ray in rays]
+        # a gap within rounding of tol may fall either way
+        assume(all(abs(g - tol) > 1e-12 for g in gaps))
+        assert effects_equal_by_strength(first, second, n_rays=n_rays, seed=seed, tol=tol) == all(g <= tol for g in gaps)
+
+        stacked = np.array([ray.vector for ray in rays]).T
+        for eff in (first, second):
+            values, in_range, near = _strengths(eff, stacked)
+            for k, ray in enumerate(rays):
+                one = strength(eff, ray)
+                assert abs(values[k] - one.value) <= 1e-14
+                assert (in_range[k], near[k]) == (one.in_range, one.near_boundary)
+
+    @given(seed=seeds, d=st.integers(1, 64), n=st.integers(0, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_random_rays_are_the_random_pure_stream(self, seed, d, n):
+        rays = _random_rays(d, n, as_rng(seed))
+        assert rays.shape == (d, n)
+        for k, p in enumerate(_old_random_pure_stream(d, n, seed)):
+            assert rays[:, k].tobytes() == p.vector.tobytes()
+        assert random_pure(d, seed).vector.tobytes() == _old_random_pure_stream(d, 1, seed)[0].vector.tobytes()
 
 
 _DENSITY_MATRICES = {

@@ -96,6 +96,21 @@ class TestApplySymmetry:
         with pytest.raises(TraceNotOneError):
             apply_symmetry(s, validate_effect(np.diag([1.0, 0.5, 0.0]).astype(complex)))
 
+    def test_clipped_eigenvalues_keep_the_state_valid(self):
+        # entry noise of 1e-14 leaves eigenvalues in [-1e-12, 0) that
+        # validation clips to zero; their summed mass (~1.5e-12 here) must
+        # not turn the image into a trace error
+        rng = np.random.default_rng(7)
+        s = random_symmetry(64, antiunitary=False, seed=21)
+        for _ in range(3):
+            noise = rng.standard_normal((64, 64)) * 1e-14
+            noise = (noise + noise.T) / 2.0
+            m = random_pure(64, seed=rng).projection + noise - np.trace(noise) / 64 * np.eye(64)
+            rho = validate_density(m)
+            out = apply_symmetry(s, rho)
+            np.testing.assert_allclose(out.matrix, s.u @ m @ s.u.conj().T, atol=1e-11)
+            assert out.numerical_rank == rho.numerical_rank
+
     def test_rank_follows_the_default_rule(self):
         # 0.05 sits below 0.1 x the top eigenvalue but far above the default threshold
         rho = validate_density(np.diag([0.6, 0.35, 0.05]).astype(complex), eps_rank=0.1)
@@ -267,9 +282,9 @@ class TestVerifyTheorem:
         assert exc.value.probe
 
     def test_probes_skip_the_eigendecomposition(self, monkeypatch):
-        # apply_symmetry carries the spectrum through, so neither the probe
-        # images nor the map's outputs and predictions on mixed states need
-        # an eigh: the only ones left are in random_density, one per mixed state
+        # the probes get closed-form spectral data, random_density returns
+        # the spectrum and basis it drew, and apply_symmetry carries both
+        # through, so no state or image of the run needs an eigh
         s = random_symmetry(16, antiunitary=False, seed=19)
         calls = []
         eigh = np.linalg.eigh
@@ -281,7 +296,7 @@ class TestVerifyTheorem:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         res = verify_theorem(lambda rho: apply_symmetry(s, rho), 16, n_mixed=4, seed=0)
         assert res.verdict
-        assert len(calls) == 4
+        assert calls == []
 
     def test_memory_stays_small_at_max_dim(self):
         # each probe image keeps only its own vector, not the d x d eigenvectors
