@@ -117,8 +117,10 @@ class SymmetryOp:
 
 def _checked_hermitian(matrix) -> np.ndarray:
     m = _square_complex(matrix)
+    # before any arithmetic, so inf - inf never warns
+    if not np.isfinite(m).all():
+        raise NotHermitianError("matrix has a non-finite entry")
     defect = hermitian_defect(m)
-    # written so that a NaN defect (a non-finite entry) fails too
     if not defect <= HERMITIAN_TOL:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
     return m
@@ -221,6 +223,8 @@ def pure_state(vector, normalize: bool = False) -> PureState:
 
 def symmetry_op(u, antiunitary: bool = False) -> SymmetryOp:
     m = _square_complex(u)
+    if not np.isfinite(m).all():
+        raise NotUnitaryError("matrix has a non-finite entry")
     defect = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
     if not defect <= UNITARY_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")

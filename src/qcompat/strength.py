@@ -5,9 +5,13 @@ For an effect T and a unit vector phi, the quantity computed here is
     sup { t in [0, 1] : t * |phi><phi| <= T },
 
 which is finite and positive exactly when phi lies in the range of sqrt(T).
-The closed form runs through the spectral decomposition of T; the oracle
-re-derives the same number by bisecting on the smallest eigenvalue of
-T - t * |phi><phi| and is kept deliberately independent of the closed form.
+The closed form runs through the spectral decomposition of T. The oracle
+re-derives the same number by bisection on t and is kept deliberately
+independent of the closed form: it reads only the matrix of T, never its
+spectral data. Each bisection step asks one yes/no question, whether the
+smallest eigenvalue of T - t * |phi><phi| stays at or above PSD_FLOOR, and
+answers it with a Cholesky factorization of T + |PSD_FLOOR| I - t |phi><phi|
+instead of a full eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -67,29 +71,39 @@ def strength(effect: SpectralOperator, phi: PureState, eps_mem: float = DEFAULT_
 
 
 def strength_oracle(effect: SpectralOperator, phi: PureState) -> float:
-    """Bisection on t of the smallest eigenvalue of T - t * |phi><phi|.
+    """Largest t in [0, 1] with T - t * |phi><phi| >= PSD_FLOOR * I, by bisection.
 
-    Returns the largest t in [0, 1] whose floor eigenvalue stays above
-    -1e-13, to absolute tolerance BISECTION_TOL. Independent of the closed form.
+    Returns the largest t in [0, 1] whose floor eigenvalue stays at or above
+    PSD_FLOOR = -1e-13, to absolute tolerance BISECTION_TOL: both endpoints
+    are tested first, then the interval is halved. A step does not compute
+    the floor eigenvalue; it shifts T once by 1e-13 I and asks whether the
+    shifted T - t * |phi><phi| has a Cholesky factor, which it has exactly
+    when that matrix is positive definite. Only the matrix of T is read, so
+    the oracle stays independent of the closed form. The two tests can only
+    disagree where the floor eigenvalue is within rounding of PSD_FLOOR.
     """
     if phi.dim != effect.dim:
         raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {effect.dim}")
-    tm = effect.matrix
+    shifted = effect.matrix - PSD_FLOOR * np.eye(effect.dim)
     pm = phi.projection
 
-    def floor_eig(lam: float) -> float:
-        return float(np.linalg.eigvalsh(tm - lam * pm)[0])
+    def feasible(lam: float) -> bool:
+        try:
+            np.linalg.cholesky(shifted - lam * pm)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
-    if floor_eig(0.0) < PSD_FLOOR:
+    if not feasible(0.0):
         return 0.0
-    if floor_eig(1.0) >= PSD_FLOOR:
+    if feasible(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if floor_eig(mid) >= PSD_FLOOR:
+        if feasible(mid):
             lo = mid
         else:
             hi = mid

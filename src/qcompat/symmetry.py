@@ -10,7 +10,9 @@ operator reproduces the map on mixed states and on strength functionals.
 The pairwise checks (duplicate inputs, preserved transition probabilities,
 probe matching and the final reproduction of every pair) are Gram-matrix
 tests over the stacked input and output rays, and an error names the first
-failing pair in row-major (i, j) order.
+failing pair in row-major (i, j) order. The probe family itself is built as
+one (2 dim, dim) array of rays (`_probe_family`), which probe matching reads
+directly.
 
 No eigendecomposition is repeated for data that is already known. The pure
 probes that `verify_theorem` feeds to the map get their spectral data in
@@ -36,6 +38,7 @@ from .errors import (
     DimensionMismatchError,
     IncompleteMapError,
     NotASymmetryError,
+    NotUnitVectorError,
     ValidationError,
 )
 from .states import (
@@ -131,17 +134,34 @@ def pure_state_map(pairs) -> PureStateMap:
     return PureStateMap(dim, pairs)
 
 
-def probe_pure_states(dim: int) -> list[tuple[str, PureState]]:
-    """Probe family determining a symmetry: basis, pair, and phase states."""
+def _probe_family(dim: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels and rays of the probe family, the rays as the rows of one (2 dim, dim) array.
+
+    Rows are the basis states, (e_0 + e_j)/sqrt 2 for j >= 1, and
+    (e_0 + i e_1)/sqrt 2, built with the same arithmetic as one
+    `pure_state` call per ray; unit norm is checked once over all rows with
+    `pure_state`'s rule.
+    """
     _require_dim2(dim)
-    probes = []
     eye = np.eye(dim, dtype=np.complex128)
-    for i in range(dim):
-        probes.append((f"basis-{i}", pure_state(eye[i])))
-    for j in range(1, dim):
-        probes.append((f"pair-0-{j}", pure_state((eye[0] + eye[j]) / np.sqrt(2.0))))
-    probes.append(("imag-0-1", pure_state((eye[0] + 1j * eye[1]) / np.sqrt(2.0))))
-    return probes
+    rays = np.vstack([eye, (eye[0] + eye[1:]) / np.sqrt(2.0), (eye[0] + 1j * eye[1]) / np.sqrt(2.0)])
+    if not np.all(np.abs(np.linalg.norm(rays, axis=1) - 1.0) <= 1e-12):
+        raise NotUnitVectorError("a probe ray's norm differs from 1 beyond 1e-12")
+    labels = (
+        *(f"basis-{i}" for i in range(dim)),
+        *(f"pair-0-{j}" for j in range(1, dim)),
+        "imag-0-1",
+    )
+    return labels, rays
+
+
+def probe_pure_states(dim: int) -> list[tuple[str, PureState]]:
+    """Probe family determining a symmetry: basis, pair, and phase states.
+
+    Each state owns a copy of its row of the family's array.
+    """
+    labels, rays = _probe_family(dim)
+    return [(label, PureState(ray.copy())) for label, ray in zip(labels, rays)]
 
 
 def transform_pure(sym: SymmetryOp, p: PureState) -> PureState:
@@ -218,8 +238,8 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
         )
 
     # each probe's image is the output of the first input on the probe's ray
-    labels, probes = zip(*probe_pure_states(d))
-    matches = _overlaps(_rays(probes), ins) >= _RAY_MATCH
+    labels, probes = _probe_family(d)
+    matches = _overlaps(probes, ins) >= _RAY_MATCH
     missing = np.flatnonzero(~matches.any(axis=1))
     if len(missing):
         raise IncompleteMapError(f"map lacks an input matching probe {labels[missing[0]]}")

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -125,28 +126,36 @@ class TestRandomDensity:
 
 
 class TestNonFiniteInput:
+    """Non-finite entries are rejected before any arithmetic, so numpy never warns."""
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_matrix_rejected(self, bad, where):
         m = np.eye(3, dtype=complex) / 3
         m[where] = bad
-        with pytest.raises(NotHermitianError):
-            validate_density(m)
-        with pytest.raises(NotHermitianError):
-            validate_effect(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError):
+                validate_density(m)
+            with pytest.raises(NotHermitianError):
+                validate_effect(m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_symmetry_rejected(self, bad):
         u = np.eye(3, dtype=complex)
         u[1, 2] = bad
-        with pytest.raises(NotUnitaryError):
-            symmetry_op(u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitaryError):
+                symmetry_op(u)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("normalize", [False, True])
     def test_vector_rejected(self, bad, normalize):
-        with pytest.raises(NotUnitVectorError):
-            pure_state(np.array([1.0, bad, 0.0]), normalize=normalize)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitVectorError):
+                pure_state(np.array([1.0, bad, 0.0]), normalize=normalize)
 
 
 class TestPureState:

@@ -17,7 +17,7 @@ from qcompat import (
     validate_effect,
 )
 from qcompat.states import _random_rays, as_rng, child_rng
-from qcompat.strength import _strengths
+from qcompat.strength import BISECTION_TOL, PSD_FLOOR, _strengths
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -92,6 +92,61 @@ class TestStrengthClosedForm:
         for i in range(4):
             phi = pure_state(d.eigenvectors[:, i])
             assert abs(strength(d, phi).value - d.eigenvalues[i]) < 1e-10
+
+
+def _unit(z):
+    return z / np.linalg.norm(z)
+
+
+def _oracle_cases(d, kind, deficient):
+    """A state or effect of the given rank, with in-range, random and near-boundary rays."""
+    rng = child_rng(d, 31, kind == "state", deficient)
+    rank = max(1, d // 2) if deficient else d
+    if kind == "state":
+        op = random_density(d, rank, seed=rng)
+    else:
+        u = haar_unitary(d, rng)
+        t = np.zeros(d)
+        t[:rank] = rng.uniform(0.05, 1.0, size=rank)
+        op = validate_effect((u * t) @ u.conj().T)
+    gauss = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    inside = _unit(op.eigenvectors[:, :rank] @ gauss(rank))
+    rays = [inside, _unit(gauss(d))]
+    if deficient:
+        kernel = _unit(op.eigenvectors[:, rank:] @ gauss(d - rank))
+        rays += [np.sqrt(1.0 - w) * inside + np.sqrt(w) * kernel for w in np.logspace(-24, -2, 12)]
+    return op, [pure_state(v, normalize=True) for v in rays]
+
+
+class TestStrengthOracleContract:
+    """What the oracle returns, checked with eigvalsh whatever the oracle computes inside."""
+
+    @pytest.mark.parametrize("deficient", [False, True])
+    @pytest.mark.parametrize("kind", ["state", "effect"])
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    def test_largest_feasible_weight(self, d, kind, deficient):
+        # the oracle's feasibility test and eigvalsh's floor eigenvalue differ
+        # by rounding; the largest gap measured on these cases is 2.5e-16
+        slack = d * 1e-15
+        op, rays = _oracle_cases(d, kind, deficient)
+
+        def floor(t, phi):
+            return float(np.linalg.eigvalsh(op.matrix - t * phi.projection)[0])
+
+        for phi in rays:
+            lo = strength_oracle(op, phi)
+            assert 0.0 <= lo <= 1.0
+            assert floor(lo, phi) >= PSD_FLOOR - slack
+            assert lo == 1.0 or floor(lo + 2 * BISECTION_TOL, phi) < PSD_FLOOR + slack
+
+    def test_runs_no_eigensolver(self, monkeypatch):
+        op, rays = _oracle_cases(64, "effect", True)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append("eigvalsh"))
+        values = [strength_oracle(op, phi) for phi in rays]
+        assert calls == []
+        assert 0.0 < values[0] < 1.0  # the in-range ray bisects
 
 
 class TestTwoStateFormula:

@@ -31,6 +31,7 @@ from qcompat import (
     wigner_reconstruct,
 )
 from qcompat.states import DEFAULT_EPS_RANK, child_rng
+from qcompat.symmetry import _probe_family
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -155,6 +156,40 @@ class TestPureStateMapValidation:
             pure_state_map([(one, one)])
         with pytest.raises(ValidationError):
             probe_pure_states(1)
+
+
+class TestProbeFamily:
+    @staticmethod
+    def _one_pure_state_per_ray(d):
+        eye = np.eye(d, dtype=np.complex128)
+        probes = [(f"basis-{i}", pure_state(eye[i])) for i in range(d)]
+        probes += [(f"pair-0-{j}", pure_state((eye[0] + eye[j]) / np.sqrt(2.0))) for j in range(1, d)]
+        probes.append(("imag-0-1", pure_state((eye[0] + 1j * eye[1]) / np.sqrt(2.0))))
+        return probes
+
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    def test_matches_one_pure_state_per_ray(self, d):
+        want = self._one_pure_state_per_ray(d)
+        got = probe_pure_states(d)
+        labels, rays = _probe_family(d)
+        assert [label for label, _ in got] == list(labels) == [label for label, _ in want]
+        assert [p.vector.tobytes() for _, p in got] == [p.vector.tobytes() for _, p in want]
+        assert rays.tobytes() == b"".join(p.vector.tobytes() for _, p in want)
+
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    def test_states_own_their_vectors(self, d):
+        for _, p in probe_pure_states(d):
+            assert p.vector.base is None
+
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    @pytest.mark.parametrize("last_basis_dropped", [True, False])
+    def test_incomplete_map_names_first_missing_probe(self, d, last_basis_dropped):
+        dropped = {"imag-0-1", "pair-0-1"} | ({f"basis-{d - 1}"} if last_basis_dropped else set())
+        sym = random_symmetry(d, seed=d)
+        pairs = [(p, transform_pure(sym, p)) for label, p in probe_pure_states(d) if label not in dropped]
+        first = f"basis-{d - 1}" if last_basis_dropped else "pair-0-1"
+        with pytest.raises(IncompleteMapError, match=f"probe {first}$"):
+            wigner_reconstruct(pure_state_map(pairs))
 
 
 class TestWignerReconstruct:
