@@ -32,7 +32,7 @@ from .errors import (
     NotASymmetryError,
     ValidationError,
 )
-from .measure import MeasureConfig, example_measure, fidelity, is_compatible
+from .measure import MeasureConfig, example_measure, fidelity
 from .states import (
     DEFAULT_EPS_MEM,
     DEFAULT_EPS_RANK,
@@ -131,10 +131,10 @@ def _cmd_compat(args):
     a = validate_density(qio.load_matrix(args.a), eps_rank=args.tol_rank)
     b = validate_density(qio.load_matrix(args.b), eps_rank=args.tol_rank)
     config = {"tol_rank": args.tol_rank}
-    result = {
-        "compatible": is_compatible(a, b, eps_rank=args.tol_rank),
-        "intersection_dim": subspace_intersection_dim(support(a), support(b), args.tol_rank),
-    }
+    # --tol-rank sets only the rank cut; the intersection uses the one
+    # membership cut DEFAULT_EPS_MEM, as strength and measure do
+    k = subspace_intersection_dim(support(a), support(b))
+    result = {"compatible": k >= 1, "intersection_dim": k}
     return {"inputs": inputs, "config": config, "result": result}, EXIT_OK
 
 

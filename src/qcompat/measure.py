@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InfeasibleError, ValidationError
 from .states import (
-    DEFAULT_EPS_RANK,
+    DEFAULT_EPS_MEM,
     PureState,
     SpectralOperator,
+    _principal_rotations,
     pure_state,
     sqrt_psd,
     subspace_intersection_dim,
@@ -68,11 +69,16 @@ class MeasureConfig:
     feas_tol: float = DEFAULT_FEAS_TOL
 
 
-def is_compatible(a: SpectralOperator, b: SpectralOperator, eps_rank: float = DEFAULT_EPS_RANK) -> bool:
-    """True when the supports of ``a`` and ``b`` intersect nontrivially."""
+def is_compatible(a: SpectralOperator, b: SpectralOperator, eps_mem: float = DEFAULT_EPS_MEM) -> bool:
+    """True when the supports of ``a`` and ``b`` share a direction.
+
+    A direction is shared when its principal angle has sin^2 <= ``eps_mem``,
+    the cut `strength` puts on a ray's kernel weight: against a pure state
+    this is ``strength(a, phi).in_range`` up to rounding at the cut.
+    """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
-    return subspace_intersection_dim(support(a), support(b), eps_rank) >= 1
+    return subspace_intersection_dim(support(a), support(b), eps_mem) >= 1
 
 
 def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
@@ -125,16 +131,19 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -
     mu_j = m_j lam_j in B, then adds the spectral rays of A - Q A~ Q* (mu = 0)
     and of B - Q B~ Q* (lam = 0): rank A + rank B - dim S <= dim components.
     A~ and B~ trade roles when B~ has the larger smallest eigenvalue.
+
+    S and its basis come from one SVD of sa* sb (`states._principal_rotations`):
+    dim S counts the principal angles with sin^2 <= DEFAULT_EPS_MEM, the cut
+    of `is_compatible` and `strength`, and the same rotations give Q.
     """
-    sa, sb = support(a), support(b)
-    k = subspace_intersection_dim(sa, sb)
+    sa = support(a)
+    k, rot_a, rot_b = _principal_rotations(sa, support(b))
     if k == 0:
         return MeasureResult(0.0, None, None, 0.0, 0, 0)
 
-    u, _, vh = np.linalg.svd(sa.conj().T @ sb)
-    q = sa @ u[:, :k]
-    at, lam_a, rays_a = _split(a, u, k)
-    bt, mu_b, rays_b = _split(b, vh.conj().T, k)
+    q = sa @ rot_a[:, :k]
+    at, lam_a, rays_a = _split(a, rot_a, k)
+    bt, mu_b, rays_b = _split(b, rot_b, k)
     # the square roots go to the better-conditioned short: the other side's
     # reconstruction error grows with the condition number of the rooted one
     eig_a, eig_b = _hermitian_eigh(at), _hermitian_eigh(bt)

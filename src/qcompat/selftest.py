@@ -172,18 +172,26 @@ def _joint_decomposition(d: int, kind: int, rng):
 
     kind 0: fewer rays than d (rank-deficient sides), 1: d to 2d - 1 rays
     (nearly full rank), 2: orthonormal rays (commuting states), 3: side a is
-    the first ray alone. About 30% of the weights are zeroed on each side.
+    the first ray alone, 4: 1 to 2d - 1 rays with log-uniform weights
+    10^U(-9, 0), so the sides are ill-conditioned. About 30% of the weights
+    are zeroed on each side.
     """
     if kind == 2:
         rays = haar_unitary(d, rng).T
     else:
-        n = int(rng.integers(1, d)) if kind == 0 else d + int(rng.integers(0, d))
+        if kind == 0:
+            n = int(rng.integers(1, d))
+        elif kind == 4:
+            n = int(rng.integers(1, 2 * d))
+        else:
+            n = d + int(rng.integers(0, d))
         z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         rays = z / np.linalg.norm(z, axis=1, keepdims=True)
     n = rays.shape[0]
     weights = []
     for _ in range(2):
-        w = rng.dirichlet(np.ones(n)) * (rng.random(n) >= 0.3)
+        raw = 10.0 ** rng.uniform(-9.0, 0.0, n) if kind == 4 else rng.dirichlet(np.ones(n))
+        w = raw * (rng.random(n) >= 0.3)
         if w.sum() == 0.0:
             w[int(rng.integers(n))] = 1.0
         weights.append(w / w.sum())
@@ -201,6 +209,9 @@ def _criterion_measure_exact(seed: int, dims_cap, quick: bool) -> CriterionOutco
     dims = _dims((2, 3, 4, 5, 6, 7, 8), dims_cap)
     total = 16 if quick else 96
     limits = dict(overlap=1e-10, pure=1e-9, commuting=1e-10, lb=1e-10, fidelity=1e-10, swap=1e-10, residual=1e-12)
+    # kind 4 has limits of its own, above the conditioning cost measured over
+    # seeds 0-599 (overlap shortfall <= 1.3e-5, residual <= 2.4e-7)
+    limits.update(ill_overlap=1e-4, ill_residual=1e-6)
     worst = dict.fromkeys(limits, 0.0)
     for k in range(total):
         d = dims[k % len(dims)]
@@ -223,14 +234,27 @@ def _criterion_measure_exact(seed: int, dims_cap, quick: bool) -> CriterionOutco
         worst["fidelity"] = max(worst["fidelity"], res.value - fidelity(a, b))
         worst["swap"] = max(worst["swap"], abs(res.value - swapped.value))  # (v), of the formula itself
         worst["residual"] = max(worst["residual"], res.residual, swapped.residual)  # (vi)
+    # (vii) ill-conditioned sides, on their own substream: shared rays with
+    # weights down to 1e-9 reach the overlap only if dim S counts them
+    n_ill = 0
+    for k in range(total // 2):
+        d = dims[k % len(dims)]
+        a, b, rays, lam, mu = _joint_decomposition(d, 4, child_rng(seed, 23, k))
+        if (a.numerical_rank, b.numerical_rank) != (min(d, np.count_nonzero(lam)), min(d, np.count_nonzero(mu))):
+            continue  # a weight fell through the rank cut: the built overlap is not a bound
+        n_ill += 1
+        res, swapped = _closed_form(a, b, MeasureConfig()), _closed_form(b, a, MeasureConfig())
+        worst["ill_overlap"] = max(worst["ill_overlap"], float(np.sqrt(lam * mu).sum()) - res.value)
+        worst["ill_residual"] = max(worst["ill_residual"], res.residual, swapped.residual)
     ok = all(worst[key] <= limit for key, limit in limits.items())
     return CriterionOutcome(
         "measure-exact",
         "on constructed joint decompositions the measure reaches their overlap, equals sqrt(strength) "
         "with a pure side and sum sqrt(pq) for commuting states, sits between the one-ray bound and "
-        "the fidelity, ignores argument order and reconstructs both states within 1e-12",
+        "the fidelity, ignores argument order and reconstructs both states within 1e-12; with weights "
+        "down to 1e-9 it reaches the overlap within 1e-4 and reconstructs within 1e-6",
         ok,
-        " ".join([f"n={total}"] + [f"max_{key}={value!r}" for key, value in worst.items()]),
+        " ".join([f"n={total}"] + [f"max_{key}={value!r}" for key, value in worst.items()] + [f"n_ill={n_ill}"]),
     )
 
 

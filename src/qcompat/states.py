@@ -24,7 +24,7 @@ from .errors import (
 )
 
 DEFAULT_EPS_RANK = 1e-10
-DEFAULT_EPS_MEM = 1e-8
+DEFAULT_EPS_MEM = 1e-13
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -260,8 +260,23 @@ def range_membership(op: SpectralOperator, phi: PureState, eps_mem: float = DEFA
     return kernel_overlap_sq(op, phi) <= eps_mem
 
 
-def subspace_intersection_dim(u: np.ndarray, v: np.ndarray, eps_rank: float = DEFAULT_EPS_RANK) -> int:
-    """dim U + dim V minus the numerical rank of the stacked bases.
+def _principal_rotations(
+    u: np.ndarray, v: np.ndarray, eps_mem: float = DEFAULT_EPS_MEM
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Shared directions of span ``u`` and span ``v``, from one SVD of u* v.
+
+    The singular values are the cosines of the principal angles, descending
+    (Björck & Golub 1973). A direction is shared when sin^2 = 1 - cos^2 is at
+    most ``eps_mem``, the cut `range_membership` puts on a ray's kernel
+    weight. Returns that count k and the two rotations, whose first k columns
+    turn ``u`` and ``v`` into bases of the shared part.
+    """
+    x, cos, yh = np.linalg.svd(u.conj().T @ v)
+    return int(np.count_nonzero(1.0 - cos**2 <= eps_mem)), x, yh.conj().T
+
+
+def subspace_intersection_dim(u: np.ndarray, v: np.ndarray, eps_mem: float = DEFAULT_EPS_MEM) -> int:
+    """Number of principal angles between span ``u`` and span ``v`` with sin^2 <= ``eps_mem``.
 
     ``u`` and ``v`` hold orthonormal bases as columns, as `support` returns.
     """
@@ -269,9 +284,7 @@ def subspace_intersection_dim(u: np.ndarray, v: np.ndarray, eps_rank: float = DE
         raise DimensionMismatchError("subspaces live in different ambient dimensions")
     if u.shape[1] == 0 or v.shape[1] == 0:
         return 0
-    sigma = np.linalg.svd(np.hstack([u, v]), compute_uv=False)
-    rank = int(np.count_nonzero(sigma > eps_rank * sigma[0]))
-    return max(u.shape[1] + v.shape[1] - rank, 0)
+    return _principal_rotations(u, v, eps_mem)[0]
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:

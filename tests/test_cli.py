@@ -46,6 +46,12 @@ def files(tmp_path_factory):
     save_matrix(p("bad.json"), np.diag([2.0, -1.0]).astype(complex))
     save_matrix(p("r43.json"), random_density(4, 3, seed=0).matrix)
     save_matrix(p("r42.json"), random_density(4, 2, seed=1000).matrix)
+    # a rank-2 state and a ray with kernel weight 1e-14, inside the membership cut
+    a7 = random_density(4, 2, seed=7)
+    ray = np.sqrt(1.0 - 1e-14) * a7.eigenvectors[:, :2] @ np.array([0.6, 0.8]) + 1e-7 * a7.eigenvectors[:, 2]
+    save_matrix(p("r7.json"), a7.matrix)
+    save_vector(p("near7.json"), ray)
+    save_matrix(p("near7proj.json"), np.outer(ray, ray.conj()))
     e0 = np.zeros(4, dtype=complex)
     e0[0] = 1.0
     save_vector(p("e0.json"), e0)
@@ -120,6 +126,20 @@ class TestCompatCommand:
         rc, rep, _ = run_cli("compat", "--a", files("mm4.json"), "--b", files("mm4.json"))
         assert rc == 0
         assert rep["result"]["compatible"] is True
+
+
+def test_strength_compat_and_measure_share_one_membership_cut(files):
+    # the ray leans 1e-14 of its weight into the kernel: all three commands
+    # count it as inside the support, and measure^2 = strength
+    rc, st, _ = run_cli("strength", "--state", files("r7.json"), "--vector", files("near7.json"))
+    assert rc == 0
+    rc, co, _ = run_cli("compat", "--a", files("r7.json"), "--b", files("near7proj.json"))
+    assert rc == 0
+    rc, me, _ = run_cli("measure", "--a", files("r7.json"), "--b", files("near7proj.json"))
+    assert rc == 0
+    assert st["result"]["in_range"] is True
+    assert co["result"] == {"compatible": True, "intersection_dim": 1}
+    assert abs(me["result"]["value"] ** 2 - st["result"]["value"]) <= 1e-12
 
 
 def test_input_files_are_closed(files):

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcompat import (
@@ -19,7 +19,7 @@ from qcompat import (
     strength,
     validate_density,
 )
-from qcompat.states import child_rng, subspace_intersection_dim, support
+from qcompat.states import DEFAULT_EPS_MEM, MAX_DIM, child_rng, subspace_intersection_dim, support
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -116,6 +116,47 @@ class TestCompatibility:
         b = random_density(d, int(rng.integers(1, d + 1)), seed=rng)
         s = random_symmetry(d, antiunitary=anti, seed=rng)
         assert is_compatible(a, b) == is_compatible(apply_symmetry(s, a), apply_symmetry(s, b))
+
+
+def _tilted_ray(a, kernel_weight, rng):
+    """A ray in supp A tilted into its kernel until the kernel holds ``kernel_weight`` of it."""
+    r = a.numerical_rank
+    gauss = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)  # noqa: E731
+    inside = a.eigenvectors[:, :r] @ gauss(r)
+    kernel = a.eigenvectors[:, r:] @ gauss(a.dim - r)
+    v = np.sqrt(1.0 - kernel_weight) * inside / np.linalg.norm(inside)
+    return pure_state(v + np.sqrt(kernel_weight) * kernel / np.linalg.norm(kernel), normalize=True)
+
+
+def _membership_answers(a, phi):
+    """strength's in_range, is_compatible and measure > 0 for the pure state phi."""
+    p = validate_density(phi.projection)
+    s, res = strength(a, phi), example_measure(a, p)
+    return (s.in_range, is_compatible(a, p), res.value > 0.0), s.value, res.value
+
+
+class TestOneMembershipCut:
+    """strength, is_compatible and the measure decide "phi lies in supp A" by one cut on sin^2."""
+
+    @given(seed=seeds, d=st.integers(2, MAX_DIM), log_weight=st.floats(-24.0, -2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_three_answers_agree(self, seed, d, log_weight):
+        # the kernel weight is computed two ways, equal up to rounding at the cut
+        assume(abs(log_weight - np.log10(DEFAULT_EPS_MEM)) > 0.01)
+        rng = child_rng(seed, 54)
+        a = random_density(d, int(rng.integers(1, d)), seed=rng)
+        answers, s, m = _membership_answers(a, _tilted_ray(a, 10.0**log_weight, rng))
+        assert answers in ((True,) * 3, (False,) * 3)
+        if answers[0]:
+            assert abs(m**2 - s) <= 1e-12
+
+    @pytest.mark.parametrize("scale,inside", [(0.1, True), (10.0, False)])
+    def test_jump_at_the_cut(self, scale, inside):
+        # a ray counts fully or not at all: no value between sqrt(strength) and 0
+        a = random_density(4, 2, seed=7)
+        answers, s, m = _membership_answers(a, _tilted_ray(a, scale * DEFAULT_EPS_MEM, child_rng(7, 55)))
+        assert answers == (inside,) * 3
+        assert abs(m**2 - s) <= 1e-12
 
 
 class TestExampleMeasure:
