@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InfeasibleError, ValidationError
 from .states import (
-    DEFAULT_EPS_MEM,
     PureState,
     SpectralOperator,
     _principal_rotations,
@@ -69,16 +68,16 @@ class MeasureConfig:
     feas_tol: float = DEFAULT_FEAS_TOL
 
 
-def is_compatible(a: SpectralOperator, b: SpectralOperator, eps_mem: float = DEFAULT_EPS_MEM) -> bool:
+def is_compatible(a: SpectralOperator, b: SpectralOperator) -> bool:
     """True when the supports of ``a`` and ``b`` share a direction.
 
-    A direction is shared when its principal angle has sin^2 <= ``eps_mem``,
+    A direction is shared when its principal angle has sin^2 <= DEFAULT_EPS_MEM,
     the cut `strength` puts on a ray's kernel weight: against a pure state
     this is ``strength(a, phi).in_range`` up to rounding at the cut.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
-    return subspace_intersection_dim(support(a), support(b), eps_mem) >= 1
+    return subspace_intersection_dim(support(a), support(b)) >= 1
 
 
 def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:

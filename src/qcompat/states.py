@@ -260,23 +260,21 @@ def range_membership(op: SpectralOperator, phi: PureState, eps_mem: float = DEFA
     return kernel_overlap_sq(op, phi) <= eps_mem
 
 
-def _principal_rotations(
-    u: np.ndarray, v: np.ndarray, eps_mem: float = DEFAULT_EPS_MEM
-) -> tuple[int, np.ndarray, np.ndarray]:
+def _principal_rotations(u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Shared directions of span ``u`` and span ``v``, from one SVD of u* v.
 
     The singular values are the cosines of the principal angles, descending
     (Björck & Golub 1973). A direction is shared when sin^2 = 1 - cos^2 is at
-    most ``eps_mem``, the cut `range_membership` puts on a ray's kernel
-    weight. Returns that count k and the two rotations, whose first k columns
-    turn ``u`` and ``v`` into bases of the shared part.
+    most DEFAULT_EPS_MEM, the default cut `range_membership` puts on a ray's
+    kernel weight. Returns that count k and the two rotations, whose first k
+    columns turn ``u`` and ``v`` into bases of the shared part.
     """
     x, cos, yh = np.linalg.svd(u.conj().T @ v)
-    return int(np.count_nonzero(1.0 - cos**2 <= eps_mem)), x, yh.conj().T
+    return int(np.count_nonzero(1.0 - cos**2 <= DEFAULT_EPS_MEM)), x, yh.conj().T
 
 
-def subspace_intersection_dim(u: np.ndarray, v: np.ndarray, eps_mem: float = DEFAULT_EPS_MEM) -> int:
-    """Number of principal angles between span ``u`` and span ``v`` with sin^2 <= ``eps_mem``.
+def subspace_intersection_dim(u: np.ndarray, v: np.ndarray) -> int:
+    """Number of principal angles between span ``u`` and span ``v`` with sin^2 <= DEFAULT_EPS_MEM.
 
     ``u`` and ``v`` hold orthonormal bases as columns, as `support` returns.
     """
@@ -284,7 +282,7 @@ def subspace_intersection_dim(u: np.ndarray, v: np.ndarray, eps_mem: float = DEF
         raise DimensionMismatchError("subspaces live in different ambient dimensions")
     if u.shape[1] == 0 or v.shape[1] == 0:
         return 0
-    return _principal_rotations(u, v, eps_mem)[0]
+    return _principal_rotations(u, v)[0]
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:

@@ -9,10 +9,9 @@ The closed form runs through the spectral decomposition of T. The oracle
 re-derives the same number by bisection on t and is kept deliberately
 independent of the closed form: it reads only the matrix of T, never its
 spectral data. Each bisection step asks one yes/no question, whether the
-smallest eigenvalue of T - t * |phi><phi| stays at or above -PSD_TOL, the
-slack `validate_effect` grants below zero, and answers it with a Cholesky
-factorization of T + PSD_TOL I - t |phi><phi| instead of a full eigenvalue
-solve.
+smallest eigenvalue of T - t * |phi><phi| stays at or above PSD_FLOOR, and
+answers it with a Cholesky factorization of T + |PSD_FLOOR| I - t |phi><phi|
+instead of a full eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidWeightsError
 from .states import (
     DEFAULT_EPS_MEM,
-    PSD_TOL,
     PureState,
     SpectralOperator,
     _random_rays,
@@ -34,6 +32,7 @@ from .states import (
 # rays whose squared kernel component lands in (eps_mem, NEAR_BOUNDARY_SQ]
 # get value 0 but are flagged: the value jumps discontinuously there
 NEAR_BOUNDARY_SQ = 1e-4
+PSD_FLOOR = -1e-13
 BISECTION_MAX_ITER = 80
 BISECTION_TOL = 1e-10
 
@@ -72,22 +71,20 @@ def strength(effect: SpectralOperator, phi: PureState, eps_mem: float = DEFAULT_
 
 
 def strength_oracle(effect: SpectralOperator, phi: PureState) -> float:
-    """Largest t in [0, 1] with T - t * |phi><phi| >= -PSD_TOL * I, by bisection.
+    """Largest t in [0, 1] with T - t * |phi><phi| >= PSD_FLOOR * I, by bisection.
 
     Returns the largest t in [0, 1] whose floor eigenvalue stays at or above
-    -PSD_TOL = -1e-12, to absolute tolerance BISECTION_TOL: both endpoints
-    are tested first, then the interval is halved. The floor is the slack
-    `validate_effect` grants below zero before it clips, so the oracle
-    counts as PSD what validation does. A step does not compute the floor
-    eigenvalue; it shifts T once by PSD_TOL I and asks whether the shifted
-    T - t * |phi><phi| has a Cholesky factor, which it has exactly when that
-    matrix is positive definite. Only the matrix of T is read, so the oracle
-    stays independent of the closed form. The two tests can only disagree
-    where the floor eigenvalue is within rounding of -PSD_TOL.
+    PSD_FLOOR = -1e-13, to absolute tolerance BISECTION_TOL: both endpoints
+    are tested first, then the interval is halved. A step does not compute
+    the floor eigenvalue; it shifts T once by 1e-13 I and asks whether the
+    shifted T - t * |phi><phi| has a Cholesky factor, which it has exactly
+    when that matrix is positive definite. Only the matrix of T is read, so
+    the oracle stays independent of the closed form. The two tests can only
+    disagree where the floor eigenvalue is within rounding of PSD_FLOOR.
     """
     if phi.dim != effect.dim:
         raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {effect.dim}")
-    shifted = effect.matrix + PSD_TOL * np.eye(effect.dim)
+    shifted = effect.matrix - PSD_FLOOR * np.eye(effect.dim)
     pm = phi.projection
 
     def feasible(lam: float) -> bool:

@@ -246,13 +246,13 @@ class TestSubspaceIntersection:
         u1 = haar_unitary(4, seed=2)
         assert subspace_intersection_dim(u0[:, :3], u1[:, :3]) == 2
 
-    @pytest.mark.parametrize("sin_sq,shared", [(1e-14, 1), (1e-12, 0)])
+    @pytest.mark.parametrize("sin_sq,shared", [(1e-14, 2), (1e-12, 1), (1e-2, 1)])
     def test_counts_principal_angles_under_the_membership_cut(self, sin_sq, shared):
-        # two lines at angle theta share a direction iff sin^2 theta <= DEFAULT_EPS_MEM = 1e-13
+        # the planes span(e0, e1) and span(e0, e1 tilted toward e2) share e0 at
+        # angle 0; the tilted direction counts iff sin^2 <= DEFAULT_EPS_MEM = 1e-13
         e = np.eye(3)
-        tilted = np.sqrt(1.0 - sin_sq) * e[:, :1] + np.sqrt(sin_sq) * e[:, 1:2]
-        assert subspace_intersection_dim(e[:, :1], tilted) == shared
-        assert subspace_intersection_dim(e[:, :1], tilted, eps_mem=1e-2) == 1
+        tilted = np.hstack([e[:, :1], np.sqrt(1.0 - sin_sq) * e[:, 1:2] + np.sqrt(sin_sq) * e[:, 2:]])
+        assert subspace_intersection_dim(e[:, :2], tilted) == shared
 
     def test_ambient_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -16,8 +16,8 @@ from qcompat import (
     validate_density,
     validate_effect,
 )
-from qcompat.states import PSD_TOL, _random_rays, as_rng, child_rng
-from qcompat.strength import BISECTION_TOL, _strengths
+from qcompat.states import _random_rays, as_rng, child_rng
+from qcompat.strength import BISECTION_TOL, PSD_FLOOR, _strengths
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -136,17 +136,8 @@ class TestStrengthOracleContract:
         for phi in rays:
             lo = strength_oracle(op, phi)
             assert 0.0 <= lo <= 1.0
-            assert floor(lo, phi) >= -PSD_TOL - slack
-            assert lo == 1.0 or floor(lo + 2 * BISECTION_TOL, phi) < -PSD_TOL + slack
-
-    def test_floor_is_the_validation_slack(self):
-        # validate_effect accepts and clips an eigenvalue down to -PSD_TOL,
-        # so the oracle must still find the closed form's value there
-        eff = validate_effect(np.diag([0.5, 0.3, -5e-13]).astype(complex))
-        phi = pure_state(np.array([0.6, 0.8, 0.0], dtype=complex))
-        s = strength(eff, phi)
-        assert s.in_range
-        assert abs(strength_oracle(eff, phi) - s.value) <= 1e-9
+            assert floor(lo, phi) >= PSD_FLOOR - slack
+            assert lo == 1.0 or floor(lo + 2 * BISECTION_TOL, phi) < PSD_FLOOR + slack
 
     def test_runs_no_eigensolver(self, monkeypatch):
         op, rays = _oracle_cases(64, "effect", True)
