@@ -34,20 +34,39 @@ def _check_dim(obj, what: str) -> int:
     return dim
 
 
+def _is_pair(item) -> bool:
+    """A list of two ints or floats, subclasses included, never bools (bool has no subclasses)."""
+    return (
+        isinstance(item, list)
+        and len(item) == 2
+        and isinstance(item[0], (int, float))
+        and isinstance(item[1], (int, float))
+        and type(item[0]) is not bool
+        and type(item[1]) is not bool
+    )
+
+
+def _entry_fault(item) -> str | None:
+    if not _is_pair(item):
+        return "is not a [re, im] pair"
+    try:
+        complex(*item)
+    except OverflowError:
+        return "has an integer too large for a float"
+    return None
+
+
 def _parse_entries(obj, count: int, what: str) -> np.ndarray:
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != count:
         raise FileFormatError(f"{what}: entries must be a list of {count} [re, im] pairs")
-    out = np.empty(count, dtype=np.complex128)
-    for k, item in enumerate(entries):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
-        ):
-            raise FileFormatError(f"{what}: entry {k} is not a [re, im] pair")
-        out[k] = complex(item[0], item[1])
-    return out
+    if all(map(_is_pair, entries)):
+        try:
+            return np.array(entries, dtype=np.float64).view(np.complex128).reshape(count)
+        except OverflowError:
+            pass
+    k, fault = next((k, f) for k, item in enumerate(entries) if (f := _entry_fault(item)))
+    raise FileFormatError(f"{what}: entry {k} {fault}")
 
 
 def _load_json(path) -> dict:

@@ -94,8 +94,19 @@ def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.eigh`, answering a 1x1 block without LAPACK.
+
+    For n = 1 LAPACK's ?heevd returns the real part of the entry and the
+    eigenvector 1, so the shortcut is bit for bit the same answer.
+    """
+    if m.shape[0] == 1:
+        return m.real[0].copy(), np.ones_like(m)
+    return np.linalg.eigh(m)
+
+
 def _hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh((m + m.conj().T) / 2.0)
+    return _eigh((m + m.conj().T) / 2.0)
 
 
 def _power(eig: tuple[np.ndarray, np.ndarray], power: float) -> np.ndarray:
@@ -112,10 +123,14 @@ def _split(op: SpectralOperator, rot: np.ndarray, k: int) -> tuple[np.ndarray, n
     left, op - Q (Q* op^+ Q)^-1 Q*, equals G G* with G = basis [M12; M22]
     M22^-1/2, so its rank-(r - k) spectral rays come from the SVD of G
     instead of from a difference that rounding would leave full rank.
+    When S is the whole support (k = r) the short is M itself and nothing is
+    left, so no factorization runs.
     Returns (short in S coordinates, ray weights, rays as rows).
     """
     r = op.numerical_rank
     m = (rot.conj().T * op.eigenvalues[:r]) @ rot
+    if k == r:
+        return m, np.zeros(0), np.zeros((0, op.dim), np.complex128)
     f = m[:, k:] @ _power(_hermitian_eigh(m[k:, k:]), -0.5)
     y, s, _ = np.linalg.svd(op.eigenvectors[:, :r] @ rot @ f, full_matrices=False)
     return m[:k, :k] - f[:k] @ f[:k].conj().T, s**2, y.T
@@ -134,6 +149,11 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -
     S and its basis come from one SVD of sa* sb (`states._principal_rotations`):
     dim S counts the principal angles with sin^2 <= DEFAULT_EPS_MEM, the cut
     of `is_compatible` and `strength`, and the same rotations give Q.
+
+    Known blocks are not factorized: a side whose support is S has no
+    remainder (`_split`), and when dim S = 1, as against a pure side, the
+    eigenproblems on S are 1x1 (`_eigh`). The residual rebuilds both sides
+    from one stacked array of the certificate's rays.
     """
     sa = support(a)
     k, rot_a, rot_b = _principal_rotations(sa, support(b))
@@ -149,7 +169,7 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -
     root_b = eig_b[0][0] > eig_a[0][0]
     x, y = (eig_b, at) if root_b else (eig_a, bt)
     inv_root = _power(x, -0.5)
-    m, e = np.linalg.eigh(inv_root @ y @ inv_root)
+    m, e = _eigh(inv_root @ y @ inv_root)
     shared = (q @ _power(x, 0.5) @ e).T
     w_x = np.linalg.norm(shared, axis=1) ** 2
     w_y = np.clip(m, 0.0, None) * w_x
@@ -158,15 +178,14 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -
     lam = np.concatenate([lam_s, lam_a, np.zeros(len(mu_b))])
     mu = np.concatenate([mu_s, np.zeros(len(lam_a)), mu_b])
     pures = tuple(pure_state(v, normalize=True) for v in np.vstack([shared, rays_a, rays_b]))
-    dec_a = Decomposition(lam, pures)
-    dec_b = Decomposition(mu, pures)
-    residual = float(max(np.linalg.norm(d.reconstruction() - s.matrix) for d, s in ((dec_a, a), (dec_b, b))))
+    rays = np.array([p.vector for p in pures])
+    residual = float(max(np.linalg.norm((rays.T * w) @ rays.conj() - s.matrix) for w, s in ((lam, a), (mu, b))))
     if not residual <= cfg.feas_tol:  # also catches a NaN residual
         raise InfeasibleError(
             f"certificate residual {residual:.3e} exceeds feas_tol {cfg.feas_tol:.3e}"
         )
     value = min(1.0, float(np.sqrt(lam * mu).sum()))
-    return MeasureResult(value, dec_a, dec_b, residual, 1, len(pures))
+    return MeasureResult(value, Decomposition(lam, pures), Decomposition(mu, pures), residual, 1, len(pures))
 
 
 def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:

@@ -127,6 +127,14 @@ class TestCompatCommand:
         assert rc == 0
         assert rep["result"]["compatible"] is True
 
+    def test_integer_too_large_for_a_float_is_file_error(self, tmp_path, files):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 1, "entries": [[1' + "0" * 400 + ', 0]]}')
+        rc, rep, _ = run_cli("compat", "--a", str(path), "--b", files("mm4.json"))
+        assert rc == 2
+        assert rep["error"]["type"] == "FileFormatError"
+        assert "entry 0 has an integer too large for a float" in rep["error"]["message"]
+
 
 def test_strength_compat_and_measure_share_one_membership_cut(files):
     # the ray leans 1e-14 of its weight into the kernel: all three commands

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcompat import (
     FileFormatError,
@@ -101,6 +104,78 @@ class TestParsing:
     def test_vector_payload_roundtrip_in_memory(self):
         v = np.array([0.6, 0.8j], dtype=complex)
         np.testing.assert_array_equal(parse_vector(vector_payload(v)), v)
+
+    def test_number_subclasses_are_accepted(self):
+        class Int(int):
+            pass
+
+        class Float(float):
+            pass
+
+        class Pair(list):
+            pass
+
+        out = parse_vector({"dim": 2, "entries": [Pair([Int(3), Float(0.5)]), [np.float64(-1.5), 2**70]]})
+        assert out.tobytes() == np.array([3 + 0.5j, complex(-1.5, 2**70)]).tobytes()
+
+    def test_error_names_the_first_bad_entry(self):
+        entries = [[1.0, 0.0], [True, 0.0], ["x", 0.0]]
+        with pytest.raises(FileFormatError, match=r"^v: entry 1 is not a \[re, im\] pair$"):
+            parse_vector({"dim": 3, "entries": entries}, what="v")
+
+    def test_integer_too_large_for_a_float(self):
+        entries = [[1, 0], [2**1024 - 2**970 - 1, 0], [0, -(10**400)]]
+        with pytest.raises(FileFormatError, match=r"^v: entry 2 has an integer too large for a float$"):
+            parse_vector({"dim": 3, "entries": entries}, what="v")
+        assert parse_vector({"dim": 1, "entries": entries[1:2]})[0].real == sys.float_info.max
+
+
+def _reference_entries(entries):
+    """complex(re, im) per entry under the acceptance rule, or the index of the first rejected entry."""
+    out = []
+    for k, item in enumerate(entries):
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
+        ):
+            return k
+        try:
+            out.append(complex(item[0], item[1]))
+        except OverflowError:
+            return k
+    return np.array(out, dtype=np.complex128)
+
+
+# the smallest int too large for a float; one less rounds to the largest float
+_FLOAT_EDGE = 2**1024 - 2**970
+numbers = st.one_of(
+    st.floats(),  # nan and +-inf included
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([_FLOAT_EDGE - 1, _FLOAT_EDGE, -_FLOAT_EDGE, 2**63, -(2**63) - 1]),
+)
+scalars = st.one_of(numbers, st.booleans(), st.text(max_size=2), st.none())
+entries = st.lists(
+    st.one_of(st.lists(numbers, min_size=2, max_size=2), st.lists(scalars, max_size=3), scalars),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(entries=entries)
+@settings(max_examples=300, deadline=None)
+def test_parse_entries_matches_complex_per_entry(entries):
+    expected = _reference_entries(entries)
+    try:
+        got = parse_vector({"dim": len(entries), "entries": entries}, what="v")
+    except FileFormatError as exc:
+        assert isinstance(expected, int)
+        assert str(exc).startswith(f"v: entry {expected} ")
+    else:
+        assert not isinstance(expected, int)
+        assert got.dtype == np.complex128 and got.shape == (len(entries),)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestFileErrors:

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from qcompat import (
     strength,
     validate_density,
 )
+from qcompat.measure import _eigh
 from qcompat.states import DEFAULT_EPS_MEM, MAX_DIM, child_rng, subspace_intersection_dim, support
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -49,6 +51,16 @@ def _pure_side_pair():
 
 def _generic_full_rank_pair():
     return random_density(2, 2, seed=31), random_density(2, 2, seed=32)
+
+
+def _contained_pair(d, rank_a, rank_b, seed):
+    """supp A inside supp B, both spanned by leading columns of one Haar unitary; also returns A's basis."""
+    rng = child_rng(seed, 56)
+    u = haar_unitary(d, rng)
+    qa, qb = u[:, :rank_a], u[:, :rank_b]
+    a = qa @ random_density(rank_a, rank_a, seed=rng).matrix @ qa.conj().T
+    b = qb @ random_density(rank_b, rank_b, seed=rng).matrix @ qb.conj().T
+    return validate_density((a + a.conj().T) / 2), validate_density((b + b.conj().T) / 2), qa
 
 
 def _assert_bit_identical(r1, r2):
@@ -284,6 +296,66 @@ class TestExampleMeasure:
         res = example_measure(a, b, MeasureConfig(restarts=3, seed=seed))
         assert 0.0 <= res.value <= 1.0
         assert res.residual <= MeasureConfig().feas_tol
+
+
+class TestFactorizations:
+    """Blocks whose eigensystem or SVD is already known are not handed to LAPACK."""
+
+    # (a, b) -> expected (eigh, svd) calls of one example_measure
+    CASES = {
+        # dim S = 1 and the pure side is all of S: only the principal angles
+        # and the SVD of A's remainder run
+        "pure-side-in-supp-a": (lambda: _pure_side_pair()[:2], (0, 2)),
+        # S = supp A: A has no remainder, B's M22 is 1x1
+        "supp-a-in-supp-b": (lambda: _contained_pair(4, 2, 3, seed=1)[:2], (3, 2)),
+        # S is everything: no remainder on either side
+        "full-rank": (_generic_full_rank_pair, (3, 1)),
+        # d = 4, ranks 2 and 3 meet in one ray: A's M22 and every block on S are 1x1
+        "one-ray-intersection": (lambda: (random_density(4, 2, seed=3), random_density(4, 3, seed=4)), (1, 3)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lapack_calls(self, case, monkeypatch):
+        pair, expected = self.CASES[case]
+        a, b = pair()
+        calls = Counter()
+        for name in ("eigh", "svd"):
+
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        res = example_measure(a, b)
+        assert res.value > 0.0
+        assert (calls["eigh"], calls["svd"]) == expected
+
+    @pytest.mark.parametrize(
+        "entry",
+        [0.3 + 0j, 0.3 + 1e-18j, 0.7 - 3e-17j, -2.5e-300 + 0j, 0j, complex(-0.0, 0.0), 1.0],
+    )
+    def test_eigh_of_1x1_matches_lapack(self, entry):
+        m = np.array([[entry]])
+        got, want = _eigh(m), np.linalg.eigh(m)
+        for x, y in zip(got, want):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+    @pytest.mark.parametrize("d,rank_a,rank_b", [(6, 2, 4), (16, 5, 9)])
+    def test_contained_support_is_the_geometric_mean_of_the_shorts(self, d, rank_a, rank_b):
+        a, b, q = _contained_pair(d, rank_a, rank_b, seed=d)
+        assert (a.numerical_rank, b.numerical_rank) == (rank_a, rank_b)
+        a_s = q.conj().T @ a.matrix @ q
+        w, v = np.linalg.eigh(b.matrix)
+        b_plus = (v[:, w > 1e-10] / w[w > 1e-10]) @ v[:, w > 1e-10].conj().T
+        b_s = np.linalg.inv(q.conj().T @ b_plus @ q)
+        root, inv_root = _power(a_s, 0.5), _power(a_s, -0.5)
+        mean = root @ _power(inv_root @ b_s @ inv_root, 0.5) @ root
+        res = example_measure(a, b)
+        assert abs(res.value - np.trace(mean).real) <= 1e-10
+        assert res.components == rank_b
+        swapped = example_measure(b, a)
+        mirrored = replace(swapped, decomposition_a=swapped.decomposition_b, decomposition_b=swapped.decomposition_a)
+        _assert_bit_identical(res, mirrored)
 
 
 class TestStopRule:
