@@ -34,12 +34,10 @@ from .states import (
     SpectralOperator,
     SymmetryOp,
     haar_unitary,
-    kernel_overlap_sq,
     pure_state,
     random_density,
     random_pure,
     random_symmetry,
-    range_membership,
     sqrt_psd,
     subspace_intersection_dim,
     support,

@@ -6,12 +6,16 @@ digests of the inputs, the effective config (every tolerance and seed), the
 result payload, and elapsed milliseconds. `measure` adds a `bounds` block
 (the Uhlmann fidelity and its gap to the value) and `selftest` a
 `criteria_elapsed_ms` map (criterion id to milliseconds) beside `result`,
-so `result` keeps its keys. Results are deterministic given flags; elapsed
-time is the only varying field and sits outside `result`.
+so `result` keeps its keys. Results are deterministic given flags: every
+seed comes from `--seed` (an integer >= 0, default 0) and nothing is read
+from the environment. Elapsed time is the only varying field and sits
+outside `result`.
 
 Exit codes: 0 ok, 1 selftest failure, 2 file/parse error or invalid flag
-value, 3 validation error, 4 measure certificate residual above
-`--feas-tol`, 5 not a symmetry.
+value (including a negative seed), 3 validation error, 4 measure
+certificate residual above `--feas-tol`, 5 not a symmetry. An error
+report carries the exception's type and message, and for 5 the failing
+probe.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -34,7 +37,6 @@ from .errors import (
 )
 from .measure import MeasureConfig, example_measure, fidelity
 from .states import (
-    DEFAULT_EPS_MEM,
     DEFAULT_EPS_RANK,
     pure_state,
     subspace_intersection_dim,
@@ -51,13 +53,14 @@ EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_NOT_A_SYMMETRY = 5
 
-
-def _default_seed() -> int:
-    raw = os.environ.get("QCOMPAT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"QCOMPAT_SEED must be an integer, got {raw!r}") from exc
+# exception -> exit code; the classes are disjoint, so order does not matter
+EXIT_CODES = {
+    FileFormatError: EXIT_IO,
+    OSError: EXIT_IO,
+    ValidationError: EXIT_VALIDATION,
+    InfeasibleError: EXIT_INFEASIBLE,
+    NotASymmetryError: EXIT_NOT_A_SYMMETRY,
+}
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -83,6 +86,16 @@ def _tolerance(text: str) -> float:
         value = math.nan
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
     return value
 
 
@@ -112,8 +125,8 @@ def _cmd_strength(args):
     inputs = _inputs(state=args.state, vector=args.vector)
     eff = validate_effect(qio.load_matrix(args.state), eps_rank=args.tol_rank)
     phi = pure_state(qio.load_vector(args.vector))
-    config = {"tol_rank": args.tol_rank, "tol_mem": args.tol_mem, "oracle": bool(args.oracle)}
-    res = strength(eff, phi, eps_mem=args.tol_mem)
+    config = {"tol_rank": args.tol_rank, "oracle": bool(args.oracle)}
+    res = strength(eff, phi)
     result = {
         "value": res.value,
         "in_range": res.in_range,
@@ -183,15 +196,13 @@ def _cmd_verify(args):
     if args.symmetry is not None:
         inputs = _inputs(symmetry=args.symmetry)
         sym = qio.load_symmetry(args.symmetry)
-        dim = sym.u.shape[0]
-        transform = lambda st, s=sym: apply_symmetry(s, st)  # noqa: E731
     else:
         inputs = _inputs(map=args.map)
-        sym0 = wigner_reconstruct(qio.load_map(args.map), tol=args.tol)
-        dim = sym0.u.shape[0]
-        transform = lambda st, s=sym0: apply_symmetry(s, st)  # noqa: E731
+        sym = wigner_reconstruct(qio.load_map(args.map), tol=args.tol)
     config = {"n_mixed": args.n_mixed, "seed": args.seed, "tol": args.tol}
-    res = verify_theorem(transform, dim, n_mixed=args.n_mixed, seed=args.seed, tol=args.tol)
+    res = verify_theorem(
+        lambda st: apply_symmetry(sym, st), sym.dim, n_mixed=args.n_mixed, seed=args.seed, tol=args.tol
+    )
     result = {
         "verdict": bool(res.verdict),
         "max_error": float(res.max_error),
@@ -237,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="effect or density matrix file")
     p.add_argument("--vector", required=True, help="unit vector file")
     p.add_argument("--tol-rank", type=_tolerance, default=DEFAULT_EPS_RANK)
-    p.add_argument("--tol-mem", type=_tolerance, default=DEFAULT_EPS_MEM)
     p.add_argument("--oracle", action="store_true", help="also run the bisection cross-check")
     p.set_defaults(fn=_cmd_strength)
 
@@ -253,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--restarts", type=int, default=MeasureConfig().restarts, help="accepted, no effect (must be >= 1)"
     )
-    p.add_argument("--seed", type=int, default=None, help="accepted, no effect")
+    p.add_argument("--seed", type=_seed, default=0, help="accepted, no effect")
     p.add_argument("--feas-tol", type=_tolerance, default=MeasureConfig().feas_tol)
     p.add_argument("--symmetric", action="store_true", help="accepted, no effect")
     p.set_defaults(fn=_cmd_measure)
@@ -268,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--symmetry")
     group.add_argument("--map")
     p.add_argument("--n-mixed", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the built-in acceptance criteria")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dims", type=_parse_dims, default=None, help="restrict dimensions, e.g. 2..6")
     p.add_argument("--quick", action="store_true", help="reduced batch sizes")
     p.set_defaults(fn=_cmd_selftest)
@@ -288,30 +298,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
         report, code = args.fn(args)
-    except (FileFormatError, OSError) as exc:
-        _emit({"command": args.command, "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_IO
-    except NotASymmetryError as exc:
-        _emit(
-            {
-                "command": args.command,
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "probe": exc.probe,
-                },
-            }
-        )
-        return EXIT_NOT_A_SYMMETRY
-    except InfeasibleError as exc:
-        _emit({"command": args.command, "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_INFEASIBLE
-    except ValidationError as exc:
-        _emit({"command": args.command, "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_VALIDATION
+    except tuple(EXIT_CODES) as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, NotASymmetryError):
+            error["probe"] = exc.probe
+        _emit({"command": args.command, "error": error})
+        return next(exit_code for cls, exit_code in EXIT_CODES.items() if isinstance(exc, cls))
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     _emit({"command": args.command, **report, "elapsed_ms": elapsed_ms})
     return code

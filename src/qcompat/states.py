@@ -81,7 +81,6 @@ class SpectralOperator:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     numerical_rank: int
-    eps_rank: float = DEFAULT_EPS_RANK
 
     @property
     def dim(self) -> int:
@@ -149,7 +148,7 @@ def _validate(matrix, eps_rank: float, density: bool) -> SpectralOperator:
         if w[0] > 1.0 + PSD_TOL:
             raise NotAnEffectError(f"largest eigenvalue {w[0]!r} exceeds 1 beyond {PSD_TOL}")
         w = np.clip(w, 0.0, 1.0)
-    return SpectralOperator(m, w, v, _numerical_rank(w, eps_rank), float(eps_rank))
+    return SpectralOperator(m, w, v, _numerical_rank(w, eps_rank))
 
 
 def validate_density(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> SpectralOperator:
@@ -248,26 +247,14 @@ def _kernel_weights(op: SpectralOperator, vectors: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", coeffs.conj(), coeffs).real
 
 
-def kernel_overlap_sq(op: SpectralOperator, phi: PureState) -> float:
-    """Squared norm of the component of ``phi`` inside the kernel eigenspace."""
-    if phi.dim != op.dim:
-        raise DimensionMismatchError(f"vector dim {phi.dim} != operator dim {op.dim}")
-    return float(_kernel_weights(op, phi.vector[:, None])[0])
-
-
-def range_membership(op: SpectralOperator, phi: PureState, eps_mem: float = DEFAULT_EPS_MEM) -> bool:
-    """True when ``phi`` has no component in the kernel beyond ``eps_mem``."""
-    return kernel_overlap_sq(op, phi) <= eps_mem
-
-
 def _principal_rotations(u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Shared directions of span ``u`` and span ``v``, from one SVD of u* v.
 
     The singular values are the cosines of the principal angles, descending
     (Björck & Golub 1973). A direction is shared when sin^2 = 1 - cos^2 is at
-    most DEFAULT_EPS_MEM, the default cut `range_membership` puts on a ray's
-    kernel weight. Returns that count k and the two rotations, whose first k
-    columns turn ``u`` and ``v`` into bases of the shared part.
+    most DEFAULT_EPS_MEM, the cut `strength` puts on a ray's kernel weight.
+    Returns that count k and the two rotations, whose first k columns turn
+    ``u`` and ``v`` into bases of the shared part.
     """
     x, cos, yh = np.linalg.svd(u.conj().T @ v)
     return int(np.count_nonzero(1.0 - cos**2 <= DEFAULT_EPS_MEM)), x, yh.conj().T

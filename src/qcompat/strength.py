@@ -29,7 +29,7 @@ from .states import (
     as_rng,
 )
 
-# rays whose squared kernel component lands in (eps_mem, NEAR_BOUNDARY_SQ]
+# rays whose squared kernel component lands in (DEFAULT_EPS_MEM, NEAR_BOUNDARY_SQ]
 # get value 0 but are flagged: the value jumps discontinuously there
 NEAR_BOUNDARY_SQ = 1e-4
 PSD_FLOOR = -1e-13
@@ -44,29 +44,27 @@ class StrengthResult:
     near_boundary: bool = False
 
 
-def _strengths(
-    effect: SpectralOperator, rays: np.ndarray, eps_mem: float = DEFAULT_EPS_MEM
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _strengths(effect: SpectralOperator, rays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed form on every column of ``rays``: values, in-range and near-boundary flags.
 
-    A column off the support (kernel weight above ``eps_mem``) gets value 0;
+    A column off the support (kernel weight above DEFAULT_EPS_MEM) gets value 0;
     one on it gets 1 / sum_i |<e_i, phi>|^2 / t_i, clipped at 1.
     """
     weights = np.abs(effect.eigenvectors.conj().T @ rays) ** 2
     r = effect.numerical_rank
     kernel_sq = weights[r:].sum(axis=0)
     denom = (weights[:r] / effect.eigenvalues[:r, None]).sum(axis=0)
-    in_range = (kernel_sq <= eps_mem) & (denom > 0.0)
+    in_range = (kernel_sq <= DEFAULT_EPS_MEM) & (denom > 0.0)
     values = np.minimum(1.0, np.divide(1.0, denom, out=np.zeros_like(denom), where=in_range))
-    near = (kernel_sq > eps_mem) & (kernel_sq <= NEAR_BOUNDARY_SQ)
+    near = (kernel_sq > DEFAULT_EPS_MEM) & (kernel_sq <= NEAR_BOUNDARY_SQ)
     return values, in_range, near
 
 
-def strength(effect: SpectralOperator, phi: PureState, eps_mem: float = DEFAULT_EPS_MEM) -> StrengthResult:
+def strength(effect: SpectralOperator, phi: PureState) -> StrengthResult:
     """Spectral closed form: 1 / sum_i |<e_i, phi>|^2 / t_i over the support."""
     if phi.dim != effect.dim:
         raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {effect.dim}")
-    values, in_range, near = _strengths(effect, phi.vector[:, None], eps_mem)
+    values, in_range, near = _strengths(effect, phi.vector[:, None])
     return StrengthResult(float(values[0]), bool(in_range[0]), bool(near[0]))
 
 
@@ -127,7 +125,7 @@ def two_state_formula(weight_low: float, weight_high: float, overlap: float) -> 
         )
     if abs(weight_low + weight_high - 1.0) > 1e-12:
         raise InvalidWeightsError(f"weights must sum to 1, got {weight_low + weight_high!r}")
-    if overlap < -1e-12 or overlap > 1.0 + 1e-12:
+    if not -1e-12 <= overlap <= 1.0 + 1e-12:
         raise InvalidWeightsError(f"overlap {overlap!r} outside [0, 1]")
     x = min(max(float(overlap), 0.0), 1.0)
     return weight_low * weight_high / ((weight_high - weight_low) * x + weight_low)

@@ -319,11 +319,14 @@ def verify_theorem(
     first two of them.
     Mixed-state disagreements are collected as failures with verdict False
     rather than raised. Raises ValidationError when ``n_mixed < 1``, since
-    the verdict would then rest on no mixed state at all.
+    the verdict would then rest on no mixed state at all, and when
+    ``seed < 0``, which the strength rays cannot be drawn from.
     """
     _require_dim2(dim)
     if n_mixed < 1:
         raise ValidationError(f"n_mixed must be at least 1, got {n_mixed}")
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
     pairs = []
     for label, probe in probe_pure_states(dim):
         try:
@@ -375,9 +378,10 @@ def rank_via_compatibility(state: SpectralOperator, seed: int = 0) -> int:
     """Operational rank: count independent pure states compatible with it.
 
     Samples dim**2 random rays from one generator, in dim blocks of dim
-    rays, then the spectral rays. Per block, one product keeps the rays in
-    the support (`range_membership`, the compatibility criterion for a pure
-    companion), and the survivors are greedily orthogonalized. The count
+    rays, then the spectral rays. Per block, one product keeps the rays
+    whose kernel weight is at most DEFAULT_EPS_MEM (the ray test of
+    `strength`, the compatibility criterion for a pure companion), and the
+    survivors are greedily orthogonalized. The count
     stops at dim, since no further ray can be independent.
     """
     d = state.dim

@@ -8,7 +8,6 @@ FAIL line per criterion.  Run with ``-s`` to see the lines as they appear:
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -47,15 +46,11 @@ def test_criterion(outcomes, ident):
 
 
 def test_selftest_cli_output_is_byte_deterministic():
-    env = dict(os.environ)
-    env.pop("QCOMPAT_SEED", None)
-
     def run():
         proc = subprocess.run(
             [sys.executable, "-m", "qcompat", "selftest", "--quick"],
             capture_output=True,
             text=True,
-            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout

@@ -20,7 +20,6 @@ from qcompat.states import SymmetryOp
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
-    env.pop("QCOMPAT_SEED", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -193,22 +192,22 @@ class TestMeasureCommand:
         assert rep["result"]["value"] == 0.0
         assert rep["result"]["certificate"] is None
 
-    def test_seed_env_fallback(self, files):
+    @pytest.mark.parametrize("value", ["7", "abc"])
+    def test_seed_env_is_ignored(self, files, value):
+        # --seed is the only source of a seed; QCOMPAT_SEED was a second one
         rc, rep, _ = run_cli(
             "measure",
             "--a", files("proj0.json"), "--b", files("proj0.json"), "--restarts", "1",
-            env_extra={"QCOMPAT_SEED": "7"},
+            env_extra={"QCOMPAT_SEED": value},
         )
         assert rc == 0
-        assert rep["config"]["seed"] == 7
+        assert rep["config"]["seed"] == 0
 
-    def test_seed_env_invalid(self, files):
-        rc, rep, _ = run_cli(
-            "measure",
-            "--a", files("proj0.json"), "--b", files("proj0.json"),
-            env_extra={"QCOMPAT_SEED": "abc"},
-        )
-        assert rc == 3
+    def test_residual_above_feas_tol_exits_infeasible(self, files):
+        rc, rep, _ = run_cli("measure", "--a", files("r43.json"), "--b", files("r42.json"), "--feas-tol", "0")
+        assert rc == 4
+        assert rep["error"]["type"] == "InfeasibleError"
+        assert "exceeds feas_tol" in rep["error"]["message"]
 
     def test_symmetric_flag(self, files):
         rc, rep, _ = run_cli(
@@ -329,7 +328,6 @@ class TestVerifyCommand:
 
 TOLERANCE_FLAGS = [
     ("strength", "--tol-rank"),
-    ("strength", "--tol-mem"),
     ("compat", "--tol-rank"),
     ("measure", "--feas-tol"),
     ("reconstruct", "--tol"),
@@ -363,6 +361,31 @@ def test_zero_tolerance_is_accepted(files, command, flag):
     rc, rep, _ = run_cli(command, *_operands(files, command), flag, "0")
     assert rc in (0, 4, 5)
     assert rep["command"] == command
+
+
+def test_membership_cut_is_not_a_flag(files):
+    rc, rep, err = run_cli("strength", *_operands(files, "strength"), "--tol-mem", "1e-8")
+    assert rc == 2
+    assert rep is None
+    assert "unrecognized arguments: --tol-mem" in err
+
+
+SEED_CALLS = {
+    "measure": ["measure", "--a", "proj0.json", "--b", "mm4.json"],
+    "verify": ["verify", "--symmetry", "sym.json", "--n-mixed", "1"],
+    "selftest": ["selftest", "--quick"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_CALLS))
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_bad_seed_is_usage_error(files, command, value):
+    # a negative seed used to reach numpy and crash with exit 1
+    args = [files(a) if a.endswith(".json") else a for a in SEED_CALLS[command]]
+    rc, rep, err = run_cli(*args, "--seed", value)
+    assert rc == 2
+    assert rep is None
+    assert "seed must be an integer >= 0" in err
 
 
 NON_FINITE_CALLS = {

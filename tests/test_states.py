@@ -17,13 +17,11 @@ from qcompat import (
     PureState,
     TraceNotOneError,
     haar_unitary,
-    kernel_overlap_sq,
     probe_pure_states,
     pure_state,
     random_density,
     random_pure,
     random_symmetry,
-    range_membership,
     sqrt_psd,
     subspace_intersection_dim,
     support,
@@ -31,7 +29,7 @@ from qcompat import (
     validate_density,
     validate_effect,
 )
-from qcompat.states import _kernel_weights, _pure_density
+from qcompat.states import DEFAULT_EPS_MEM, _kernel_weights, _pure_density
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -204,15 +202,17 @@ class TestSupportAndRange:
         assert support(d).shape == (3, 2)
 
     def test_range_membership_inside(self):
+        # the rank probe's ray test: kernel weight at most the membership cut
         d = validate_density(np.diag([0.5, 0.5, 0.0]).astype(complex))
         v = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2)
-        assert range_membership(d, pure_state(v))
-        assert kernel_overlap_sq(d, pure_state(v)) < 1e-14
+        weight = _kernel_weights(d, v[:, None])[0]
+        assert weight < 1e-14
+        assert weight <= DEFAULT_EPS_MEM
 
     def test_range_membership_outside(self):
         d = validate_density(np.diag([0.5, 0.5, 0.0]).astype(complex))
         v = np.array([0.0, 0.0, 1.0], dtype=complex)
-        assert not range_membership(d, pure_state(v))
+        assert not _kernel_weights(d, v[:, None])[0] <= DEFAULT_EPS_MEM
 
     @pytest.mark.parametrize("rank", [1, 5, 8])
     def test_stacked_kernel_weights_match_each_ray(self, rank):
@@ -223,7 +223,6 @@ class TestSupportAndRange:
         for w, p in zip(weights, rays):
             inside = np.linalg.norm(support(d).conj().T @ p.vector) ** 2
             assert abs(w - (1.0 - inside)) < 1e-13
-            assert abs(w - kernel_overlap_sq(d, p)) < 1e-14
 
     def test_sqrt_psd_squares_back(self):
         d = random_density(4, 3, seed=9)

@@ -165,8 +165,10 @@ class TestTwoStateFormula:
             two_state_formula(0.3, 0.6, 0.5)
 
     def test_rejects_overlap_outside_unit(self):
-        with pytest.raises(InvalidWeightsError):
-            two_state_formula(0.4, 0.6, 1.5)
+        # nan passes no comparison, so it must be rejected, not returned
+        for overlap in (1.5, -0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidWeightsError):
+                two_state_formula(0.4, 0.6, overlap)
 
     @given(seed=seeds)
     @settings(max_examples=40, deadline=None)

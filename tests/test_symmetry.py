@@ -30,7 +30,7 @@ from qcompat import (
     verify_theorem,
     wigner_reconstruct,
 )
-from qcompat.states import DEFAULT_EPS_RANK, child_rng
+from qcompat.states import child_rng
 from qcompat.symmetry import _probe_family
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -118,7 +118,6 @@ class TestApplySymmetry:
         assert rho.numerical_rank == 2
         out = apply_symmetry(random_symmetry(3, antiunitary=True, seed=9), rho)
         assert out.numerical_rank == 3
-        assert out.eps_rank == DEFAULT_EPS_RANK
 
     def test_transform_pure_preserves_probabilities(self):
         s = random_symmetry(3, antiunitary=True, seed=5)
@@ -350,6 +349,12 @@ class TestVerifyTheorem:
         s = random_symmetry(2, antiunitary=False, seed=18)
         with pytest.raises(ValidationError):
             verify_theorem(lambda rho: apply_symmetry(s, rho), 2, n_mixed=n_mixed, seed=0)
+
+    def test_negative_seed_is_validation_error(self):
+        # the strength rays come from as_rng(seed), which takes no negative seed
+        s = random_symmetry(2, antiunitary=False, seed=18)
+        with pytest.raises(ValidationError, match="seed"):
+            verify_theorem(lambda rho: apply_symmetry(s, rho), 2, n_mixed=2, seed=-1)
 
 
 class TestRankViaCompatibility:
