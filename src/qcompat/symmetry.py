@@ -381,8 +381,8 @@ def rank_via_compatibility(state: SpectralOperator, seed: int = 0) -> int:
     rays, then the spectral rays. Per block, one product keeps the rays
     whose kernel weight is at most DEFAULT_EPS_MEM (the ray test of
     `strength`, the compatibility criterion for a pure companion), and the
-    survivors are greedily orthogonalized. The count
-    stops at dim, since no further ray can be independent.
+    survivors are greedily orthogonalized. The count stops at dim, since no
+    further ray can be independent.
     """
     d = state.dim
     _require_dim2(d)

@@ -194,7 +194,7 @@ class TestMeasureCommand:
 
     @pytest.mark.parametrize("value", ["7", "abc"])
     def test_seed_env_is_ignored(self, files, value):
-        # --seed is the only source of a seed; QCOMPAT_SEED was a second one
+        # --seed is the only source of a seed: the environment is not read
         rc, rep, _ = run_cli(
             "measure",
             "--a", files("proj0.json"), "--b", files("proj0.json"), "--restarts", "1",
@@ -380,7 +380,7 @@ SEED_CALLS = {
 @pytest.mark.parametrize("command", sorted(SEED_CALLS))
 @pytest.mark.parametrize("value", ["-1", "x"])
 def test_bad_seed_is_usage_error(files, command, value):
-    # a negative seed used to reach numpy and crash with exit 1
+    # a negative seed must stop at parsing: numpy's generators reject it
     args = [files(a) if a.endswith(".json") else a for a in SEED_CALLS[command]]
     rc, rep, err = run_cli(*args, "--seed", value)
     assert rc == 2
