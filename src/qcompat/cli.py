@@ -9,7 +9,8 @@ result payload, and elapsed milliseconds. `measure` adds a `bounds` block
 so `result` keeps its keys. Results are deterministic given flags: every
 seed comes from `--seed` (an integer >= 0, default 0) and nothing is read
 from the environment. Elapsed time is the only varying field and sits
-outside `result`.
+outside `result`. No flag sets a support: the rank cut (1e-10 of the top
+eigenvalue) and the membership cut (1e-13 on sin^2) are fixed.
 
 Exit codes: 0 ok, 1 selftest failure, 2 file/parse error or invalid flag
 value (including a negative seed), 3 validation error, 4 measure
@@ -37,7 +38,6 @@ from .errors import (
 )
 from .measure import MeasureConfig, example_measure, fidelity
 from .states import (
-    DEFAULT_EPS_RANK,
     pure_state,
     subspace_intersection_dim,
     support,
@@ -123,9 +123,9 @@ def _certificate(res) -> dict | None:
 
 def _cmd_strength(args):
     inputs = _inputs(state=args.state, vector=args.vector)
-    eff = validate_effect(qio.load_matrix(args.state), eps_rank=args.tol_rank)
+    eff = validate_effect(qio.load_matrix(args.state))
     phi = pure_state(qio.load_vector(args.vector))
-    config = {"tol_rank": args.tol_rank, "oracle": bool(args.oracle)}
+    config = {"oracle": bool(args.oracle)}
     res = strength(eff, phi)
     result = {
         "value": res.value,
@@ -141,14 +141,11 @@ def _cmd_strength(args):
 
 def _cmd_compat(args):
     inputs = _inputs(a=args.a, b=args.b)
-    a = validate_density(qio.load_matrix(args.a), eps_rank=args.tol_rank)
-    b = validate_density(qio.load_matrix(args.b), eps_rank=args.tol_rank)
-    config = {"tol_rank": args.tol_rank}
-    # --tol-rank sets only the rank cut; the intersection uses the one
-    # membership cut DEFAULT_EPS_MEM, as strength and measure do
+    a = validate_density(qio.load_matrix(args.a))
+    b = validate_density(qio.load_matrix(args.b))
     k = subspace_intersection_dim(support(a), support(b))
     result = {"compatible": k >= 1, "intersection_dim": k}
-    return {"inputs": inputs, "config": config, "result": result}, EXIT_OK
+    return {"inputs": inputs, "config": {}, "result": result}, EXIT_OK
 
 
 def _cmd_measure(args):
@@ -247,14 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strength", help="largest weight of a ray inside an effect")
     p.add_argument("--state", required=True, help="effect or density matrix file")
     p.add_argument("--vector", required=True, help="unit vector file")
-    p.add_argument("--tol-rank", type=_tolerance, default=DEFAULT_EPS_RANK)
     p.add_argument("--oracle", action="store_true", help="also run the bisection cross-check")
     p.set_defaults(fn=_cmd_strength)
 
     p = sub.add_parser("compat", help="support intersection test for two states")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--tol-rank", type=_tolerance, default=DEFAULT_EPS_RANK)
     p.set_defaults(fn=_cmd_compat)
 
     p = sub.add_parser("measure", help="joint decomposition overlap measure")

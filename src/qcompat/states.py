@@ -21,6 +21,7 @@ from .errors import (
     NotUnitaryError,
     NotUnitVectorError,
     TraceNotOneError,
+    ValidationError,
 )
 
 DEFAULT_EPS_RANK = 1e-10
@@ -40,9 +41,10 @@ def as_rng(seed) -> np.random.Generator:
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic substream of ``seed`` addressed by an integer key path."""
-    entropy = int(seed) & ((1 << 63) - 1)
-    seq = np.random.SeedSequence(entropy=entropy, spawn_key=tuple(int(k) for k in key))
+    """Deterministic substream of ``seed`` (an integer >= 0) addressed by an integer key path."""
+    if int(seed) < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(seq)
 
 
@@ -131,12 +133,12 @@ def _check_unit_trace(m: np.ndarray) -> None:
         raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL}")
 
 
-def _numerical_rank(w: np.ndarray, eps_rank: float) -> int:
-    # eigenvalues above eps_rank relative to the largest (w is descending)
-    return int(np.count_nonzero(w > eps_rank * w[0])) if w[0] > 0.0 else 0
+def _numerical_rank(w: np.ndarray) -> int:
+    # eigenvalues above DEFAULT_EPS_RANK relative to the largest (w is descending)
+    return int(np.count_nonzero(w > DEFAULT_EPS_RANK * w[0])) if w[0] > 0.0 else 0
 
 
-def _validate(matrix, eps_rank: float, density: bool) -> SpectralOperator:
+def _validate(matrix, density: bool) -> SpectralOperator:
     m = _checked_hermitian(matrix)
     w, v = _spectral(m)
     if w[-1] < -PSD_TOL:
@@ -148,22 +150,22 @@ def _validate(matrix, eps_rank: float, density: bool) -> SpectralOperator:
         if w[0] > 1.0 + PSD_TOL:
             raise NotAnEffectError(f"largest eigenvalue {w[0]!r} exceeds 1 beyond {PSD_TOL}")
         w = np.clip(w, 0.0, 1.0)
-    return SpectralOperator(m, w, v, _numerical_rank(w, eps_rank))
+    return SpectralOperator(m, w, v, _numerical_rank(w))
 
 
-def validate_density(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> SpectralOperator:
+def validate_density(matrix) -> SpectralOperator:
     """Check Hermiticity, positivity and unit trace; cache the eigensystem.
 
     Eigenvalues in [-1e-12, 0) are clamped to zero; anything lower raises.
-    The numerical rank counts eigenvalues above ``eps_rank`` relative to the
-    largest one.
+    The numerical rank counts eigenvalues above DEFAULT_EPS_RANK relative to
+    the largest one.
     """
-    return _validate(matrix, eps_rank, density=True)
+    return _validate(matrix, density=True)
 
 
-def validate_effect(matrix, eps_rank: float = DEFAULT_EPS_RANK) -> SpectralOperator:
-    """Check Hermiticity and that the spectrum sits in [0, 1]."""
-    return _validate(matrix, eps_rank, density=False)
+def validate_effect(matrix) -> SpectralOperator:
+    """Check Hermiticity and that the spectrum sits in [0, 1]; rank as in `validate_density`."""
+    return _validate(matrix, density=False)
 
 
 def _density_with_spectrum(matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> SpectralOperator:
@@ -174,11 +176,11 @@ def _density_with_spectrum(matrix, eigenvalues: np.ndarray, eigenvectors: np.nda
     unitary ``eigenvectors`` as given, so no eigh runs. The caller vouches
     that they diagonalize ``matrix``, e.g. as the spectrum and basis it was
     built from, which also stands in for the PSD check. The rank follows
-    `validate_density`'s rule with DEFAULT_EPS_RANK.
+    `validate_density`'s rule.
     """
     m = _checked_hermitian(matrix)
     _check_unit_trace(m)
-    return SpectralOperator(m, eigenvalues, eigenvectors, _numerical_rank(eigenvalues, DEFAULT_EPS_RANK))
+    return SpectralOperator(m, eigenvalues, eigenvectors, _numerical_rank(eigenvalues))
 
 
 def _pure_density(p: PureState) -> SpectralOperator:

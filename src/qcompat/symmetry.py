@@ -43,13 +43,11 @@ from .errors import (
 )
 from .states import (
     DEFAULT_EPS_MEM,
-    DEFAULT_EPS_RANK,
     PureState,
     SpectralOperator,
     SymmetryOp,
     _check_unit_trace,
     _kernel_weights,
-    _numerical_rank,
     _pure_density,
     child_rng,
     pure_state,
@@ -165,6 +163,8 @@ def probe_pure_states(dim: int) -> list[tuple[str, PureState]]:
 
 
 def transform_pure(sym: SymmetryOp, p: PureState) -> PureState:
+    if sym.dim != p.dim:
+        raise DimensionMismatchError(f"symmetry dim {sym.dim} != state dim {p.dim}")
     v = p.vector.conj() if sym.antiunitary else p.vector
     return pure_state(sym.u @ v, normalize=True)
 
@@ -181,15 +181,16 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
     plus the eigenvalues in [-1e-12, 0) that validation clipped to zero.
     The unit-trace check runs on the input, whose trace the image shares,
     so an effect whose trace is not one still raises TraceNotOneError while
-    that clipped mass cannot. The rank is recounted from the spectrum with
-    the default rule, whatever ``eps_rank`` the input was validated with.
+    that clipped mass cannot. The spectrum is the input's, so its rank is too.
     """
+    if sym.dim != state.dim:
+        raise DimensionMismatchError(f"symmetry dim {sym.dim} != state dim {state.dim}")
     _check_unit_trace(state.matrix)
     w = state.eigenvalues
     vecs = sym.u @ (state.eigenvectors.conj() if sym.antiunitary else state.eigenvectors)
     on = w > 0.0
     image = vecs[:, on]
-    return SpectralOperator((image * w[on]) @ image.conj().T, w, vecs, _numerical_rank(w, DEFAULT_EPS_RANK))
+    return SpectralOperator((image * w[on]) @ image.conj().T, w, vecs, state.numerical_rank)
 
 
 def symmetry_probe_map(sym: SymmetryOp) -> PureStateMap:

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from qcompat import (
+    haar_unitary,
     probe_pure_states,
     pure_state_map,
     random_density,
     random_symmetry,
     symmetry_probe_map,
 )
+from qcompat.cli import build_parser
 from qcompat.io import save_map, save_matrix, save_symmetry, save_vector
 from qcompat.states import SymmetryOp
 
@@ -54,6 +56,12 @@ def files(tmp_path_factory):
     e0 = np.zeros(4, dtype=complex)
     e0[0] = 1.0
     save_vector(p("e0.json"), e0)
+    # weight 1e-5 on the ray u2: above the rank cut, so u2 lies in the support
+    u = haar_unitary(3, 0)
+    proj = [np.outer(u[:, k], u[:, k].conj()) for k in range(3)]
+    save_matrix(p("faint3.json"), 0.6 * proj[0] + (0.4 - 1e-5) * proj[1] + 1e-5 * proj[2])
+    save_matrix(p("faint3ray.json"), proj[2])
+    save_vector(p("faint3vec.json"), u[:, 2])
 
     sym = random_symmetry(3, antiunitary=True, seed=2)
     save_symmetry(p("sym.json"), sym)
@@ -135,18 +143,28 @@ class TestCompatCommand:
         assert "entry 0 has an integer too large for a float" in rep["error"]["message"]
 
 
-def test_strength_compat_and_measure_share_one_membership_cut(files):
-    # the ray leans 1e-14 of its weight into the kernel: all three commands
-    # count it as inside the support, and measure^2 = strength
-    rc, st, _ = run_cli("strength", "--state", files("r7.json"), "--vector", files("near7.json"))
+def _ray_inside_the_support(files, state, vector, ray):
+    """strength, compat and measure all count the ray as in the state's support; measure^2 = strength."""
+    rc, st, _ = run_cli("strength", "--state", files(state), "--vector", files(vector))
     assert rc == 0
-    rc, co, _ = run_cli("compat", "--a", files("r7.json"), "--b", files("near7proj.json"))
+    rc, co, _ = run_cli("compat", "--a", files(state), "--b", files(ray))
     assert rc == 0
-    rc, me, _ = run_cli("measure", "--a", files("r7.json"), "--b", files("near7proj.json"))
+    rc, me, _ = run_cli("measure", "--a", files(state), "--b", files(ray))
     assert rc == 0
     assert st["result"]["in_range"] is True
     assert co["result"] == {"compatible": True, "intersection_dim": 1}
     assert abs(me["result"]["value"] ** 2 - st["result"]["value"]) <= 1e-12
+    return co
+
+
+def test_strength_compat_and_measure_share_one_membership_cut(files):
+    # the ray leans 1e-14 of its weight into the kernel
+    _ray_inside_the_support(files, "r7.json", "near7.json", "near7proj.json")
+
+
+def test_weak_eigenvalue_above_the_rank_cut_is_in_the_support(files):
+    # the state's weight on the ray, 1e-5, sits above the one rank cut
+    assert _ray_inside_the_support(files, "faint3.json", "faint3vec.json", "faint3ray.json")["config"] == {}
 
 
 def test_input_files_are_closed(files):
@@ -327,8 +345,6 @@ class TestVerifyCommand:
 
 
 TOLERANCE_FLAGS = [
-    ("strength", "--tol-rank"),
-    ("compat", "--tol-rank"),
     ("measure", "--feas-tol"),
     ("reconstruct", "--tol"),
     ("verify", "--tol"),
@@ -368,6 +384,38 @@ def test_membership_cut_is_not_a_flag(files):
     assert rc == 2
     assert rep is None
     assert "unrecognized arguments: --tol-mem" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["strength", "--state", "faint3.json", "--vector", "faint3vec.json"],
+        ["compat", "--a", "faint3.json", "--b", "faint3ray.json"],
+    ],
+    ids=["strength", "compat"],
+)
+def test_rank_cut_is_not_a_flag(files, args):
+    rc, rep, err = run_cli(*[files(a) if a.endswith(".json") else a for a in args], "--tol-rank", "1e-3")
+    assert rc == 2
+    assert rep is None
+    assert "unrecognized arguments: --tol-rank" in err
+
+
+def test_option_strings_are_pinned():
+    # a new flag must show up here, and so in review
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    options = {
+        name: sorted(opt for action in p._actions for opt in action.option_strings if opt not in ("-h", "--help"))
+        for name, p in subparsers.choices.items()
+    }
+    assert options == {
+        "strength": ["--oracle", "--state", "--vector"],
+        "compat": ["--a", "--b"],
+        "measure": ["--a", "--b", "--feas-tol", "--restarts", "--seed", "--symmetric"],
+        "reconstruct": ["--map", "--tol"],
+        "verify": ["--map", "--n-mixed", "--seed", "--symmetry", "--tol"],
+        "selftest": ["--dims", "--quick", "--seed"],
+    }
 
 
 SEED_CALLS = {

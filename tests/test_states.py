@@ -16,6 +16,7 @@ from qcompat import (
     NotUnitVectorError,
     PureState,
     TraceNotOneError,
+    ValidationError,
     haar_unitary,
     probe_pure_states,
     pure_state,
@@ -29,7 +30,7 @@ from qcompat import (
     validate_density,
     validate_effect,
 )
-from qcompat.states import DEFAULT_EPS_MEM, _kernel_weights, _pure_density
+from qcompat.states import DEFAULT_EPS_MEM, _kernel_weights, _pure_density, child_rng
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -278,3 +279,12 @@ def test_generators_deterministic(seed):
     a = random_density(3, 2, seed=seed)
     b = random_density(3, 2, seed=seed)
     np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+class TestChildRng:
+    def test_seeds_past_63_bits_draw_their_own_stream(self):
+        assert child_rng(2**63, 2, 0).random() != child_rng(0, 2, 0).random()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            child_rng(-1, 2, 0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcompat import (
+    DimensionMismatchError,
     IncompleteMapError,
     NotASymmetryError,
     TraceNotOneError,
@@ -112,12 +113,13 @@ class TestApplySymmetry:
             np.testing.assert_allclose(out.matrix, s.u @ m @ s.u.conj().T, atol=1e-11)
             assert out.numerical_rank == rho.numerical_rank
 
-    def test_rank_follows_the_default_rule(self):
-        # 0.05 sits below 0.1 x the top eigenvalue but far above the default threshold
-        rho = validate_density(np.diag([0.6, 0.35, 0.05]).astype(complex), eps_rank=0.1)
-        assert rho.numerical_rank == 2
-        out = apply_symmetry(random_symmetry(3, antiunitary=True, seed=9), rho)
-        assert out.numerical_rank == 3
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            apply_symmetry(random_symmetry(3), random_density(4, 1, seed=0))
+
+    def test_transform_pure_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            transform_pure(random_symmetry(3), random_pure(4, seed=0))
 
     def test_transform_pure_preserves_probabilities(self):
         s = random_symmetry(3, antiunitary=True, seed=5)
@@ -387,6 +389,10 @@ class TestRankViaCompatibility:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            rank_via_compatibility(random_density(3, 2, seed=0), seed=-1)
 
 
 class TestCharacterization:
