@@ -7,10 +7,12 @@ equals tr([A]_S # [B]_S), where S = supp A ∩ supp B, [X]_S is the shorted
 operator of X to S (Anderson & Trapp 1975) and # the Kubo–Ando geometric mean
 (Ando 1979). A ray weighted on both sides lies in S, so Ando's maximal
 characterisation of # bounds the sum by that trace, and `example_measure`
-builds a decomposition pair that attains it. Every reported value is
-recomputed from that certificate, whose reconstruction residual is checked
-against the feasibility tolerance. Like #, the result is symmetric in A and B,
-bit for bit: swapping the arguments only swaps the two decompositions.
+builds a decomposition pair that attains it, from at most one QR per side
+(its short to S as a triangular factor) and one SVD for the mean; no
+eigenproblem is solved. Every reported value is recomputed from that
+certificate, whose reconstruction residual is checked against the
+feasibility tolerance. Like #, the result is symmetric in A and B, bit for
+bit: swapping the arguments only swaps the two decompositions.
 """
 
 from __future__ import annotations
@@ -94,89 +96,60 @@ def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`np.linalg.eigh`, answering a 1x1 block without LAPACK.
-
-    For n = 1 LAPACK's ?heevd returns the real part of the entry and the
-    eigenvector 1, so the shortcut is bit for bit the same answer.
-    """
-    if m.shape[0] == 1:
-        return m.real[0].copy(), np.ones_like(m)
-    return np.linalg.eigh(m)
-
-
-def _hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _eigh((m + m.conj().T) / 2.0)
-
-
-def _power(eig: tuple[np.ndarray, np.ndarray], power: float) -> np.ndarray:
-    w, v = eig
-    return (v * w**power) @ v.conj().T
-
-
 def _split(op: SpectralOperator, rot: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Short of ``op`` to S, plus the spectral rays of what is left.
+    """A factor of the short of ``op`` to S, plus the rays of what is left.
 
-    ``rot`` rotates the cached support basis so that its first ``k`` columns
-    span S. In that basis op has Gram matrix M = rot* diag(w) rot, and
-    (Q* op^+ Q)^-1 is the Schur complement M11 - M12 M22^-1 M21. What is
-    left, op - Q (Q* op^+ Q)^-1 Q*, equals G G* with G = basis [M12; M22]
-    M22^-1/2, so its rank-(r - k) spectral rays come from the SVD of G
-    instead of from a difference that rounding would leave full rank.
-    When S is the whole support (k = r) the short is M itself and nothing is
-    left, so no factorization runs.
-    Returns (short in S coordinates, ray weights, rays as rows).
+    ``rot`` rotates the cached support basis V so that its first ``k``
+    columns span S, and w is the kept spectrum. The short
+    (Q* op^+ Q)^-1 = (C* C)^-1 with C = diag(w)^-1/2 rot[:, :k], so the full
+    QR C = [Q1 Q2] [R; 0] gives the factor F = R^-1. What is left,
+    op - Q F F* Q*, is G G* with G = V diag(w)^1/2 Q2: its columns are the
+    rays, weighted by their squared norms, so rounding cannot leave a
+    difference of full rank. When S is the whole support (k = r) the short
+    is rot* diag(w) rot, so F = rot* diag(w)^1/2 and nothing is left.
+    Returns (F in S coordinates, ray weights, rays as rows).
     """
     r = op.numerical_rank
-    m = (rot.conj().T * op.eigenvalues[:r]) @ rot
+    root = np.sqrt(op.eigenvalues[:r])
     if k == r:
-        return m, np.zeros(0), np.zeros((0, op.dim), np.complex128)
-    f = m[:, k:] @ _power(_hermitian_eigh(m[k:, k:]), -0.5)
-    y, s, _ = np.linalg.svd(op.eigenvectors[:, :r] @ rot @ f, full_matrices=False)
-    return m[:k, :k] - f[:k] @ f[:k].conj().T, s**2, y.T
+        return rot.conj().T * root, np.zeros(0), np.zeros((0, op.dim), np.complex128)
+    q, tri = np.linalg.qr(rot[:, :k] / root[:, None], mode="complete")
+    g = (op.eigenvectors[:, :r] * root) @ q[:, k:]
+    return np.linalg.inv(tri[:k]), np.linalg.norm(g, axis=0) ** 2, g.T
 
 
 def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -> MeasureResult:
     """tr([A]_S # [B]_S) and its certificate, in the argument order given.
 
-    Q is an orthonormal basis of S, A~ = (Q* A^+ Q)^-1 and B~ = (Q* B^+ Q)^-1,
-    and (m_j, e_j) are the eigenpairs of A~^-1/2 B~ A~^-1/2. The certificate
-    shares the rays v_j = Q A~^1/2 e_j, weighted lam_j = |v_j|^2 in A and
-    mu_j = m_j lam_j in B, then adds the spectral rays of A - Q A~ Q* (mu = 0)
-    and of B - Q B~ Q* (lam = 0): rank A + rank B - dim S <= dim components.
-    A~ and B~ trade roles when B~ has the larger smallest eigenvalue.
+    Q is an orthonormal basis of S, and F_A, F_B are factors of the shorts,
+    F_A F_A* = A~ = (Q* A^+ Q)^-1 and F_B F_B* = B~ = (Q* B^+ Q)^-1
+    (`_split`). With the SVD F_A^-1 F_B = U diag(sigma) W*, the mean is
+    A~ # B~ = F_A U diag(sigma) U* F_A*, so the certificate shares the rays
+    v_j = Q F_A u_j, weighted lam_j = |v_j|^2 in A and mu_j = sigma_j^2 lam_j in
+    B, then adds the rays of A - Q A~ Q* (mu = 0) and of B - Q B~ Q*
+    (lam = 0): rank A + rank B - dim S <= dim components. This is the GSVD
+    of the two whitened rotations (Van Loan 1976; Paige & Saunders 1981);
+    no eigenproblem is solved on S.
 
     S and its basis come from one SVD of sa* sb (`states._principal_rotations`):
     dim S counts the principal angles with sin^2 <= DEFAULT_EPS_MEM, the cut
     of `is_compatible` and `strength`, and the same rotations give Q.
-
-    Known blocks are not factorized: a side whose support is S has no
-    remainder (`_split`), and when dim S = 1, as against a pure side, the
-    eigenproblems on S are 1x1 (`_eigh`). The residual rebuilds both sides
-    from one stacked array of the certificate's rays.
+    The residual rebuilds both sides from one stacked array of the
+    certificate's rays.
     """
     sa = support(a)
     k, rot_a, rot_b = _principal_rotations(sa, support(b))
     if k == 0:
         return MeasureResult(0.0, None, None, 0.0, 0, 0)
 
-    q = sa @ rot_a[:, :k]
-    at, lam_a, rays_a = _split(a, rot_a, k)
-    bt, mu_b, rays_b = _split(b, rot_b, k)
-    # the square roots go to the better-conditioned short: the other side's
-    # reconstruction error grows with the condition number of the rooted one
-    eig_a, eig_b = _hermitian_eigh(at), _hermitian_eigh(bt)
-    root_b = eig_b[0][0] > eig_a[0][0]
-    x, y = (eig_b, at) if root_b else (eig_a, bt)
-    inv_root = _power(x, -0.5)
-    m, e = _eigh(inv_root @ y @ inv_root)
-    shared = (q @ _power(x, 0.5) @ e).T
-    w_x = np.linalg.norm(shared, axis=1) ** 2
-    w_y = np.clip(m, 0.0, None) * w_x
-    lam_s, mu_s = (w_y, w_x) if root_b else (w_x, w_y)
+    f_a, lam_a, rays_a = _split(a, rot_a, k)
+    f_b, mu_b, rays_b = _split(b, rot_b, k)
+    u, sigma, _ = np.linalg.svd(np.linalg.solve(f_a, f_b))
+    shared = (sa @ rot_a[:, :k] @ f_a @ u).T
+    lam_s = np.linalg.norm(shared, axis=1) ** 2
 
     lam = np.concatenate([lam_s, lam_a, np.zeros(len(mu_b))])
-    mu = np.concatenate([mu_s, np.zeros(len(lam_a)), mu_b])
+    mu = np.concatenate([sigma**2 * lam_s, np.zeros(len(lam_a)), mu_b])
     pures = tuple(pure_state(v, normalize=True) for v in np.vstack([shared, rays_a, rays_b]))
     rays = np.array([p.vector for p in pures])
     residual = float(max(np.linalg.norm((rays.T * w) @ rays.conj() - s.matrix) for w, s in ((lam, a), (mu, b))))

@@ -34,9 +34,11 @@ MAX_DIM = 64
 
 
 def as_rng(seed) -> np.random.Generator:
-    """Accept an integer seed or a ready generator."""
+    """Accept an integer seed (>= 0, as for `child_rng`) or a ready generator."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -199,12 +199,12 @@ def symmetry_probe_map(sym: SymmetryOp) -> PureStateMap:
 
 
 def symmetry_overlap(first: SymmetryOp, second: SymmetryOp) -> float:
-    """Gauge-invariant agreement |tr(U1^dag U2)| / d; 0 for mixed kinds."""
-    if first.antiunitary != second.antiunitary:
-        return 0.0
+    """Gauge-invariant agreement |tr(U1^dag U2)| / d; 0 for mixed kinds of one dimension."""
     d = first.u.shape[0]
     if second.u.shape[0] != d:
         raise DimensionMismatchError("symmetry dims differ")
+    if first.antiunitary != second.antiunitary:
+        return 0.0
     return float(abs(np.trace(first.u.conj().T @ second.u)) / d)
 
 

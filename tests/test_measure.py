@@ -20,7 +20,8 @@ from qcompat import (
     strength,
     validate_density,
 )
-from qcompat.measure import _eigh
+from qcompat.measure import _closed_form
+from qcompat.selftest import _joint_decomposition
 from qcompat.states import (
     DEFAULT_EPS_MEM,
     MAX_DIM,
@@ -256,6 +257,16 @@ class TestExampleMeasure:
         assert abs(res.value - value) <= 1e-9
         assert res.residual <= 1e-12
 
+    def test_ill_conditioned_pair_reaches_its_overlap(self):
+        # d = 7, A full rank with smallest eigenvalue 2.2e-10, B rank 5, dim S = 5;
+        # tr([A]_S # [B]_S) to 50 digits is 0.01016692, 1.4e-8 above the overlap
+        a, b, _, lam, mu = _joint_decomposition(7, 4, child_rng(0, 23, 47))
+        overlap = float(np.sqrt(lam * mu).sum())
+        for x, y in ((a, b), (b, a)):
+            res = _closed_form(x, y, MeasureConfig())
+            assert abs(res.value - overlap) <= 1e-7
+            assert res.residual <= 1e-11
+
     def test_full_rank_pair_is_trace_of_geometric_mean(self):
         a, b = _generic_full_rank_pair()
         root = _power(a.matrix, 0.5)
@@ -307,19 +318,24 @@ class TestExampleMeasure:
 
 
 class TestFactorizations:
-    """Blocks whose eigensystem or SVD is already known are not handed to LAPACK."""
+    """The route on S is QR and SVD, never eigh; blocks already known are not factorized."""
 
-    # (a, b) -> expected (eigh, svd) calls of one example_measure
+    LAPACK = ("eigh", "svd", "qr", "inv", "solve")
+
+    # (a, b) -> expected calls of one example_measure, in the order of LAPACK;
+    # every case has the SVD of the principal angles and the SVD of the mean
     CASES = {
-        # dim S = 1 and the pure side is all of S: only the principal angles
-        # and the SVD of A's remainder run
-        "pure-side-in-supp-a": (lambda: _pure_side_pair()[:2], (0, 2)),
-        # S = supp A: A has no remainder, B's M22 is 1x1
-        "supp-a-in-supp-b": (lambda: _contained_pair(4, 2, 3, seed=1)[:2], (3, 2)),
-        # S is everything: no remainder on either side
-        "full-rank": (_generic_full_rank_pair, (3, 1)),
-        # d = 4, ranks 2 and 3 meet in one ray: A's M22 and every block on S are 1x1
-        "one-ray-intersection": (lambda: (random_density(4, 2, seed=3), random_density(4, 3, seed=4)), (1, 3)),
+        # dim S = 1 and the pure side is all of S: only A has a remainder
+        "pure-side-in-supp-a": (lambda: _pure_side_pair()[:2], (0, 2, 1, 1, 1)),
+        # S = supp A: A has no remainder, B has one
+        "supp-a-in-supp-b": (lambda: _contained_pair(4, 2, 3, seed=1)[:2], (0, 2, 1, 1, 1)),
+        # S is everything: no QR on either side
+        "full-rank": (_generic_full_rank_pair, (0, 2, 0, 0, 1)),
+        # d = 4, ranks 2 and 3 meet in one ray: both sides have a remainder
+        "one-ray-intersection": (
+            lambda: (random_density(4, 2, seed=3), random_density(4, 3, seed=4)),
+            (0, 2, 2, 2, 1),
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -327,7 +343,7 @@ class TestFactorizations:
         pair, expected = self.CASES[case]
         a, b = pair()
         calls = Counter()
-        for name in ("eigh", "svd"):
+        for name in self.LAPACK:
 
             def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
@@ -336,17 +352,7 @@ class TestFactorizations:
             monkeypatch.setattr(np.linalg, name, counted)
         res = example_measure(a, b)
         assert res.value > 0.0
-        assert (calls["eigh"], calls["svd"]) == expected
-
-    @pytest.mark.parametrize(
-        "entry",
-        [0.3 + 0j, 0.3 + 1e-18j, 0.7 - 3e-17j, -2.5e-300 + 0j, 0j, complex(-0.0, 0.0), 1.0],
-    )
-    def test_eigh_of_1x1_matches_lapack(self, entry):
-        m = np.array([[entry]])
-        got, want = _eigh(m), np.linalg.eigh(m)
-        for x, y in zip(got, want):
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        assert tuple(calls[name] for name in self.LAPACK) == expected
 
     @pytest.mark.parametrize("d,rank_a,rank_b", [(6, 2, 4), (16, 5, 9)])
     def test_contained_support_is_the_geometric_mean_of_the_shorts(self, d, rank_a, rank_b):

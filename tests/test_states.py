@@ -281,6 +281,17 @@ def test_generators_deterministic(seed):
     np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
+@pytest.mark.parametrize(
+    "draw,args",
+    [(random_density, (3, 2)), (random_pure, (3,)), (random_symmetry, (3,))],
+    ids=["random_density", "random_pure", "random_symmetry"],
+)
+def test_negative_seed_is_validation_error(draw, args):
+    # as for child_rng, not numpy's bare ValueError
+    with pytest.raises(ValidationError, match="seed"):
+        draw(*args, seed=-1)
+
+
 class TestChildRng:
     def test_seeds_past_63_bits_draw_their_own_stream(self):
         assert child_rng(2**63, 2, 0).random() != child_rng(0, 2, 0).random()

@@ -121,6 +121,12 @@ class TestApplySymmetry:
         with pytest.raises(DimensionMismatchError):
             transform_pure(random_symmetry(3), random_pure(4, seed=0))
 
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_overlap_dimension_mismatch(self, anti):
+        # checked before the kinds, so mixed kinds of two dimensions raise too
+        with pytest.raises(DimensionMismatchError):
+            symmetry_overlap(random_symmetry(3), random_symmetry(4, antiunitary=anti))
+
     def test_transform_pure_preserves_probabilities(self):
         s = random_symmetry(3, antiunitary=True, seed=5)
         p = random_pure(3, seed=6)
