@@ -17,16 +17,16 @@ bit: swapping the arguments only swaps the two decompositions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InfeasibleError, ValidationError
+from .errors import DimensionMismatchError, InfeasibleError, NotUnitVectorError, ValidationError
 from .states import (
     PureState,
     SpectralOperator,
     _principal_rotations,
-    pure_state,
     sqrt_psd,
     subspace_intersection_dim,
     support,
@@ -62,7 +62,7 @@ class MeasureResult:
 class MeasureConfig:
     """``restarts`` and ``seed`` are accepted and ignored: the measure is exact.
 
-    ``restarts`` must still be at least 1.
+    ``restarts`` must still be at least 1, and ``feas_tol`` finite and >= 0.
     """
 
     restarts: int = DEFAULT_RESTARTS
@@ -107,7 +107,7 @@ def _split(op: SpectralOperator, rot: np.ndarray, k: int) -> tuple[np.ndarray, n
     rays, weighted by their squared norms, so rounding cannot leave a
     difference of full rank. When S is the whole support (k = r) the short
     is rot* diag(w) rot, so F = rot* diag(w)^1/2 and nothing is left.
-    Returns (F in S coordinates, ray weights, rays as rows).
+    Returns (F in S coordinates, ray norms, rays as rows, not normalized).
     """
     r = op.numerical_rank
     root = np.sqrt(op.eigenvalues[:r])
@@ -115,7 +115,7 @@ def _split(op: SpectralOperator, rot: np.ndarray, k: int) -> tuple[np.ndarray, n
         return rot.conj().T * root, np.zeros(0), np.zeros((0, op.dim), np.complex128)
     q, tri = np.linalg.qr(rot[:, :k] / root[:, None], mode="complete")
     g = (op.eigenvectors[:, :r] * root) @ q[:, k:]
-    return np.linalg.inv(tri[:k]), np.linalg.norm(g, axis=0) ** 2, g.T
+    return np.linalg.inv(tri[:k]), np.linalg.norm(g, axis=0), g.T
 
 
 def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -> MeasureResult:
@@ -134,24 +134,30 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -
     S and its basis come from one SVD of sa* sb (`states._principal_rotations`):
     dim S counts the principal angles with sin^2 <= DEFAULT_EPS_MEM, the cut
     of `is_compatible` and `strength`, and the same rotations give Q.
-    The residual rebuilds both sides from one stacked array of the
-    certificate's rays.
+    The rays are stacked once, shared block first, and normalized as one
+    array by the norms the weights come from; the certificate's pure states
+    are its rows and the residual rebuilds both sides from it.
     """
     sa = support(a)
     k, rot_a, rot_b = _principal_rotations(sa, support(b))
     if k == 0:
         return MeasureResult(0.0, None, None, 0.0, 0, 0)
 
-    f_a, lam_a, rays_a = _split(a, rot_a, k)
-    f_b, mu_b, rays_b = _split(b, rot_b, k)
+    f_a, norm_a, rays_a = _split(a, rot_a, k)
+    f_b, norm_b, rays_b = _split(b, rot_b, k)
     u, sigma, _ = np.linalg.svd(np.linalg.solve(f_a, f_b))
     shared = (sa @ rot_a[:, :k] @ f_a @ u).T
-    lam_s = np.linalg.norm(shared, axis=1) ** 2
+    norm_s = np.linalg.norm(shared, axis=1)
+    lam_s = norm_s**2
 
-    lam = np.concatenate([lam_s, lam_a, np.zeros(len(mu_b))])
-    mu = np.concatenate([sigma**2 * lam_s, np.zeros(len(lam_a)), mu_b])
-    pures = tuple(pure_state(v, normalize=True) for v in np.vstack([shared, rays_a, rays_b]))
-    rays = np.array([p.vector for p in pures])
+    lam = np.concatenate([lam_s, norm_a**2, np.zeros(len(norm_b))])
+    mu = np.concatenate([sigma**2 * lam_s, np.zeros(len(norm_a)), norm_b**2])
+    norms = np.concatenate([norm_s, norm_a, norm_b])
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if bad.size:
+        raise NotUnitVectorError(f"certificate ray {bad[0]} has norm {norms[bad[0]]!r}")
+    rays = np.vstack([shared, rays_a, rays_b]) / norms[:, None]
+    pures = tuple(PureState(v) for v in rays)
     residual = float(max(np.linalg.norm((rays.T * w) @ rays.conj() - s.matrix) for w, s in ((lam, a), (mu, b))))
     if not residual <= cfg.feas_tol:  # also catches a NaN residual
         raise InfeasibleError(
@@ -171,6 +177,7 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     weights) and residual are recomputed from it.
 
     Returns 0 with no certificate when the supports are disjoint. Raises
+    ValidationError for a ``cfg`` that breaks `MeasureConfig`'s rules, and
     InfeasibleError when the certificate's reconstruction residual exceeds
     ``cfg.feas_tol``.
     """
@@ -179,6 +186,8 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     cfg = cfg or MeasureConfig()
     if cfg.restarts < 1:
         raise ValidationError("restarts must be positive")
+    if not (math.isfinite(cfg.feas_tol) and cfg.feas_tol >= 0.0):
+        raise ValidationError(f"feas_tol must be a finite number >= 0, got {cfg.feas_tol!r}")
     key_a, key_b = a.matrix.tobytes(), b.matrix.tobytes()
     if key_b < key_a:
         res = _closed_form(b, a, cfg)

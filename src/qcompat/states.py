@@ -206,10 +206,12 @@ def _pure_density(p: PureState) -> SpectralOperator:
 def pure_state(vector, normalize: bool = False) -> PureState:
     """Build a pure state; with ``normalize`` the vector is rescaled first.
 
-    The vector is copied, so a state made from a matrix column never keeps
-    the whole matrix alive.
+    The vector must be 1-D, and it is copied, so a state made from a matrix
+    column never keeps the whole matrix alive.
     """
-    v = np.array(vector, dtype=np.complex128).reshape(-1)
+    v = np.array(vector, dtype=np.complex128)
+    if v.ndim != 1:
+        raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
     if not 1 <= v.shape[0] <= MAX_DIM:
         raise DimensionMismatchError(f"dimension {v.shape[0]} outside 1..{MAX_DIM}")
     norm = float(np.linalg.norm(v))

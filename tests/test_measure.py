@@ -10,6 +10,8 @@ from qcompat import (
     DimensionMismatchError,
     InfeasibleError,
     MeasureConfig,
+    NotUnitVectorError,
+    ValidationError,
     example_measure,
     fidelity,
     haar_unitary,
@@ -20,6 +22,7 @@ from qcompat import (
     strength,
     validate_density,
 )
+from qcompat import measure as measure_module
 from qcompat.measure import _closed_form
 from qcompat.selftest import _joint_decomposition
 from qcompat.states import (
@@ -242,6 +245,12 @@ class TestExampleMeasure:
         with pytest.raises(ValueError):
             example_measure(a, a, MeasureConfig(restarts=0))
 
+    @pytest.mark.parametrize("feas_tol", [-1.0, np.nan, np.inf])
+    def test_feas_tol_must_be_finite_and_nonnegative(self, feas_tol):
+        a, b = _intersecting(3, seed=9)
+        with pytest.raises(ValidationError):
+            example_measure(a, b, MeasureConfig(feas_tol=feas_tol))
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_components_is_the_certificate_length(self, d):
         a, b = _intersecting(d, seed=d)
@@ -370,6 +379,44 @@ class TestFactorizations:
         swapped = example_measure(b, a)
         mirrored = replace(swapped, decomposition_a=swapped.decomposition_b, decomposition_b=swapped.decomposition_a)
         _assert_bit_identical(res, mirrored)
+
+
+class TestCertificateRays:
+    """The certificate's rays are normalized as one array, by the norms the weights come from."""
+
+    def test_rays_have_unit_norm_at_max_dim(self):
+        # ranks 40 and 40 at d = 64 meet in 16 rays: shared block plus two remainders
+        a, b = random_density(MAX_DIM, 40, seed=64), random_density(MAX_DIM, 40, seed=65)
+        res = example_measure(a, b)
+        assert subspace_intersection_dim(support(a), support(b)) == 16
+        assert res.components == 64
+        rays = np.array([p.vector for p in res.decomposition_a.pures])
+        assert np.abs(np.linalg.norm(rays, axis=1) - 1.0).max() <= 1e-15
+        assert np.count_nonzero(res.decomposition_a.weights == 0.0) == 24
+        assert np.count_nonzero(res.decomposition_b.weights == 0.0) == 24
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("d,rank_a,rank_b", [(4, 2, 3), (8, 5, 6), (MAX_DIM, 40, 40)])
+    def test_value_is_the_overlap_of_the_weights(self, d, rank_a, rank_b, swap):
+        a, b = random_density(d, rank_a, seed=d), random_density(d, rank_b, seed=d + 1)
+        res = example_measure(*((b, a) if swap else (a, b)))
+        lam, mu = res.decomposition_a.weights, res.decomposition_b.weights
+        assert res.value == min(1.0, float(np.sqrt(lam * mu).sum()))
+
+    @pytest.mark.parametrize("norm", [0.0, np.nan, np.inf])
+    def test_bad_ray_norm_raises_not_unit_vector(self, norm, monkeypatch):
+        real = measure_module._split
+
+        def bad_first_ray(op, rot, k):
+            f, norms, rays = real(op, rot, k)
+            norms, rays = norms.copy(), rays.copy()
+            norms[:1], rays[:1] = norm, norm
+            return f, norms, rays
+
+        monkeypatch.setattr(measure_module, "_split", bad_first_ray)
+        # d = 4, ranks 2 and 3 meet in one ray: both sides have a remainder
+        with pytest.raises(NotUnitVectorError):
+            example_measure(random_density(4, 2, seed=3), random_density(4, 3, seed=4))
 
 
 class TestStopRule:

@@ -170,6 +170,14 @@ class TestPureState:
         with pytest.raises(NotUnitVectorError):
             pure_state(np.zeros(3), normalize=True)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize(
+        "vector", [np.eye(2) / np.sqrt(2), np.ones((1, 1)), np.array(1.0)], ids=["matrix", "1x1", "scalar"]
+    )
+    def test_rejects_input_that_is_not_1d(self, vector, normalize):
+        with pytest.raises(DimensionMismatchError):
+            pure_state(vector, normalize=normalize)
+
     def test_projection_idempotent(self):
         p = random_pure(4, seed=3)
         np.testing.assert_allclose(p.projection @ p.projection, p.projection, atol=1e-12)
