@@ -54,7 +54,7 @@ class FileFormatError(QCompatError):
 
 
 class InfeasibleError(QCompatError):
-    """No restart produced a decomposition within the feasibility tolerance."""
+    """The measure's certificate misses a state by more than the feasibility tolerance."""
 
 
 class NotASymmetryError(QCompatError):

@@ -17,7 +17,6 @@ bit: swapping the arguments only swaps the two decompositions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import DimensionMismatchError, InfeasibleError, NotUnitVectorError,
 from .states import (
     PureState,
     SpectralOperator,
+    _check_tolerance,
     _principal_rotations,
     sqrt_psd,
     subspace_intersection_dim,
@@ -186,8 +186,7 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     cfg = cfg or MeasureConfig()
     if cfg.restarts < 1:
         raise ValidationError("restarts must be positive")
-    if not (math.isfinite(cfg.feas_tol) and cfg.feas_tol >= 0.0):
-        raise ValidationError(f"feas_tol must be a finite number >= 0, got {cfg.feas_tol!r}")
+    _check_tolerance("feas_tol", cfg.feas_tol)
     key_a, key_b = a.matrix.tobytes(), b.matrix.tobytes()
     if key_b < key_a:
         res = _closed_form(b, a, cfg)

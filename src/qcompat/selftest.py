@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NotASymmetryError, ValidationError
 from .measure import MeasureConfig, _closed_form, example_measure, fidelity, is_compatible
 from .states import (
+    DEFAULT_EPS_RANK,
     SpectralOperator,
     as_rng,
     child_rng,
@@ -501,23 +502,45 @@ def _criterion_adversarial(seed: int, dims_cap, quick: bool) -> CriterionOutcome
     )
 
 
+def _edge_density(d: int, rank: int, rng) -> SpectralOperator:
+    """Validated state of rank 2..d-1 whose smallest kept and largest dropped
+    eigenvalues lie within 10x of the rank cut, above and below it, each at
+    least a factor 10^0.1 away from it, far beyond eigh's rounding."""
+    u = haar_unitary(d, rng)
+    w = np.zeros(d)
+    w[: rank - 1] = np.sort(rng.uniform(0.5, 1.0, rank - 1))[::-1]
+    w[rank - 1] = w[0] * DEFAULT_EPS_RANK * 10.0 ** rng.uniform(0.1, 1.0)
+    w[rank] = w[0] * DEFAULT_EPS_RANK * 10.0 ** rng.uniform(-1.0, -0.1)
+    m = (u * (w / w.sum())) @ u.conj().T
+    return validate_density((m + m.conj().T) / 2.0)
+
+
 def _criterion_rank_detection(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
-    dims = _dims((2, 3, 4, 5), dims_cap)
+    dims = _dims((2, 3, 4, 5, 8, 16, 32, 64), dims_cap)
     total = 40 if quick else 200
+    # states at the rank cut need a kept and a dropped eigenvalue besides
+    # the largest, so d >= 3
+    edge_dims = [d for d in dims if d >= 3]
+    n_edge = (1 if quick else 4) * len(edge_dims)
     bad = []
-    for k in range(total):
-        d = dims[k % len(dims)]
-        rank = 1 + (k // len(dims)) % d
-        state = random_density(d, rank, seed=child_rng(seed, 20, k))
-        found = rank_via_compatibility(state, seed=seed + k)
-        if found != state.numerical_rank:
+    for k in range(total + n_edge):
+        if k < total:
+            d = dims[k % len(dims)]
+            rank = 1 + (k // len(dims)) % d
+            state = random_density(d, rank, seed=child_rng(seed, 20, k))
+        else:
+            j = k - total
+            d = edge_dims[j % len(edge_dims)]
+            rank = 2 + (j // len(edge_dims)) % (d - 2)
+            state = _edge_density(d, rank, child_rng(seed, 24, j))
+        if not rank_via_compatibility(state) == state.numerical_rank == rank:
             bad.append(k)
     ok = not bad
     return CriterionOutcome(
         "rank-detection",
         "compatibility queries recover the spectral rank",
         ok,
-        f"n={total} failures={bad!r}",
+        f"n={total + n_edge} failures={bad!r}",
     )
 
 

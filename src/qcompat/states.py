@@ -42,6 +42,12 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    """Raise ValidationError unless ``value`` is a finite number >= 0, the CLI's rule for a tolerance."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def child_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic substream of ``seed`` (an integer >= 0) addressed by an integer key path."""
     if int(seed) < 0:
@@ -170,21 +176,6 @@ def validate_effect(matrix) -> SpectralOperator:
     return _validate(matrix, density=False)
 
 
-def _density_with_spectrum(matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> SpectralOperator:
-    """Density operator whose eigensystem the caller already knows.
-
-    Runs the O(d^2) checks of `validate_density` (square, Hermitian, unit
-    trace) with the same errors, and takes the descending ``eigenvalues`` and
-    unitary ``eigenvectors`` as given, so no eigh runs. The caller vouches
-    that they diagonalize ``matrix``, e.g. as the spectrum and basis it was
-    built from, which also stands in for the PSD check. The rank follows
-    `validate_density`'s rule.
-    """
-    m = _checked_hermitian(matrix)
-    _check_unit_trace(m)
-    return SpectralOperator(m, eigenvalues, eigenvectors, _numerical_rank(eigenvalues))
-
-
 def _pure_density(p: PureState) -> SpectralOperator:
     """Density operator of a pure state, with its spectral data in closed form.
 
@@ -247,12 +238,6 @@ def support(op: SpectralOperator) -> np.ndarray:
     return op.eigenvectors[:, : op.numerical_rank].copy()
 
 
-def _kernel_weights(op: SpectralOperator, vectors: np.ndarray) -> np.ndarray:
-    """Squared norm of each column's component inside the kernel eigenspace."""
-    coeffs = op.eigenvectors[:, op.numerical_rank :].conj().T @ vectors
-    return np.einsum("ij,ij->j", coeffs.conj(), coeffs).real
-
-
 def _principal_rotations(u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Shared directions of span ``u`` and span ``v``, from one SVD of u* v.
 
@@ -293,8 +278,8 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     Spectrum is Dirichlet-like with a floor of 0.05/(1 + 0.05 rank) so the
     requested rank never collapses through the rank threshold. The drawn
     spectrum (padded with zeros) and the Haar basis it sits on are returned
-    as the eigensystem, so no eigh runs; the matrix passes the O(d^2) checks
-    of `validate_density`.
+    as the eigensystem, so no eigh runs and no check is repeated: the matrix
+    is hermitized and built from a spectrum that sums to 1.
     """
     if not 1 <= dim <= MAX_DIM:
         raise DimensionMismatchError(f"dimension {dim} outside 1..{MAX_DIM}")
@@ -309,7 +294,7 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     m = (v[:, :rank] * lam) @ v[:, :rank].conj().T
     w = np.zeros(dim)
     w[:rank] = lam
-    return _density_with_spectrum((m + m.conj().T) / 2.0, w, v)
+    return SpectralOperator((m + m.conj().T) / 2.0, w, v, _numerical_rank(w))
 
 
 def _random_rays(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

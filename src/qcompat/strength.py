@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidWeightsError
+from .errors import DimensionMismatchError, InvalidWeightsError, ValidationError
 from .states import (
     DEFAULT_EPS_MEM,
     PureState,
     SpectralOperator,
+    _check_tolerance,
     _random_rays,
     as_rng,
 )
@@ -141,10 +142,14 @@ def effects_equal_by_strength(
     strength vanishes identically off-range), plus ``n_rays`` seeded random
     rays, the same ones ``n_rays`` `random_pure` calls would draw. All rays
     sit in one (dim, 2 dim + n_rays) array, and each effect's strengths come
-    from one stacked product.
+    from one stacked product. Raises ValidationError for a ``tol`` that is
+    negative or not finite, and for ``n_rays < 0``.
     """
     if first.dim != second.dim:
         raise DimensionMismatchError(f"effect dims differ: {first.dim} != {second.dim}")
+    _check_tolerance("tol", tol)
+    if n_rays < 0:
+        raise ValidationError(f"n_rays must be at least 0, got {n_rays}")
     eig_rays = np.hstack([first.eigenvectors, second.eigenvectors])
     rays = np.hstack([eig_rays / np.linalg.norm(eig_rays, axis=0), _random_rays(first.dim, n_rays, as_rng(seed))])
     gap = np.abs(_strengths(first, rays)[0] - _strengths(second, rays)[0])

@@ -23,9 +23,9 @@ eigenvectors W = U·V (U·conj(V) for an antiunitary), and its matrix is
 built from them. A `verify_theorem` of an `apply_symmetry` map runs no eigh
 at all, and one d x d product per image.
 
-Also here: rank estimation through compatibility queries alone, with the
-support test run on a block of candidate rays at a time, and a purity probe
-built from sampled incompatible sets.
+Also here: rank estimation through compatibility queries alone, which asks
+`strength`'s ray test of each eigenvector, and a purity probe built from
+sampled incompatible sets.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ from .errors import (
     ValidationError,
 )
 from .states import (
-    DEFAULT_EPS_MEM,
     PureState,
     SpectralOperator,
     SymmetryOp,
+    _check_tolerance,
     _check_unit_trace,
-    _kernel_weights,
     _pure_density,
     child_rng,
     pure_state,
@@ -55,7 +54,7 @@ from .states import (
     symmetry_op,
 )
 from .measure import is_compatible
-from .strength import effects_equal_by_strength
+from .strength import _strengths, effects_equal_by_strength
 
 _RAY_MATCH = 1.0 - 1e-10
 _DUPLICATE_OVERLAP = 1.0 - 1e-8
@@ -219,7 +218,9 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     |<in_i|in_j>|^2 and |<out_i|out_j>|^2 of the stacked rays on i < j, and
     probe matching and the final reproduction check are one matrix product
     each; every error names the first failing pair in row-major order.
+    Raises ValidationError for a ``tol`` that is negative or not finite.
     """
+    _check_tolerance("tol", tol)
     d = pmap.dim
     # rounding alone moves a transition probability by ~1e-16, so even tol=0
     # accepts an exact map
@@ -320,14 +321,16 @@ def verify_theorem(
     first two of them.
     Mixed-state disagreements are collected as failures with verdict False
     rather than raised. Raises ValidationError when ``n_mixed < 1``, since
-    the verdict would then rest on no mixed state at all, and when
-    ``seed < 0``, which the strength rays cannot be drawn from.
+    the verdict would then rest on no mixed state at all, when ``seed < 0``,
+    which the strength rays cannot be drawn from, and for a ``tol`` that is
+    negative or not finite.
     """
     _require_dim2(dim)
     if n_mixed < 1:
         raise ValidationError(f"n_mixed must be at least 1, got {n_mixed}")
     if seed < 0:
         raise ValidationError(f"seed must be at least 0, got {seed}")
+    _check_tolerance("tol", tol)
     pairs = []
     for label, probe in probe_pure_states(dim):
         try:
@@ -376,38 +379,19 @@ def verify_theorem(
 
 
 def rank_via_compatibility(state: SpectralOperator, seed: int = 0) -> int:
-    """Operational rank: count independent pure states compatible with it.
+    """Operational rank: count the eigenvector rays compatible with the state.
 
-    Samples dim**2 random rays from one generator, in dim blocks of dim
-    rays, then the spectral rays. Per block, one product keeps the rays
-    whose kernel weight is at most DEFAULT_EPS_MEM (the ray test of
-    `strength`, the compatibility criterion for a pure companion), and the
-    survivors are greedily orthogonalized. The count stops at dim, since no
-    further ray can be independent.
+    A pure state is compatible with ``state`` exactly when its ray lies in
+    supp ``state``; `strength`'s ray test (`in_range`) asks that of each
+    eigenvector. The eigenbasis is orthonormal and spans the whole space, so
+    the compatible ones are a basis of the compatible span, and their count
+    is the rank. No random ray is drawn. ``seed`` is accepted and unused; a
+    negative one still raises ValidationError.
     """
-    d = state.dim
-    _require_dim2(d)
-    rng = child_rng(seed, 3)
-    kept = np.zeros((d, d), dtype=np.complex128)
-    k = 0
-    for block in range(d + 1):
-        if block < d:
-            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            rays = z / np.linalg.norm(z, axis=0)
-        else:
-            rays = state.eigenvectors
-        for v in rays[:, _kernel_weights(state, rays) <= DEFAULT_EPS_MEM].T:
-            basis = kept[:, :k]
-            # classical Gram-Schmidt, run twice to stay orthogonal to rounding
-            for _ in range(2):
-                v = v - basis @ (basis.conj().T @ v)
-            nrm = np.linalg.norm(v)
-            if nrm > 1e-8:
-                kept[:, k] = v / nrm
-                k += 1
-                if k == d:
-                    return k
-    return k
+    _require_dim2(state.dim)
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
+    return int(np.count_nonzero(_strengths(state, state.eigenvectors)[1]))
 
 
 def _characterization_pool(state: SpectralOperator, samples: int, seed: int) -> list[SpectralOperator]:

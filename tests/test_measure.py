@@ -28,7 +28,6 @@ from qcompat.selftest import _joint_decomposition
 from qcompat.states import (
     DEFAULT_EPS_MEM,
     MAX_DIM,
-    _kernel_weights,
     child_rng,
     subspace_intersection_dim,
     support,
@@ -152,25 +151,24 @@ def _tilted_ray(a, kernel_weight, rng):
 
 
 def _membership_answers(a, phi):
-    """For the pure state phi: strength's in_range, is_compatible, measure > 0 and the rank probe's mask."""
+    """For the pure state phi: strength's in_range, is_compatible and measure > 0."""
     p = validate_density(phi.projection)
     s, res = strength(a, phi), example_measure(a, p)
-    probe = bool(_kernel_weights(a, phi.vector[:, None])[0] <= DEFAULT_EPS_MEM)
-    return (s.in_range, is_compatible(a, p), res.value > 0.0, probe), s.value, res.value
+    return (s.in_range, is_compatible(a, p), res.value > 0.0), s.value, res.value
 
 
 class TestOneMembershipCut:
-    """strength, is_compatible, the measure and the rank probe decide "phi lies in supp A" by one cut."""
+    """strength, is_compatible and the measure decide "phi lies in supp A" by one cut."""
 
     @given(seed=seeds, d=st.integers(2, MAX_DIM), log_weight=st.floats(-24.0, -2.0))
     @settings(max_examples=60, deadline=None)
-    def test_four_answers_agree(self, seed, d, log_weight):
+    def test_three_answers_agree(self, seed, d, log_weight):
         # the kernel weight is computed two ways, equal up to rounding at the cut
         assume(abs(log_weight - np.log10(DEFAULT_EPS_MEM)) > 0.01)
         rng = child_rng(seed, 54)
         a = random_density(d, int(rng.integers(1, d)), seed=rng)
         answers, s, m = _membership_answers(a, _tilted_ray(a, 10.0**log_weight, rng))
-        assert answers in ((True,) * 4, (False,) * 4)
+        assert answers in ((True,) * 3, (False,) * 3)
         if answers[0]:
             assert abs(m**2 - s) <= 1e-12
 
@@ -179,7 +177,7 @@ class TestOneMembershipCut:
         # a ray counts fully or not at all: no value between sqrt(strength) and 0
         a = random_density(4, 2, seed=7)
         answers, s, m = _membership_answers(a, _tilted_ray(a, scale * DEFAULT_EPS_MEM, child_rng(7, 55)))
-        assert answers == (inside,) * 4
+        assert answers == (inside,) * 3
         assert abs(m**2 - s) <= 1e-12
 
 

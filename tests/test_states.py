@@ -24,13 +24,15 @@ from qcompat import (
     random_pure,
     random_symmetry,
     sqrt_psd,
+    strength,
     subspace_intersection_dim,
     support,
     symmetry_op,
     validate_density,
     validate_effect,
 )
-from qcompat.states import DEFAULT_EPS_MEM, _kernel_weights, _pure_density, child_rng
+from qcompat.states import DEFAULT_EPS_MEM, _pure_density, child_rng
+from qcompat.strength import _strengths
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -211,27 +213,29 @@ class TestSupportAndRange:
         assert support(d).shape == (3, 2)
 
     def test_range_membership_inside(self):
-        # the rank probe's ray test: kernel weight at most the membership cut
+        # strength's ray test: kernel weight at most the membership cut
         d = validate_density(np.diag([0.5, 0.5, 0.0]).astype(complex))
         v = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2)
-        weight = _kernel_weights(d, v[:, None])[0]
-        assert weight < 1e-14
-        assert weight <= DEFAULT_EPS_MEM
+        assert strength(d, pure_state(v)).in_range
 
     def test_range_membership_outside(self):
         d = validate_density(np.diag([0.5, 0.5, 0.0]).astype(complex))
         v = np.array([0.0, 0.0, 1.0], dtype=complex)
-        assert not _kernel_weights(d, v[:, None])[0] <= DEFAULT_EPS_MEM
+        assert not strength(d, pure_state(v)).in_range
 
     @pytest.mark.parametrize("rank", [1, 5, 8])
     def test_stacked_kernel_weights_match_each_ray(self, rank):
-        # reference: a unit ray's kernel weight is one minus its support weight
+        # reference: a unit ray's kernel weight is one minus its support weight;
+        # half the rays are projected into the support first
         d = random_density(8, rank, seed=rank)
+        s = support(d)
         rays = [random_pure(8, seed=k) for k in range(6)]
-        weights = _kernel_weights(d, np.stack([p.vector for p in rays], axis=1))
-        for w, p in zip(weights, rays):
-            inside = np.linalg.norm(support(d).conj().T @ p.vector) ** 2
-            assert abs(w - (1.0 - inside)) < 1e-13
+        rays[:3] = [pure_state(s @ (s.conj().T @ p.vector), normalize=True) for p in rays[:3]]
+        in_range = _strengths(d, np.stack([p.vector for p in rays], axis=1))[1]
+        for flag, p in zip(in_range, rays):
+            inside = np.linalg.norm(s.conj().T @ p.vector) ** 2
+            assert flag == strength(d, p).in_range == (1.0 - inside <= DEFAULT_EPS_MEM)
+        assert in_range[:3].all()
 
     def test_sqrt_psd_squares_back(self):
         d = random_density(4, 3, seed=9)

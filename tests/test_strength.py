@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qcompat import (
     InvalidWeightsError,
+    ValidationError,
     effects_equal_by_strength,
     haar_unitary,
     pure_state,
@@ -207,6 +208,18 @@ class TestEffectsEqualByStrength:
         e = validate_effect(np.diag([0.9, 0.5, 0.1]).astype(complex))
         f = validate_effect(u @ e.matrix @ u.conj().T)
         assert not effects_equal_by_strength(e, f)
+
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        e = validate_effect(random_density(3, 2, seed=4).matrix)
+        with pytest.raises(ValidationError, match="tol"):
+            effects_equal_by_strength(e, e, tol=tol)
+
+    def test_negative_ray_count_is_validation_error(self):
+        e = validate_effect(random_density(3, 2, seed=4).matrix)
+        with pytest.raises(ValidationError, match="n_rays"):
+            effects_equal_by_strength(e, e, n_rays=-1)
 
 
 def _old_random_pure_stream(d, n, seed):

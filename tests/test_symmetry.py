@@ -277,6 +277,14 @@ class TestWignerReconstruct:
         assert rec.antiunitary == anti
         assert symmetry_overlap(s, rec) > 1 - 1e-9
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # an infinite tol would accept this map, whose pair 0 output is a random ray
+        pairs = list(symmetry_probe_map(random_symmetry(3, seed=1)).pairs)
+        pairs[0] = (pairs[0][0], random_pure(3, seed=2))
+        with pytest.raises(ValidationError, match="tol"):
+            wigner_reconstruct(pure_state_map(pairs), tol=tol)
+
     def test_reconstruction_reproduces_unlisted_states(self):
         s = random_symmetry(4, antiunitary=True, seed=9)
         rec = wigner_reconstruct(symmetry_probe_map(s))
@@ -358,6 +366,13 @@ class TestVerifyTheorem:
         with pytest.raises(ValidationError):
             verify_theorem(lambda rho: apply_symmetry(s, rho), 2, n_mixed=n_mixed, seed=0)
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # a negative tol would fail every mixed state of a true symmetry
+        s = random_symmetry(3, antiunitary=False, seed=18)
+        with pytest.raises(ValidationError, match="tol"):
+            verify_theorem(lambda rho: apply_symmetry(s, rho), 3, n_mixed=2, seed=0, tol=tol)
+
     def test_negative_seed_is_validation_error(self):
         # the strength rays come from as_rng(seed), which takes no negative seed
         s = random_symmetry(2, antiunitary=False, seed=18)
@@ -385,16 +400,34 @@ class TestRankViaCompatibility:
         rho = random_density(64, rank, seed=rank)
         assert rank_via_compatibility(rho, seed=rank) == rank
 
-    def test_candidate_rays_stay_small_at_max_dim(self):
-        # 4160 candidate rays at d = 64; keeping a 64x64 projection per ray would take ~266 MB
-        rho = random_density(64, 32, seed=1)
-        tracemalloc.start()
-        try:
-            assert rank_via_compatibility(rho) == 32
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+    def test_draws_no_random_numbers(self, monkeypatch):
+        # every generator in qcompat comes from np.random.default_rng
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rank probe drew random numbers")
+
+        rho = random_density(16, 7, seed=2)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert rank_via_compatibility(rho, seed=5) == 7
+
+    def test_eigenvalues_either_side_of_the_rank_cut_at_max_dim(self):
+        # kept at ~2e-10 lambda_max, dropped at ~5e-11 lambda_max: only the cut separates them
+        u = haar_unitary(64, 3)
+        w = np.zeros(64)
+        w[:31] = np.linspace(1.0, 0.5, 31)
+        w[31], w[32] = 2e-10, 5e-11
+        m = (u * (w / w.sum())) @ u.conj().T
+        rho = validate_density((m + m.conj().T) / 2.0)
+        assert rho.numerical_rank == 32
+        assert rank_via_compatibility(rho) == 32
+
+    @pytest.mark.parametrize(
+        "diag,rank",
+        [([0.0, 0.0, 0.0], 0), ([1.0, 0.5, 0.0], 2), ([1.0, 1.0, 1.0], 3), ([0.3, 1e-11, 0.0], 1)],
+    )
+    def test_effects(self, diag, rank):
+        eff = validate_effect(np.diag(diag).astype(complex))
+        assert eff.numerical_rank == rank
+        assert rank_via_compatibility(eff) == rank
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):
