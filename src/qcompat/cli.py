@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -38,6 +37,8 @@ from .errors import (
 )
 from .measure import MeasureConfig, example_measure, fidelity
 from .states import (
+    _check_count,
+    _check_tolerance,
     pure_state,
     subspace_intersection_dim,
     support,
@@ -79,24 +80,28 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
-    return value
+def _flag(convert, check, name: str):
+    """An argparse type that applies the library's rule ``check`` (as ``name``) to the ``convert``-ed text.
+
+    Text that does not convert goes to the rule as it is: every rejection is exit 2 in the rule's words.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = text
+        try:
+            check(name, value)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
-    return value
+_tolerance = _flag(float, _check_tolerance, "tolerance")
+_seed = _flag(int, _check_count, "seed")
 
 
 def _digest(path) -> str:

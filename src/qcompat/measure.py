@@ -21,10 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InfeasibleError, NotUnitVectorError, ValidationError
+from .errors import InfeasibleError
 from .states import (
     PureState,
     SpectralOperator,
+    _check_count,
+    _check_norms,
+    _check_same_dim,
     _check_tolerance,
     _principal_rotations,
     sqrt_psd,
@@ -62,7 +65,7 @@ class MeasureResult:
 class MeasureConfig:
     """``restarts`` and ``seed`` are accepted and ignored: the measure is exact.
 
-    ``restarts`` must still be at least 1, and ``feas_tol`` finite and >= 0.
+    ``restarts`` must still be an integer >= 1, and ``feas_tol`` finite and >= 0.
     """
 
     restarts: int = DEFAULT_RESTARTS
@@ -77,8 +80,7 @@ def is_compatible(a: SpectralOperator, b: SpectralOperator) -> bool:
     the cut `strength` puts on a ray's kernel weight: against a pure state
     this is ``strength(a, phi).in_range`` up to rounding at the cut.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
+    _check_same_dim("state", a.dim, b.dim)
     return subspace_intersection_dim(support(a), support(b)) >= 1
 
 
@@ -88,8 +90,7 @@ def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
     Evaluated in the order of the two matrices' bytes, like `example_measure`,
     so swapping the arguments gives a bit-identical value.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
+    _check_same_dim("state", a.dim, b.dim)
     if b.matrix.tobytes() < a.matrix.tobytes():
         a, b = b, a
     value = float(np.linalg.svd(sqrt_psd(a) @ sqrt_psd(b), compute_uv=False).sum())
@@ -153,9 +154,7 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -
     lam = np.concatenate([lam_s, norm_a**2, np.zeros(len(norm_b))])
     mu = np.concatenate([sigma**2 * lam_s, np.zeros(len(norm_a)), norm_b**2])
     norms = np.concatenate([norm_s, norm_a, norm_b])
-    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
-    if bad.size:
-        raise NotUnitVectorError(f"certificate ray {bad[0]} has norm {norms[bad[0]]!r}")
+    _check_norms("a certificate ray", norms)
     rays = np.vstack([shared, rays_a, rays_b]) / norms[:, None]
     pures = tuple(PureState(v) for v in rays)
     residual = float(max(np.linalg.norm((rays.T * w) @ rays.conj() - s.matrix) for w, s in ((lam, a), (mu, b))))
@@ -181,11 +180,9 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     InfeasibleError when the certificate's reconstruction residual exceeds
     ``cfg.feas_tol``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"state dims differ: {a.dim} != {b.dim}")
+    _check_same_dim("state", a.dim, b.dim)
     cfg = cfg or MeasureConfig()
-    if cfg.restarts < 1:
-        raise ValidationError("restarts must be positive")
+    _check_count("restarts", cfg.restarts, 1)
     _check_tolerance("feas_tol", cfg.feas_tol)
     key_a, key_b = a.matrix.tobytes(), b.matrix.tobytes()
     if key_b < key_a:

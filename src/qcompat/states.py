@@ -3,11 +3,14 @@
 Everything here is plain numpy on small dense complex matrices (dimension at
 most 64). Objects are frozen after construction and carry their spectral
 decomposition, so downstream formulas never re-diagonalize.
+The input rules of every layer and the CLI live here, one `_check_*` function
+each: equal dimensions, dimension range, counts and seeds, tolerances, norms.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,40 +33,66 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
 UNITARY_TOL = 1e-10
+NORM_TOL = 1e-12
 MAX_DIM = 64
+
+
+def _check_same_dim(what: str, first: int, second: int) -> None:
+    """Raise DimensionMismatchError unless two operands (named by ``what``) share one dimension."""
+    if first != second:
+        raise DimensionMismatchError(f"{what} dims differ: {first} != {second}")
+
+
+def _check_dim(dim: int, least: int = 1, most: int = MAX_DIM) -> None:
+    """Raise DimensionMismatchError unless ``dim`` is in least..most, by default 1..MAX_DIM."""
+    if not least <= dim <= most:
+        raise DimensionMismatchError(f"dimension {dim} outside {least}..{most}")
+
+
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Raise ValidationError unless ``value`` is a Python or numpy int (no bool) >= ``least``; also the seed rule."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_tolerance(name: str, value) -> None:
+    """Raise ValidationError unless ``value`` is a finite real number >= 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0):
+        raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def _check_norms(what: str, norms, unit: bool = False) -> None:
+    """Raise NotUnitVectorError unless each norm (a float or an array) is nonzero and finite, or 1 with ``unit``."""
+    ok = abs(norms - 1.0) <= NORM_TOL if unit else (norms > 0.0) & (norms < math.inf)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        rule = f"1 within {NORM_TOL}" if unit else "nonzero and finite"
+        raise NotUnitVectorError(f"{what} has norm {float(np.ravel(norms)[np.argmin(ok)])!r}, not {rule}")
 
 
 def as_rng(seed) -> np.random.Generator:
     """Accept an integer seed (>= 0, as for `child_rng`) or a ready generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValidationError(f"seed must be at least 0, got {seed}")
+    _check_count("seed", seed)
     return np.random.default_rng(seed)
-
-
-def _check_tolerance(name: str, value: float) -> None:
-    """Raise ValidationError unless ``value`` is a finite number >= 0, the CLI's rule for a tolerance."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic substream of ``seed`` (an integer >= 0) addressed by an integer key path."""
-    if int(seed) < 0:
-        raise ValidationError(f"seed must be at least 0, got {seed}")
+    _check_count("seed", seed)
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(seq)
 
 
-def _square_complex(matrix) -> np.ndarray:
+def _square_complex(matrix, error: type[ValidationError]) -> np.ndarray:
+    """The matrix as complex128, once it is square, of a dimension in 1..MAX_DIM and finite (else ``error``)."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not 1 <= m.shape[0] <= MAX_DIM:
-        raise DimensionMismatchError(
-            f"dimension {m.shape[0]} outside the supported range 1..{MAX_DIM}"
-        )
+    _check_dim(m.shape[0])
+    # before any arithmetic, so inf - inf never warns
+    if not np.isfinite(m).all():
+        raise error("matrix has a non-finite entry")
     return m
 
 
@@ -125,10 +154,7 @@ class SymmetryOp:
 
 
 def _checked_hermitian(matrix) -> np.ndarray:
-    m = _square_complex(matrix)
-    # before any arithmetic, so inf - inf never warns
-    if not np.isfinite(m).all():
-        raise NotHermitianError("matrix has a non-finite entry")
+    m = _square_complex(matrix, NotHermitianError)
     defect = hermitian_defect(m)
     if not defect <= HERMITIAN_TOL:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
@@ -203,24 +229,16 @@ def pure_state(vector, normalize: bool = False) -> PureState:
     v = np.array(vector, dtype=np.complex128)
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    if not 1 <= v.shape[0] <= MAX_DIM:
-        raise DimensionMismatchError(f"dimension {v.shape[0]} outside 1..{MAX_DIM}")
+    _check_dim(v.shape[0])
     norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise NotUnitVectorError("zero vector cannot be normalized")
-    if not math.isfinite(norm):
-        raise NotUnitVectorError(f"norm {norm!r} is not finite")
+    _check_norms("vector", norm, unit=not normalize)
     if normalize:
         v = v / norm
-    elif not abs(norm - 1.0) <= 1e-12:
-        raise NotUnitVectorError(f"norm {norm!r} differs from 1 beyond 1e-12")
     return PureState(v)
 
 
 def symmetry_op(u, antiunitary: bool = False) -> SymmetryOp:
-    m = _square_complex(u)
-    if not np.isfinite(m).all():
-        raise NotUnitaryError("matrix has a non-finite entry")
+    m = _square_complex(u, NotUnitaryError)
     defect = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
     if not defect <= UNITARY_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")
@@ -256,8 +274,9 @@ def subspace_intersection_dim(u: np.ndarray, v: np.ndarray) -> int:
 
     ``u`` and ``v`` hold orthonormal bases as columns, as `support` returns.
     """
-    if u.shape[0] != v.shape[0]:
-        raise DimensionMismatchError("subspaces live in different ambient dimensions")
+    if u.ndim != 2 or v.ndim != 2:
+        raise DimensionMismatchError(f"expected bases as 2-D arrays, got shapes {u.shape} and {v.shape}")
+    _check_same_dim("ambient", u.shape[0], v.shape[0])
     if u.shape[1] == 0 or v.shape[1] == 0:
         return 0
     return _principal_rotations(u, v)[0]
@@ -265,6 +284,7 @@ def subspace_intersection_dim(u: np.ndarray, v: np.ndarray) -> int:
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a Gaussian matrix."""
+    _check_dim(dim)
     rng = as_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -281,8 +301,7 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     as the eigensystem, so no eigh runs and no check is repeated: the matrix
     is hermitized and built from a spectrum that sums to 1.
     """
-    if not 1 <= dim <= MAX_DIM:
-        raise DimensionMismatchError(f"dimension {dim} outside 1..{MAX_DIM}")
+    _check_dim(dim)
     if not 1 <= rank <= dim:
         raise InvalidRankError(f"rank {rank} outside 1..{dim}")
     rng = as_rng(seed)
@@ -311,12 +330,9 @@ def _random_rays(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_pure(dim: int, seed) -> PureState:
-    if not 1 <= dim <= MAX_DIM:
-        raise DimensionMismatchError(f"dimension {dim} outside 1..{MAX_DIM}")
+    _check_dim(dim)
     return pure_state(_random_rays(dim, 1, as_rng(seed))[:, 0])
 
 
 def random_symmetry(dim: int, antiunitary: bool = False, seed=0) -> SymmetryOp:
-    if not 1 <= dim <= MAX_DIM:
-        raise DimensionMismatchError(f"dimension {dim} outside 1..{MAX_DIM}")
     return symmetry_op(haar_unitary(dim, seed), antiunitary)

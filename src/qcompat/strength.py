@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidWeightsError, ValidationError
+from .errors import InvalidWeightsError
 from .states import (
     DEFAULT_EPS_MEM,
     PureState,
     SpectralOperator,
+    _check_count,
+    _check_same_dim,
     _check_tolerance,
     _random_rays,
     as_rng,
@@ -63,8 +65,7 @@ def _strengths(effect: SpectralOperator, rays: np.ndarray) -> tuple[np.ndarray, 
 
 def strength(effect: SpectralOperator, phi: PureState) -> StrengthResult:
     """Spectral closed form: 1 / sum_i |<e_i, phi>|^2 / t_i over the support."""
-    if phi.dim != effect.dim:
-        raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {effect.dim}")
+    _check_same_dim("effect and vector", effect.dim, phi.dim)
     values, in_range, near = _strengths(effect, phi.vector[:, None])
     return StrengthResult(float(values[0]), bool(in_range[0]), bool(near[0]))
 
@@ -81,8 +82,7 @@ def strength_oracle(effect: SpectralOperator, phi: PureState) -> float:
     the oracle stays independent of the closed form. The two tests can only
     disagree where the floor eigenvalue is within rounding of PSD_FLOOR.
     """
-    if phi.dim != effect.dim:
-        raise DimensionMismatchError(f"vector dim {phi.dim} != effect dim {effect.dim}")
+    _check_same_dim("effect and vector", effect.dim, phi.dim)
     shifted = effect.matrix - PSD_FLOOR * np.eye(effect.dim)
     pm = phi.projection
 
@@ -143,13 +143,11 @@ def effects_equal_by_strength(
     rays, the same ones ``n_rays`` `random_pure` calls would draw. All rays
     sit in one (dim, 2 dim + n_rays) array, and each effect's strengths come
     from one stacked product. Raises ValidationError for a ``tol`` that is
-    negative or not finite, and for ``n_rays < 0``.
+    negative or not finite, and for an ``n_rays`` that is not an integer >= 0.
     """
-    if first.dim != second.dim:
-        raise DimensionMismatchError(f"effect dims differ: {first.dim} != {second.dim}")
+    _check_same_dim("effect", first.dim, second.dim)
     _check_tolerance("tol", tol)
-    if n_rays < 0:
-        raise ValidationError(f"n_rays must be at least 0, got {n_rays}")
+    _check_count("n_rays", n_rays)
     eig_rays = np.hstack([first.eigenvectors, second.eigenvectors])
     rays = np.hstack([eig_rays / np.linalg.norm(eig_rays, axis=0), _random_rays(first.dim, n_rays, as_rng(seed))])
     gap = np.abs(_strengths(first, rays)[0] - _strengths(second, rays)[0])

@@ -34,17 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    IncompleteMapError,
-    NotASymmetryError,
-    NotUnitVectorError,
-    ValidationError,
-)
+from .errors import IncompleteMapError, NotASymmetryError, ValidationError
 from .states import (
     PureState,
     SpectralOperator,
     SymmetryOp,
+    _check_count,
+    _check_dim,
+    _check_norms,
+    _check_same_dim,
     _check_tolerance,
     _check_unit_trace,
     _pure_density,
@@ -58,12 +56,8 @@ from .strength import _strengths, effects_equal_by_strength
 
 _RAY_MATCH = 1.0 - 1e-10
 _DUPLICATE_OVERLAP = 1.0 - 1e-8
-
-
-def _require_dim2(dim: int) -> None:
-    # the reconstruction story is vacuous on a one-dimensional space
-    if dim < 2:
-        raise ValidationError("symmetry operations need dim >= 2")
+# the reconstruction story is vacuous on a one-dimensional space
+_MIN_DIM = 2
 
 
 @dataclass(frozen=True)
@@ -94,8 +88,7 @@ class VerificationResult:
 
 
 def transition_prob(p: PureState, q: PureState) -> float:
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"pure state dims differ: {p.dim} != {q.dim}")
+    _check_same_dim("pure state", p.dim, q.dim)
     return float(abs(np.vdot(p.vector, q.vector)) ** 2)
 
 
@@ -120,10 +113,10 @@ def pure_state_map(pairs) -> PureStateMap:
     if not pairs:
         raise ValidationError("map needs at least one pair")
     dim = pairs[0][0].dim
-    _require_dim2(dim)
+    _check_dim(dim, _MIN_DIM)
     for p, q in pairs:
-        if p.dim != dim or q.dim != dim:
-            raise DimensionMismatchError("all map entries must share one dimension")
+        _check_same_dim("map entry", dim, p.dim)
+        _check_same_dim("map entry", dim, q.dim)
     ins = _rays(p for p, _ in pairs)
     dup = _first_pair(_overlaps(ins, ins) > _DUPLICATE_OVERLAP)
     if dup is not None:
@@ -139,11 +132,10 @@ def _probe_family(dim: int) -> tuple[tuple[str, ...], np.ndarray]:
     `pure_state` call per ray; unit norm is checked once over all rows with
     `pure_state`'s rule.
     """
-    _require_dim2(dim)
+    _check_dim(dim, _MIN_DIM)
     eye = np.eye(dim, dtype=np.complex128)
     rays = np.vstack([eye, (eye[0] + eye[1:]) / np.sqrt(2.0), (eye[0] + 1j * eye[1]) / np.sqrt(2.0)])
-    if not np.all(np.abs(np.linalg.norm(rays, axis=1) - 1.0) <= 1e-12):
-        raise NotUnitVectorError("a probe ray's norm differs from 1 beyond 1e-12")
+    _check_norms("a probe ray", np.linalg.norm(rays, axis=1), unit=True)
     labels = (
         *(f"basis-{i}" for i in range(dim)),
         *(f"pair-0-{j}" for j in range(1, dim)),
@@ -162,8 +154,7 @@ def probe_pure_states(dim: int) -> list[tuple[str, PureState]]:
 
 
 def transform_pure(sym: SymmetryOp, p: PureState) -> PureState:
-    if sym.dim != p.dim:
-        raise DimensionMismatchError(f"symmetry dim {sym.dim} != state dim {p.dim}")
+    _check_same_dim("symmetry and state", sym.dim, p.dim)
     v = p.vector.conj() if sym.antiunitary else p.vector
     return pure_state(sym.u @ v, normalize=True)
 
@@ -182,8 +173,7 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
     so an effect whose trace is not one still raises TraceNotOneError while
     that clipped mass cannot. The spectrum is the input's, so its rank is too.
     """
-    if sym.dim != state.dim:
-        raise DimensionMismatchError(f"symmetry dim {sym.dim} != state dim {state.dim}")
+    _check_same_dim("symmetry and state", sym.dim, state.dim)
     _check_unit_trace(state.matrix)
     w = state.eigenvalues
     vecs = sym.u @ (state.eigenvectors.conj() if sym.antiunitary else state.eigenvectors)
@@ -199,12 +189,10 @@ def symmetry_probe_map(sym: SymmetryOp) -> PureStateMap:
 
 def symmetry_overlap(first: SymmetryOp, second: SymmetryOp) -> float:
     """Gauge-invariant agreement |tr(U1^dag U2)| / d; 0 for mixed kinds of one dimension."""
-    d = first.u.shape[0]
-    if second.u.shape[0] != d:
-        raise DimensionMismatchError("symmetry dims differ")
+    _check_same_dim("symmetry", first.dim, second.dim)
     if first.antiunitary != second.antiunitary:
         return 0.0
-    return float(abs(np.trace(first.u.conj().T @ second.u)) / d)
+    return float(abs(np.trace(first.u.conj().T @ second.u)) / first.dim)
 
 
 def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
@@ -320,16 +308,14 @@ def verify_theorem(
     functions on one stacked ray set (`effects_equal_by_strength`), on the
     first two of them.
     Mixed-state disagreements are collected as failures with verdict False
-    rather than raised. Raises ValidationError when ``n_mixed < 1``, since
-    the verdict would then rest on no mixed state at all, when ``seed < 0``,
-    which the strength rays cannot be drawn from, and for a ``tol`` that is
-    negative or not finite.
+    rather than raised. Raises ValidationError when ``n_mixed`` is not an
+    integer >= 1, since the verdict would then rest on no mixed state at all,
+    when ``seed`` is not an integer >= 0, which the strength rays cannot be
+    drawn from, and for a ``tol`` that is negative or not finite.
     """
-    _require_dim2(dim)
-    if n_mixed < 1:
-        raise ValidationError(f"n_mixed must be at least 1, got {n_mixed}")
-    if seed < 0:
-        raise ValidationError(f"seed must be at least 0, got {seed}")
+    _check_dim(dim, _MIN_DIM)
+    _check_count("n_mixed", n_mixed, 1)
+    _check_count("seed", seed)
     _check_tolerance("tol", tol)
     pairs = []
     for label, probe in probe_pure_states(dim):
@@ -385,12 +371,11 @@ def rank_via_compatibility(state: SpectralOperator, seed: int = 0) -> int:
     supp ``state``; `strength`'s ray test (`in_range`) asks that of each
     eigenvector. The eigenbasis is orthonormal and spans the whole space, so
     the compatible ones are a basis of the compatible span, and their count
-    is the rank. No random ray is drawn. ``seed`` is accepted and unused; a
-    negative one still raises ValidationError.
+    is the rank. No random ray is drawn. ``seed`` is accepted and unused; one
+    that is not an integer >= 0 still raises ValidationError.
     """
-    _require_dim2(state.dim)
-    if seed < 0:
-        raise ValidationError(f"seed must be at least 0, got {seed}")
+    _check_dim(state.dim, _MIN_DIM)
+    _check_count("seed", seed)
     return int(np.count_nonzero(_strengths(state, state.eigenvectors)[1]))
 
 
@@ -423,9 +408,7 @@ def pure_characterization_probe(
     support always exists. Sampling gives one-sided evidence only.
     """
     d = state.dim
-    _require_dim2(d)
-    if d > 6:
-        raise ValidationError("characterization probe supports dim <= 6")
+    _check_dim(d, _MIN_DIM, 6)
     rank = state.numerical_rank
     is_pure = rank == 1
 

@@ -436,6 +436,20 @@ def test_bad_seed_is_usage_error(files, command, value):
     assert "seed must be an integer >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["compat", "--a", "mm4.json", "--b", "faint3.json"], "ambient dims differ: 4 != 3"),
+        (["strength", "--state", "faint3.json", "--vector", "e0.json"], "effect and vector dims differ: 3 != 4"),
+    ],
+    ids=["compat", "strength"],
+)
+def test_files_of_different_dimension_are_validation_errors(files, args, message):
+    rc, rep, _ = run_cli(*[files(a) if a.endswith(".json") else a for a in args])
+    assert rc == 3
+    assert rep["error"] == {"type": "DimensionMismatchError", "message": message}
+
+
 NON_FINITE_CALLS = {
     "compat": (["compat", "--a", "nan4.json", "--b", "mm4.json"], "NotHermitianError"),
     "strength": (["strength", "--state", "mm4.json", "--vector", "nanvec4.json"], "NotUnitVectorError"),
