@@ -284,7 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in acceptance criteria")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--dims", type=_parse_dims, default=None, help="restrict dimensions, e.g. 2..6")
+    p.add_argument(
+        "--dims",
+        type=_parse_dims,
+        default=None,
+        help="restrict dimensions, e.g. 2..6; each criterion needs one of its dims inside the range, "
+        "so the range must meet 2..5 (else exit 3)",
+    )
     p.add_argument("--quick", action="store_true", help="reduced batch sizes")
     p.set_defaults(fn=_cmd_selftest)
     return parser

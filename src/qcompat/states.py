@@ -302,8 +302,9 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     is hermitized and built from a spectrum that sums to 1.
     """
     _check_dim(dim)
-    if not 1 <= rank <= dim:
+    if isinstance(rank, (int, np.integer)) and not 1 <= rank <= dim:
         raise InvalidRankError(f"rank {rank} outside 1..{dim}")
+    _check_count("rank", rank, 1)  # what is left to reject: a bool or a non-integer
     rng = as_rng(seed)
     v = haar_unitary(dim, rng)
     raw = rng.dirichlet(np.ones(rank))

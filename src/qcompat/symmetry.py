@@ -409,6 +409,7 @@ def pure_characterization_probe(
     """
     d = state.dim
     _check_dim(d, _MIN_DIM, 6)
+    _check_count("samples", samples, 1)
     rank = state.numerical_rank
     is_pure = rank == 1
 

@@ -13,15 +13,14 @@ import sys
 
 import pytest
 
+from qcompat import selftest
+from qcompat.measure import MeasureConfig, _closed_form
 from qcompat.selftest import run_criteria
 
 IDENTS = [
     "strength-oracle",
     "two-state-closed-form",
-    "measure-vs-strength",
     "measure-exact",
-    "support-split",
-    "measure-argument-symmetry",
     "symmetry-roundtrip",
     "adversarial-rejection",
     "rank-detection",
@@ -59,3 +58,24 @@ def test_selftest_cli_output_is_byte_deterministic():
     a, b = json.loads(first), json.loads(second)
     assert json.dumps(a["result"], sort_keys=True) == json.dumps(b["result"], sort_keys=True)
     assert a["result"]["all_passed"] is True
+
+
+def _unmirrored_measure(a, b, cfg=None):
+    # the formula in argument order: right to rounding, but not bit-symmetric
+    return _closed_form(a, b, MeasureConfig())
+
+
+@pytest.mark.parametrize(
+    "name, stand_in, failed",
+    [
+        ("example_measure", _unmirrored_measure, "pair-"),
+        ("is_compatible", lambda a, b: False, "pair-"),
+        ("is_compatible", lambda a, b: True, "disjoint-"),
+    ],
+    ids=["measure-stops-mirroring", "never-compatible", "always-compatible"],
+)
+def test_measure_exact_catches(monkeypatch, name, stand_in, failed):
+    monkeypatch.setattr(selftest, name, stand_in)
+    outcome = selftest._criterion_measure_exact(0, None, True)
+    assert not outcome.passed
+    assert f"'{failed}" in outcome.detail

@@ -13,6 +13,7 @@ from qcompat import (
     pure_state_map,
     random_density,
     random_symmetry,
+    selftest,
     symmetry_probe_map,
 )
 from qcompat.cli import build_parser
@@ -474,7 +475,13 @@ class TestSelftestCommand:
         assert rep["result"]["all_passed"] is True
         assert "PASS" in err
         idents = [c["ident"] for c in rep["result"]["criteria"]]
-        assert len(idents) == len(set(idents)) == 11
+        assert len(idents) == len(set(idents)) == len(selftest._CRITERIA)
+
+    def test_dims_four_to_five_passes(self, files):
+        # every criterion has a dimension in 4..5; two of them once covered only d 2-3
+        rc, rep, _ = run_cli("selftest", "--quick", "--dims", "4..5")
+        assert rc == 0
+        assert rep["result"]["all_passed"] is True
 
     def test_criterion_times_sit_beside_result(self, files):
         rc, rep, err = run_cli("selftest", "--quick", "--dims", "2..2")

@@ -162,6 +162,7 @@ COUNTS = {
     "example_measure": (lambda n: example_measure(A3, A3, MeasureConfig(restarts=n)), "restarts", 1),
     "verify_theorem": (lambda n: verify_theorem(_by_s3, 3, n_mixed=n), "n_mixed", 1),
     "effects_equal_by_strength": (lambda n: effects_equal_by_strength(A3, A3, n_rays=n), "n_rays", 0),
+    "pure_characterization_probe": (lambda n: pure_characterization_probe(A3, samples=n), "samples", 1),
 }
 
 
@@ -179,6 +180,18 @@ def test_count_is_an_integer_with_a_floor(entry, offset):
 def test_count_accepts_numpy_integers(entry):
     call, _, least = COUNTS[entry]
     call(np.int64(least + 1))
+
+
+@pytest.mark.parametrize("rank", [2.5, True, "2"])
+def test_random_density_rank_is_an_integer(rank):
+    # a fractional rank once escaped as numpy's TypeError from the Dirichlet draw;
+    # an integer outside 1..dim raises InvalidRankError (test_states)
+    with pytest.raises(ValidationError, match=f"^rank must be an integer >= 1, got {re.escape(repr(rank))}$"):
+        random_density(3, rank, seed=0)
+
+
+def test_random_density_accepts_a_numpy_rank():
+    assert random_density(3, np.int64(2), seed=0).numerical_rank == 2
 
 
 NORMS = {

@@ -80,6 +80,8 @@ class TestValidateDensity:
             random_density(3, 4, seed=0)
         with pytest.raises(InvalidRankError):
             random_density(3, 0, seed=0)
+        with pytest.raises(InvalidRankError):
+            random_density(3, -1, seed=0)
 
 
 class TestValidateEffect:
