@@ -38,7 +38,6 @@ from .states import (
     random_density,
     random_pure,
     random_symmetry,
-    sqrt_psd,
     subspace_intersection_dim,
     support,
     symmetry_op,
@@ -57,12 +56,10 @@ from .strength import (
 # reach it start without it. The other layers stay eager: `strength` names
 # both a submodule and a function here.
 _SYMMETRY_NAMES = (
-    "CharacterizationProbe",
     "PureStateMap",
     "VerificationResult",
     "apply_symmetry",
     "probe_pure_states",
-    "pure_characterization_probe",
     "pure_state_map",
     "rank_via_compatibility",
     "symmetry_overlap",

@@ -43,10 +43,10 @@ def _check_same_dim(what: str, first: int, second: int) -> None:
         raise DimensionMismatchError(f"{what} dims differ: {first} != {second}")
 
 
-def _check_dim(dim: int, least: int = 1, most: int = MAX_DIM) -> None:
-    """Raise DimensionMismatchError unless ``dim`` is in least..most, by default 1..MAX_DIM."""
-    if not least <= dim <= most:
-        raise DimensionMismatchError(f"dimension {dim} outside {least}..{most}")
+def _check_dim(dim: int, least: int = 1) -> None:
+    """Raise DimensionMismatchError unless ``dim`` is in least..MAX_DIM, by default 1..MAX_DIM."""
+    if not least <= dim <= MAX_DIM:
+        raise DimensionMismatchError(f"dimension {dim} outside {least}..{MAX_DIM}")
 
 
 def _check_count(name: str, value, least: int = 0) -> None:
@@ -56,8 +56,8 @@ def _check_count(name: str, value, least: int = 0) -> None:
 
 
 def _check_tolerance(name: str, value) -> None:
-    """Raise ValidationError unless ``value`` is a finite real number >= 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0):
+    """Raise ValidationError unless ``value`` is a finite real number (no bool) >= 0."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0.0):
         raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
@@ -94,10 +94,6 @@ def _square_complex(matrix, error: type[ValidationError]) -> np.ndarray:
     if not np.isfinite(m).all():
         raise error("matrix has a non-finite entry")
     return m
-
-
-def hermitian_defect(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix - matrix.conj().T).max())
 
 
 def _spectral(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +151,7 @@ class SymmetryOp:
 
 def _checked_hermitian(matrix) -> np.ndarray:
     m = _square_complex(matrix, NotHermitianError)
-    defect = hermitian_defect(m)
+    defect = float(np.abs(m - m.conj().T).max())
     if not defect <= HERMITIAN_TOL:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
     return m
@@ -243,12 +239,6 @@ def symmetry_op(u, antiunitary: bool = False) -> SymmetryOp:
     if not defect <= UNITARY_TOL:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL}")
     return SymmetryOp(m, bool(antiunitary))
-
-
-def sqrt_psd(op: SpectralOperator) -> np.ndarray:
-    """PSD square root from the cached spectral decomposition."""
-    root = (op.eigenvectors * np.sqrt(op.eigenvalues)) @ op.eigenvectors.conj().T
-    return (root + root.conj().T) / 2.0
 
 
 def support(op: SpectralOperator) -> np.ndarray:

@@ -24,8 +24,7 @@ built from them. A `verify_theorem` of an `apply_symmetry` map runs no eigh
 at all, and one d x d product per image.
 
 Also here: rank estimation through compatibility queries alone, which asks
-`strength`'s ray test of each eigenvector, and a purity probe built from
-sampled incompatible sets.
+`strength`'s ray test of each eigenvector.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .states import (
     random_density,
     symmetry_op,
 )
-from .measure import is_compatible
 from .strength import _strengths, effects_equal_by_strength
 
 _RAY_MATCH = 1.0 - 1e-10
@@ -66,16 +64,6 @@ class PureStateMap:
 
     dim: int
     pairs: tuple[tuple[PureState, PureState], ...]
-
-
-@dataclass(frozen=True)
-class CharacterizationProbe:
-    rank: int
-    is_pure: bool
-    consistent: bool
-    witness: SpectralOperator | None
-    n_ic_sampled: int
-    n_double_ic: int
 
 
 @dataclass(frozen=True)
@@ -378,59 +366,3 @@ def rank_via_compatibility(state: SpectralOperator, seed: int = 0) -> int:
     _check_count("seed", seed)
     return int(np.count_nonzero(_strengths(state, state.eigenvectors)[1]))
 
-
-def _characterization_pool(state: SpectralOperator, samples: int, seed: int) -> list[SpectralOperator]:
-    """Sample pool mixing ranks, enriched with support rays of the state."""
-    d = state.dim
-    pool: list[SpectralOperator] = []
-    for k in range(samples):
-        rank = (k % d) + 1
-        pool.append(random_density(d, rank, seed=child_rng(seed, 4, k)))
-    for i in range(state.numerical_rank):
-        pool.append(_pure_density(pure_state(state.eigenvectors[:, i])))
-    if state.numerical_rank >= 2:
-        mix = state.eigenvectors[:, 0] + state.eigenvectors[:, 1]
-        pool.append(_pure_density(pure_state(mix, normalize=True)))
-    return pool
-
-
-def pure_characterization_probe(
-    state: SpectralOperator, samples: int = 120, seed: int = 0
-) -> CharacterizationProbe:
-    """Sampled falsification test: only pure states are pinned down by
-    their incompatible set.
-
-    Approximates the incompatible set of ``state`` by sampling, then scans
-    the same pool for a different state that is incompatible with every
-    sampled member. For a pure state no such companion should appear, since
-    any candidate on another ray lands in the sampled incompatible set and
-    is compatible with itself. For mixed states a companion inside the
-    support always exists. Sampling gives one-sided evidence only.
-    """
-    d = state.dim
-    _check_dim(d, _MIN_DIM, 6)
-    _check_count("samples", samples, 1)
-    rank = state.numerical_rank
-    is_pure = rank == 1
-
-    pool = _characterization_pool(state, samples, seed)
-    ic_pool = [s for s in pool if not is_compatible(state, s)]
-
-    witness = None
-    n_double = 0
-    for cand in pool:
-        if float(np.linalg.norm(cand.matrix - state.matrix)) <= 1e-8:
-            continue
-        if not any(is_compatible(cand, m) for m in ic_pool):
-            n_double += 1
-            if witness is None:
-                witness = cand
-    consistent = witness is None
-    return CharacterizationProbe(
-        rank=rank,
-        is_pure=is_pure,
-        consistent=consistent,
-        witness=witness,
-        n_ic_sampled=len(ic_pool),
-        n_double_ic=n_double,
-    )

@@ -478,3 +478,22 @@ class TestFidelity:
         a = validate_density(np.outer(v, v.conj()))
         b = validate_density(np.outer(w, w.conj()))
         assert abs(fidelity(a, b) - np.sqrt(0.5)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "dim, rank_a, rank_b",
+        [(4, 4, 4), (8, 8, 8), (5, 2, 3), (8, 1, 5), (MAX_DIM, MAX_DIM, MAX_DIM), (MAX_DIM, 40, 40), (MAX_DIM, 1, 30)],
+    )
+    def test_matches_trace_norm_of_root_product(self, dim, rank_a, rank_b):
+        # reference: ||sqrt(A) sqrt(B)||_1 with each root built from a fresh eigh of the matrix.
+        # Both states are validated, so the cached spectrum is eigh's too: the square root
+        # lifts a rounding-level kernel eigenvalue (~1e-17) to ~3e-9, and a drawn state's
+        # exact zeros would differ from eigh's by that much
+        def root(m):
+            w, v = np.linalg.eigh(m)
+            return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+        for seed in range(3):
+            a = validate_density(random_density(dim, rank_a, seed=seed).matrix)
+            b = validate_density(random_density(dim, rank_b, seed=100 + seed).matrix)
+            reference = np.linalg.svd(root(a.matrix) @ root(b.matrix), compute_uv=False).sum()
+            assert abs(fidelity(a, b) - reference) <= 1e-13

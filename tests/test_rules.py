@@ -24,7 +24,6 @@ from qcompat import (
     fidelity,
     haar_unitary,
     is_compatible,
-    pure_characterization_probe,
     pure_state,
     pure_state_map,
     random_density,
@@ -116,11 +115,6 @@ def test_symmetry_layer_needs_dimension_two(entry):
         SYMMETRY_DIM[entry]()
 
 
-def test_characterization_probe_dimension_cap():
-    with pytest.raises(DimensionMismatchError, match="^dimension 7 outside 2..6$"):
-        pure_characterization_probe(random_density(7, 2, seed=0))
-
-
 SEEDS = {
     "as_rng": lambda s: as_rng(s),
     "random_pure": lambda s: random_pure(3, seed=s),
@@ -150,7 +144,8 @@ TOLERANCES = {
 }
 
 
-@pytest.mark.parametrize("tol", [-1e-3, np.nan, np.inf, "1e-8", None])
+# a bool once passed as 0 or 1, while numpy's bool raised
+@pytest.mark.parametrize("tol", [-1e-3, np.nan, np.inf, "1e-8", None, True, False])
 @pytest.mark.parametrize("entry", sorted(TOLERANCES))
 def test_tolerance_is_finite_and_nonnegative(entry, tol):
     call, name = TOLERANCES[entry]
@@ -162,7 +157,6 @@ COUNTS = {
     "example_measure": (lambda n: example_measure(A3, A3, MeasureConfig(restarts=n)), "restarts", 1),
     "verify_theorem": (lambda n: verify_theorem(_by_s3, 3, n_mixed=n), "n_mixed", 1),
     "effects_equal_by_strength": (lambda n: effects_equal_by_strength(A3, A3, n_rays=n), "n_rays", 0),
-    "pure_characterization_probe": (lambda n: pure_characterization_probe(A3, samples=n), "samples", 1),
 }
 
 

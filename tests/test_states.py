@@ -23,7 +23,6 @@ from qcompat import (
     random_density,
     random_pure,
     random_symmetry,
-    sqrt_psd,
     strength,
     subspace_intersection_dim,
     support,
@@ -238,11 +237,6 @@ class TestSupportAndRange:
             inside = np.linalg.norm(s.conj().T @ p.vector) ** 2
             assert flag == strength(d, p).in_range == (1.0 - inside <= DEFAULT_EPS_MEM)
         assert in_range[:3].all()
-
-    def test_sqrt_psd_squares_back(self):
-        d = random_density(4, 3, seed=9)
-        r = sqrt_psd(d)
-        np.testing.assert_allclose(r @ r, d.matrix, atol=1e-12)
 
 
 class TestSubspaceIntersection:

@@ -14,7 +14,6 @@ from qcompat import (
     apply_symmetry,
     haar_unitary,
     probe_pure_states,
-    pure_characterization_probe,
     pure_state,
     pure_state_map,
     random_density,
@@ -433,26 +432,3 @@ class TestRankViaCompatibility:
         with pytest.raises(ValidationError):
             rank_via_compatibility(random_density(3, 2, seed=0), seed=-1)
 
-
-class TestCharacterization:
-    def test_pure_state_is_consistent(self):
-        probe = pure_characterization_probe(random_density(3, 1, seed=17), samples=60, seed=0)
-        assert probe.is_pure
-        assert probe.rank == 1
-        assert probe.consistent
-        assert probe.witness is None
-
-    def test_maximally_mixed_qubit_has_witness(self):
-        probe = pure_characterization_probe(
-            validate_density(np.eye(2, dtype=complex) / 2), samples=60, seed=0
-        )
-        assert not probe.is_pure
-        assert not probe.consistent
-        assert probe.witness is not None
-        assert probe.witness.numerical_rank == 1
-
-    def test_rank_two_state_in_dim_three(self):
-        probe = pure_characterization_probe(random_density(3, 2, seed=18), samples=60, seed=1)
-        assert probe.rank == 2
-        assert not probe.consistent
-        assert probe.witness is not None
