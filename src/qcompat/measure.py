@@ -91,17 +91,20 @@ def is_compatible(a: SpectralOperator, b: SpectralOperator) -> bool:
 def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
     """Uhlmann fidelity ||sqrt(A) sqrt(B)||_1, an upper bound on the measure.
 
-    Read from the cached eigensystems: with R_X = V_X diag(sqrt(w_X)),
-    sqrt(A) sqrt(B) = V_A (R_A* R_B) V_B*, and V_A, V_B are unitary, so the
-    trace norm is the sum of the singular values of R_A* R_B. That is one
-    d x d product, and no matrix square root is formed. The sum is clamped
+    Read from the cached eigensystems: with V_X the first numerical_rank
+    eigenvectors and R_X = V_X diag(sqrt(w_X)), sqrt(A) sqrt(B) =
+    V_A (R_A* R_B) V_B*, and V_A, V_B have orthonormal columns, so the trace
+    norm is the sum of the singular values of R_A* R_B. That is one
+    r_A x r_B product, and no matrix square root is formed. The kernel
+    columns are left out: the square root would lift a rounding-level
+    kernel eigenvalue (~1e-17) to weight ~1e-9. The sum is clamped
     to [0, 1] and evaluated in the order of the two matrices' bytes, like
     `example_measure`, so swapping the arguments gives a bit-identical value.
     """
     _check_same_dim("state", a.dim, b.dim)
     if b.matrix.tobytes() < a.matrix.tobytes():
         a, b = b, a
-    root_a, root_b = (op.eigenvectors * np.sqrt(op.eigenvalues) for op in (a, b))
+    root_a, root_b = (support(op) * np.sqrt(op.eigenvalues[: op.numerical_rank]) for op in (a, b))
     value = float(np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False).sum())
     return min(1.0, max(0.0, value))
 

@@ -8,10 +8,13 @@ which is finite and positive exactly when phi lies in the range of sqrt(T).
 The closed form runs through the spectral decomposition of T. The oracle
 re-derives the same number by bisection on t and is kept deliberately
 independent of the closed form: it reads only the matrix of T, never its
-spectral data. Each bisection step asks one yes/no question, whether the
-smallest eigenvalue of T - t * |phi><phi| stays at or above PSD_FLOOR, and
-answers it with a Cholesky factorization of T + |PSD_FLOOR| I - t |phi><phi|
-instead of a full eigenvalue solve.
+spectral data. Each test asks one yes/no question, whether the smallest
+eigenvalue of T - t * |phi><phi| stays at or above PSD_FLOOR, and answers it
+with a Cholesky factorization of S - t |phi><phi|, S = T + |PSD_FLOOR| I,
+instead of a full eigenvalue solve. The bisection starts from the bracket
+that two tests beside 1 / (phi* S^-1 phi) leave, the boundary of that same
+test by the matrix determinant lemma, so when that boundary is right it
+takes at most one more step; the Cholesky test alone decides the answer.
 """
 
 from __future__ import annotations
@@ -74,13 +77,20 @@ def strength_oracle(effect: SpectralOperator, phi: PureState) -> float:
     """Largest t in [0, 1] with T - t * |phi><phi| >= PSD_FLOOR * I, by bisection.
 
     Returns the largest t in [0, 1] whose floor eigenvalue stays at or above
-    PSD_FLOOR = -1e-13, to absolute tolerance BISECTION_TOL: both endpoints
-    are tested first, then the interval is halved. A step does not compute
-    the floor eigenvalue; it shifts T once by 1e-13 I and asks whether the
-    shifted T - t * |phi><phi| has a Cholesky factor, which it has exactly
-    when that matrix is positive definite. Only the matrix of T is read, so
-    the oracle stays independent of the closed form. The two tests can only
-    disagree where the floor eigenvalue is within rounding of PSD_FLOOR.
+    PSD_FLOOR = -1e-13, to absolute tolerance BISECTION_TOL. A test does not
+    compute the floor eigenvalue; it shifts T once by 1e-13 I and asks
+    whether S - t * |phi><phi|, S the shifted T, has a Cholesky factor,
+    which it has exactly when that matrix is positive definite. Both
+    endpoints are tested first. Inside (0, 1) the test passes exactly when
+    t < 1 / (phi* S^-1 phi), so one solve gives its boundary, and the points
+    BISECTION_TOL / 2 below and above it are tested next: a feasible one
+    raises the bracket's floor and an infeasible one lowers its ceiling.
+    Then the bracket is halved until it is BISECTION_TOL wide. The solve
+    only places tests: a wrong boundary, or none when phi* S^-1 phi is not a
+    positive finite number, costs bisection steps and never changes the
+    answer. Only the matrix of T is read, so the oracle stays independent of
+    the closed form. The Cholesky test and the floor eigenvalue can only
+    disagree where the latter is within rounding of PSD_FLOOR.
     """
     _check_same_dim("effect and vector", effect.dim, phi.dim)
     shifted = effect.matrix - PSD_FLOOR * np.eye(effect.dim)
@@ -98,6 +108,16 @@ def strength_oracle(effect: SpectralOperator, phi: PureState) -> float:
     if feasible(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
+    # S - t * phi phi* is positive definite exactly when t < boundary (matrix determinant lemma)
+    with np.errstate(all="ignore"):
+        q = float(np.vdot(phi.vector, np.linalg.solve(shifted, phi.vector)).real)
+    boundary = 1.0 / q if 0.0 < q < np.inf else np.nan
+    for t in (boundary - 0.5 * BISECTION_TOL, boundary + 0.5 * BISECTION_TOL):
+        if lo < t < hi:
+            if feasible(t):
+                lo = t
+            else:
+                hi = t
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= BISECTION_TOL:
             break

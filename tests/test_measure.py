@@ -27,6 +27,7 @@ from qcompat.measure import _closed_form
 from qcompat.selftest import _joint_decomposition
 from qcompat.states import (
     DEFAULT_EPS_MEM,
+    DEFAULT_EPS_RANK,
     MAX_DIM,
     child_rng,
     subspace_intersection_dim,
@@ -484,16 +485,28 @@ class TestFidelity:
         [(4, 4, 4), (8, 8, 8), (5, 2, 3), (8, 1, 5), (MAX_DIM, MAX_DIM, MAX_DIM), (MAX_DIM, 40, 40), (MAX_DIM, 1, 30)],
     )
     def test_matches_trace_norm_of_root_product(self, dim, rank_a, rank_b):
-        # reference: ||sqrt(A) sqrt(B)||_1 with each root built from a fresh eigh of the matrix.
-        # Both states are validated, so the cached spectrum is eigh's too: the square root
-        # lifts a rounding-level kernel eigenvalue (~1e-17) to ~3e-9, and a drawn state's
-        # exact zeros would differ from eigh's by that much
+        # reference: ||sqrt(A) sqrt(B)||_1 with each root built from a fresh eigh of the matrix,
+        # on the support that the rank cut keeps: the square root would lift a rounding-level
+        # kernel eigenvalue (~1e-17) to ~3e-9
         def root(m):
             w, v = np.linalg.eigh(m)
-            return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+            keep = w > DEFAULT_EPS_RANK * w.max()
+            return (v[:, keep] * np.sqrt(w[keep])) @ v[:, keep].conj().T
 
         for seed in range(3):
             a = validate_density(random_density(dim, rank_a, seed=seed).matrix)
             b = validate_density(random_density(dim, rank_b, seed=100 + seed).matrix)
             reference = np.linalg.svd(root(a.matrix) @ root(b.matrix), compute_uv=False).sum()
             assert abs(fidelity(a, b) - reference) <= 1e-13
+
+    def test_pure_side_reads_the_overlap(self):
+        # c holds the ray u2 at weight 1e-5, above the rank cut; d is that ray. Its
+        # kernel eigenvalues (~1e-18) would add ~1e-9 under the square root. The
+        # weight 1e-5 is known to ~1e-16 in float64, so ~6e-15 after the root
+        u = haar_unitary(3, 0)
+        p = [np.outer(u[:, k], u[:, k].conj()) for k in range(3)]
+        c = validate_density(0.6 * p[0] + (0.4 - 1e-5) * p[1] + 1e-5 * p[2])
+        d = validate_density(p[2])
+        exact = np.sqrt(np.vdot(u[:, 2], c.matrix @ u[:, 2]).real)
+        assert abs(fidelity(c, d) - exact) <= 1e-13
+        assert abs(fidelity(c, d) - example_measure(c, d).value) <= 1e-15

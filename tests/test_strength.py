@@ -1,3 +1,6 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -119,26 +122,80 @@ def _oracle_cases(d, kind, deficient):
     return op, [pure_state(v, normalize=True) for v in rays]
 
 
+def _assert_largest_feasible_weight(op, rays):
+    # the oracle's feasibility test and eigvalsh's floor eigenvalue differ
+    # by rounding; the largest gap measured on these cases is 2.5e-16
+    slack = op.dim * 1e-15
+
+    def floor(t, phi):
+        return float(np.linalg.eigvalsh(op.matrix - t * phi.projection)[0])
+
+    for phi in rays:
+        lo = strength_oracle(op, phi)
+        assert 0.0 <= lo <= 1.0
+        assert floor(lo, phi) >= PSD_FLOOR - slack
+        assert lo == 1.0 or floor(lo + 2 * BISECTION_TOL, phi) < PSD_FLOOR + slack
+
+
 class TestStrengthOracleContract:
     """What the oracle returns, checked with eigvalsh whatever the oracle computes inside."""
 
     @pytest.mark.parametrize("deficient", [False, True])
     @pytest.mark.parametrize("kind", ["state", "effect"])
-    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 32, 64])
     def test_largest_feasible_weight(self, d, kind, deficient):
-        # the oracle's feasibility test and eigvalsh's floor eigenvalue differ
-        # by rounding; the largest gap measured on these cases is 2.5e-16
-        slack = d * 1e-15
-        op, rays = _oracle_cases(d, kind, deficient)
+        _assert_largest_feasible_weight(*_oracle_cases(d, kind, deficient))
 
-        def floor(t, phi):
-            return float(np.linalg.eigvalsh(op.matrix - t * phi.projection)[0])
+    @pytest.mark.parametrize("guess", ["zeros", "nan", "scaled"])
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_bad_boundary_guess_costs_steps_not_the_answer(self, d, guess, monkeypatch):
+        # the solve only places the first two tests; the Cholesky test decides
+        real = np.linalg.solve
+        bad = {
+            "zeros": lambda *a, **k: np.zeros_like(real(*a, **k)),
+            "nan": lambda *a, **k: np.full_like(real(*a, **k), np.nan),
+            "scaled": lambda *a, **k: real(*a, **k) * (1.0 + 1e-6),
+        }[guess]
+        monkeypatch.setattr(np.linalg, "solve", bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("state", "effect"):
+                for deficient in (False, True):
+                    _assert_largest_feasible_weight(*_oracle_cases(d, kind, deficient))
 
-        for phi in rays:
-            lo = strength_oracle(op, phi)
-            assert 0.0 <= lo <= 1.0
-            assert floor(lo, phi) >= PSD_FLOOR - slack
-            assert lo == 1.0 or floor(lo + 2 * BISECTION_TOL, phi) < PSD_FLOOR + slack
+    @pytest.mark.parametrize("kind", ["state", "effect"])
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_factorization_calls(self, d, kind, monkeypatch):
+        # two endpoint tests, one solve for the boundary, two tests beside it and
+        # at most one bisection step; the bisection alone would take 36 factorizations
+        full, full_rays = _oracle_cases(d, kind, False)
+        deficient, deficient_rays = _oracle_cases(d, kind, True)
+        cases = [(full, ray) for ray in full_rays]
+        if deficient.numerical_rank > 1:  # a pure state passes the endpoint test at t = 1
+            cases.append((deficient, deficient_rays[0]))
+        calls = Counter()
+        for name in ("cholesky", "solve"):
+
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        for op, phi in cases:
+            calls.clear()
+            assert 0.0 < strength_oracle(op, phi) < 1.0
+            assert calls["cholesky"] <= 5
+            assert calls["solve"] == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: validation clips [-PSD_TOL, 0) in the spectrum but keeps the matrix, "
+        "and the oracle's floor is PSD_FLOOR = -1e-13, so it reads 0.0 here",
+    )
+    def test_agrees_on_a_clipped_effect(self):
+        eff = validate_effect(np.diag([0.5, 0.3, -5e-13]).astype(complex))
+        phi = pure_state(np.array([0.6, 0.8, 0.0], dtype=complex))
+        assert abs(strength(eff, phi).value - strength_oracle(eff, phi)) <= 1e-7
 
     def test_runs_no_eigensolver(self, monkeypatch):
         op, rays = _oracle_cases(64, "effect", True)
