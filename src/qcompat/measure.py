@@ -97,8 +97,8 @@ def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
     norm is the sum of the singular values of R_A* R_B. That is one
     r_A x r_B product, and no matrix square root is formed. The kernel
     columns are left out: the square root would lift a rounding-level
-    kernel eigenvalue (~1e-17) to weight ~1e-9. The sum is clamped
-    to [0, 1] and evaluated in the order of the two matrices' bytes, like
+    kernel eigenvalue (~1e-17) to weight ~1e-9. The sum is capped
+    at 1 and evaluated in the order of the two matrices' bytes, like
     `example_measure`, so swapping the arguments gives a bit-identical value.
     """
     _check_same_dim("state", a.dim, b.dim)
@@ -106,7 +106,7 @@ def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
         a, b = b, a
     root_a, root_b = (support(op) * np.sqrt(op.eigenvalues[: op.numerical_rank]) for op in (a, b))
     value = float(np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False).sum())
-    return min(1.0, max(0.0, value))
+    return min(1.0, value)
 
 
 def _split(op: SpectralOperator, rot: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,6 +211,5 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     return replace(res, value=value, residual=residual, decomposition_b=dec)
 
 
-def measure_symmetric(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
-    """Alias of `example_measure`, which is already independent of argument order."""
-    return example_measure(a, b, cfg)
+# already independent of argument order; the name stays for existing callers
+measure_symmetric = example_measure

@@ -88,7 +88,6 @@ def _criterion_strength_oracle(seed: int, dims_cap, quick: bool) -> CriterionOut
     dims = _dims((2, 3, 4, 5, 6), dims_cap)
     total = 60 if quick else 500
     worst = 0.0
-    n = 0
     for k in range(total):
         d = dims[k % len(dims)]
         rng = child_rng(seed, 11, k)
@@ -102,13 +101,12 @@ def _criterion_strength_oracle(seed: int, dims_cap, quick: bool) -> CriterionOut
             phi = random_pure(d, seed=rng)
         delta = abs(strength(eff, phi).value - strength_oracle(eff, phi))
         worst = max(worst, delta)
-        n += 1
     ok = worst <= 1e-7
     return CriterionOutcome(
         "strength-oracle",
         "closed-form strength equals bisection oracle within 1e-7",
         ok,
-        f"n={n} max_delta={worst!r}",
+        f"n={total} max_delta={worst!r}",
     )
 
 
@@ -116,7 +114,6 @@ def _criterion_two_state(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
     dims = _dims((2, 3, 4, 5, 6), dims_cap)
     total = 40 if quick else 200
     worst = 0.0
-    n = 0
     for k in range(total):
         d = dims[k % len(dims)]
         rng = child_rng(seed, 12, k)
@@ -137,13 +134,12 @@ def _criterion_two_state(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
         predicted = two_state_formula(low, high, x)
         got = strength(a, pure_state(r, normalize=True)).value
         worst = max(worst, abs(predicted - got))
-        n += 1
     ok = worst <= 1e-10
     return CriterionOutcome(
         "two-state-closed-form",
         "two-weight mixture strength matches the closed form within 1e-10",
         ok,
-        f"n={n} max_delta={worst!r}",
+        f"n={total} max_delta={worst!r}",
     )
 
 

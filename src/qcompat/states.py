@@ -175,20 +175,17 @@ def _validate(matrix, density: bool) -> SpectralOperator:
         raise NotPSDError(f"lowest eigenvalue {w[-1]:.3e} below -{PSD_TOL}")
     if density:
         _check_unit_trace(m)
-        w = np.clip(w, 0.0, None)
-    else:
-        if w[0] > 1.0 + PSD_TOL:
-            raise NotAnEffectError(f"largest eigenvalue {w[0]!r} exceeds 1 beyond {PSD_TOL}")
-        w = np.clip(w, 0.0, 1.0)
+    elif w[0] > 1.0 + PSD_TOL:
+        raise NotAnEffectError(f"largest eigenvalue {w[0]!r} exceeds 1 beyond {PSD_TOL}")
     return SpectralOperator(m, w, v, _numerical_rank(w))
 
 
 def validate_density(matrix) -> SpectralOperator:
     """Check Hermiticity, positivity and unit trace; cache the eigensystem.
 
-    Eigenvalues in [-1e-12, 0) are clamped to zero; anything lower raises.
-    The numerical rank counts eigenvalues above DEFAULT_EPS_RANK relative to
-    the largest one.
+    Eigenvalues down to -1e-12 are accepted and cached as eigh returns them;
+    anything lower raises. The numerical rank counts eigenvalues above
+    DEFAULT_EPS_RANK relative to the largest one.
     """
     return _validate(matrix, density=True)
 

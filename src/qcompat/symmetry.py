@@ -152,20 +152,19 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
 
     The image is built from the input's carried spectral decomposition: its
     eigenvectors are W = U·V (U·conj(V)), its spectrum is the input's, and
-    its matrix is (W+ · w+) W+* over the columns with w > 0. That is one
+    its matrix is (W' · w') W'* over the columns with w != 0. That is one
     d x d product for W and O(d^2) per nonzero eigenvalue, so a rank-one
     image costs one product and no eigh runs. The matrix is thus the image
-    of the spectral decomposition, which agrees with U rho U* to rounding
-    plus the eigenvalues in [-1e-12, 0) that validation clipped to zero.
-    The unit-trace check runs on the input, whose trace the image shares,
-    so an effect whose trace is not one still raises TraceNotOneError while
-    that clipped mass cannot. The spectrum is the input's, so its rank is too.
+    of the spectral decomposition, which agrees with U rho U* to rounding,
+    trace included. The unit-trace check runs on the input, so an
+    effect whose trace is not one raises TraceNotOneError. The spectrum is
+    the input's, so its rank is too.
     """
     _check_same_dim("symmetry and state", sym.dim, state.dim)
     _check_unit_trace(state.matrix)
     w = state.eigenvalues
     vecs = sym.u @ (state.eigenvectors.conj() if sym.antiunitary else state.eigenvectors)
-    on = w > 0.0
+    on = w != 0.0
     image = vecs[:, on]
     return SpectralOperator((image * w[on]) @ image.conj().T, w, vecs, state.numerical_rank)
 

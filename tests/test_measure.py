@@ -430,13 +430,6 @@ class TestStopRule:
             for cfg in (MeasureConfig(restarts=1, seed=7), MeasureConfig(restarts=3), MeasureConfig(restarts=8)):
                 _assert_bit_identical(example_measure(a, b, cfg), res)
 
-    @pytest.mark.parametrize("pair", [_pure_side_pair, _generic_full_rank_pair], ids=["pure-side", "full-rank"])
-    def test_more_restarts_never_lower_the_value(self, pair):
-        a, b = pair()[:2]
-        three = example_measure(a, b, MeasureConfig(restarts=3, seed=0))
-        eight = example_measure(a, b, MeasureConfig(restarts=8, seed=0))
-        assert eight.value >= three.value
-
 
 class TestMeasureSymmetric:
     def test_exact_argument_symmetry(self):
@@ -449,9 +442,7 @@ class TestMeasureSymmetric:
         np.testing.assert_array_equal(r1.decomposition_b.weights, r2.decomposition_a.weights)
 
     def test_is_example_measure(self):
-        a, b = _intersecting(2, seed=23)
-        cfg = MeasureConfig(restarts=3, seed=1)
-        _assert_bit_identical(measure_symmetric(a, b, cfg), example_measure(a, b, cfg))
+        assert measure_symmetric is example_measure
 
 
 class TestFidelity:

@@ -15,7 +15,6 @@ import qcompat
 from qcompat import cli, io, random_density, random_pure, random_symmetry, symmetry_probe_map
 
 UNREACHED = {
-    "measure_symmetric": "the benchmark calls it; it goes with the restart-era API (ROADMAP item 2)",
     "symmetry_probe_map": "it builds the map that io.save_map writes, and CI's hash-seed script calls it",
 }
 

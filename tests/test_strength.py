@@ -187,10 +187,19 @@ class TestStrengthOracleContract:
             assert calls["cholesky"] <= 5
             assert calls["solve"] == 1
 
+    def test_agrees_on_an_effect_above_one(self):
+        # validation keeps eigh's 1 + 5e-13; the closed form stays capped at 1
+        eff = validate_effect(np.diag([1.0 + 5e-13, 0.3, 0.0]).astype(complex))
+        assert eff.eigenvalues[0] > 1.0
+        phi = pure_state(np.array([0.6, 0.8, 0.0], dtype=complex))
+        value = strength(eff, phi).value
+        assert value <= 1.0
+        assert abs(value - strength_oracle(eff, phi)) <= 1e-7
+
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 5: validation clips [-PSD_TOL, 0) in the spectrum but keeps the matrix, "
-        "and the oracle's floor is PSD_FLOOR = -1e-13, so it reads 0.0 here",
+        reason="ROADMAP item 5: validation accepts eigenvalues down to -PSD_TOL = -1e-12 and the closed "
+        "form reads only the support, while the oracle's floor is PSD_FLOOR = -1e-13, so it reads 0.0 here",
     )
     def test_agrees_on_a_clipped_effect(self):
         eff = validate_effect(np.diag([0.5, 0.3, -5e-13]).astype(complex))

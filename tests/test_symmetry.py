@@ -97,18 +97,20 @@ class TestApplySymmetry:
         with pytest.raises(TraceNotOneError):
             apply_symmetry(s, validate_effect(np.diag([1.0, 0.5, 0.0]).astype(complex)))
 
-    def test_clipped_eigenvalues_keep_the_state_valid(self):
-        # entry noise of 1e-14 leaves eigenvalues in [-1e-12, 0) that
-        # validation clips to zero; their summed mass (~1.5e-12 here) must
-        # not turn the image into a trace error
+    def test_negative_eigenvalues_keep_the_image_valid(self):
+        # entry noise of 1e-14 leaves eigenvalues in [-1e-12, 0); the image is
+        # built over them too, so it keeps the input's trace and re-validates
         rng = np.random.default_rng(7)
         s = random_symmetry(64, antiunitary=False, seed=21)
-        for _ in range(3):
+        for _ in range(5):
             noise = rng.standard_normal((64, 64)) * 1e-14
             noise = (noise + noise.T) / 2.0
             m = random_pure(64, seed=rng).projection + noise - np.trace(noise) / 64 * np.eye(64)
             rho = validate_density(m)
+            assert -1e-12 <= rho.eigenvalues[-1] < 0.0
             out = apply_symmetry(s, rho)
+            np.testing.assert_array_equal(out.eigenvalues, rho.eigenvalues)
+            validate_density(out.matrix)
             np.testing.assert_allclose(out.matrix, s.u @ m @ s.u.conj().T, atol=1e-11)
             assert out.numerical_rank == rho.numerical_rank
 
