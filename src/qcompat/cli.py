@@ -122,7 +122,7 @@ def _certificate(res) -> dict | None:
     return {
         "weights_a": [float(w) for w in res.decomposition_a.weights],
         "weights_b": [float(w) for w in res.decomposition_b.weights],
-        "vectors": [qio.vector_payload(p.vector) for p in res.decomposition_a.pures],
+        "vectors": [qio.vector_payload(v) for v in res.decomposition_a.rays],
     }
 
 

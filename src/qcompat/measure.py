@@ -45,14 +45,17 @@ DEFAULT_FEAS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Convex weights over a shared list of pure components."""
+    """Convex weights over a shared list of unit rays, the rows of ``rays``; `pures` wraps them on request."""
 
     weights: np.ndarray
-    pures: tuple[PureState, ...]
+    rays: np.ndarray
+
+    @property
+    def pures(self) -> tuple[PureState, ...]:
+        return tuple(PureState(v) for v in self.rays)
 
     def reconstruction(self) -> np.ndarray:
-        rays = np.array([p.vector for p in self.pures])
-        return (rays.T * self.weights) @ rays.conj()
+        return (self.rays.T * self.weights) @ self.rays.conj()
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,8 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -
     dim S counts the principal angles with sin^2 <= DEFAULT_EPS_MEM, the cut
     of `is_compatible` and `strength`, and the same rotations give Q.
     The rays are stacked once, shared block first, and normalized as one
-    array by the norms the weights come from; the certificate's pure states
-    are its rows and the residual rebuilds both sides from it.
+    array by the norms the weights come from; both decompositions hold that
+    array as their ``rays``, and the residual rebuilds both sides from it.
     """
     sa = support(a)
     k, rot_a, rot_b = _principal_rotations(sa, support(b))
@@ -168,14 +171,14 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -
     norms = np.concatenate([norm_s, norm_a, norm_b])
     _check_norms("a certificate ray", norms)
     rays = np.vstack([shared, rays_a, rays_b]) / norms[:, None]
-    pures = tuple(PureState(v) for v in rays)
-    residual = float(max(np.linalg.norm((rays.T * w) @ rays.conj() - s.matrix) for w, s in ((lam, a), (mu, b))))
+    dec_a, dec_b = Decomposition(lam, rays), Decomposition(mu, rays)
+    residual = float(max(np.linalg.norm(dec.reconstruction() - s.matrix) for dec, s in ((dec_a, a), (dec_b, b))))
     if not residual <= cfg.feas_tol:  # also catches a NaN residual
         raise InfeasibleError(
             f"certificate residual {residual:.3e} exceeds feas_tol {cfg.feas_tol:.3e}"
         )
     value = min(1.0, float(np.sqrt(lam * mu).sum()))
-    return MeasureResult(value, Decomposition(lam, pures), Decomposition(mu, pures), residual, 1, len(pures))
+    return MeasureResult(value, dec_a, dec_b, residual, 1, len(rays))
 
 
 def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:

@@ -192,7 +192,7 @@ def _disjoint_pair(d: int, rng) -> tuple[SpectralOperator, SpectralOperator]:
 
 
 def _dec_bytes(dec) -> tuple[bytes, bytes] | None:
-    return None if dec is None else (dec.weights.tobytes(), b"".join(p.vector.tobytes() for p in dec.pures))
+    return None if dec is None else (dec.weights.tobytes(), dec.rays.tobytes())
 
 
 def _measure_pair(a: SpectralOperator, b: SpectralOperator) -> tuple[MeasureResult, MeasureResult, bool]:

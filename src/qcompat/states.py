@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,17 +110,22 @@ class SpectralOperator:
 
     Built by `validate_density` (trace one) or `validate_effect` (spectrum
     in [0, 1]); the strength, compatibility and measure formulas read the
-    same cached spectral data either way.
+    same cached spectral data either way, and the rank is read from that spectrum.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    numerical_rank: int
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def numerical_rank(self) -> int:
+        """Eigenvalues above DEFAULT_EPS_RANK relative to the largest; 0 when none is positive."""
+        w = self.eigenvalues
+        return int(np.count_nonzero(w > DEFAULT_EPS_RANK * w[0])) if w[0] > 0.0 else 0
 
 
 @dataclass(frozen=True)
@@ -163,11 +169,6 @@ def _check_unit_trace(m: np.ndarray) -> None:
         raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL}")
 
 
-def _numerical_rank(w: np.ndarray) -> int:
-    # eigenvalues above DEFAULT_EPS_RANK relative to the largest (w is descending)
-    return int(np.count_nonzero(w > DEFAULT_EPS_RANK * w[0])) if w[0] > 0.0 else 0
-
-
 def _validate(matrix, density: bool) -> SpectralOperator:
     m = _checked_hermitian(matrix)
     w, v = _spectral(m)
@@ -177,7 +178,7 @@ def _validate(matrix, density: bool) -> SpectralOperator:
         _check_unit_trace(m)
     elif w[0] > 1.0 + PSD_TOL:
         raise NotAnEffectError(f"largest eigenvalue {w[0]!r} exceeds 1 beyond {PSD_TOL}")
-    return SpectralOperator(m, w, v, _numerical_rank(w))
+    return SpectralOperator(m, w, v)
 
 
 def validate_density(matrix) -> SpectralOperator:
@@ -198,7 +199,7 @@ def validate_effect(matrix) -> SpectralOperator:
 def _pure_density(p: PureState) -> SpectralOperator:
     """Density operator of a pure state, with its spectral data in closed form.
 
-    The matrix is ``p.projection``, the spectrum (1, 0, ..., 0) and the
+    The matrix is ``p.projection``, the spectrum (1, 0, ..., 0), so rank 1, and the
     eigenvectors the Householder reflection I - 2 w w*/|w|^2 with
     w = e_0 - c v, whose first column is c v; the phase c sets
     c v_0 = -|v_0|, so w_0 = 1 + |v_0| never cancels. No eigh is needed.
@@ -210,7 +211,7 @@ def _pure_density(p: PureState) -> SpectralOperator:
     vecs = np.eye(p.dim, dtype=np.complex128) - np.outer(w, w.conj()) * (2.0 / np.vdot(w, w).real)
     vals = np.zeros(p.dim)
     vals[0] = 1.0
-    return SpectralOperator(p.projection, vals, vecs, 1)
+    return SpectralOperator(p.projection, vals, vecs)
 
 
 def pure_state(vector, normalize: bool = False) -> PureState:
@@ -301,7 +302,7 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     m = (v[:, :rank] * lam) @ v[:, :rank].conj().T
     w = np.zeros(dim)
     w[:rank] = lam
-    return SpectralOperator((m + m.conj().T) / 2.0, w, v, _numerical_rank(w))
+    return SpectralOperator((m + m.conj().T) / 2.0, w, v)
 
 
 def _random_rays(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

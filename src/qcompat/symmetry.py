@@ -40,7 +40,6 @@ from .states import (
     SymmetryOp,
     _check_count,
     _check_dim,
-    _check_norms,
     _check_same_dim,
     _check_tolerance,
     _check_unit_trace,
@@ -117,13 +116,11 @@ def _probe_family(dim: int) -> tuple[tuple[str, ...], np.ndarray]:
 
     Rows are the basis states, (e_0 + e_j)/sqrt 2 for j >= 1, and
     (e_0 + i e_1)/sqrt 2, built with the same arithmetic as one
-    `pure_state` call per ray; unit norm is checked once over all rows with
-    `pure_state`'s rule.
+    `pure_state` call per ray.
     """
     _check_dim(dim, _MIN_DIM)
     eye = np.eye(dim, dtype=np.complex128)
     rays = np.vstack([eye, (eye[0] + eye[1:]) / np.sqrt(2.0), (eye[0] + 1j * eye[1]) / np.sqrt(2.0)])
-    _check_norms("a probe ray", np.linalg.norm(rays, axis=1), unit=True)
     labels = (
         *(f"basis-{i}" for i in range(dim)),
         *(f"pair-0-{j}" for j in range(1, dim)),
@@ -158,7 +155,7 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
     of the spectral decomposition, which agrees with U rho U* to rounding,
     trace included. The unit-trace check runs on the input, so an
     effect whose trace is not one raises TraceNotOneError. The spectrum is
-    the input's, so its rank is too.
+    the input's, so its rank, read from it, is too.
     """
     _check_same_dim("symmetry and state", sym.dim, state.dim)
     _check_unit_trace(state.matrix)
@@ -166,7 +163,7 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
     vecs = sym.u @ (state.eigenvectors.conj() if sym.antiunitary else state.eigenvectors)
     on = w != 0.0
     image = vecs[:, on]
-    return SpectralOperator((image * w[on]) @ image.conj().T, w, vecs, state.numerical_rank)
+    return SpectralOperator((image * w[on]) @ image.conj().T, w, vecs)
 
 
 def symmetry_probe_map(sym: SymmetryOp) -> PureStateMap:

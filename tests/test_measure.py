@@ -394,6 +394,28 @@ class TestCertificateRays:
         assert np.count_nonzero(res.decomposition_a.weights == 0.0) == 24
         assert np.count_nonzero(res.decomposition_b.weights == 0.0) == 24
 
+    @pytest.mark.parametrize("d,rank_a,rank_b,seed", [(4, 3, 2, 0), (MAX_DIM, 40, 40, 4)])
+    def test_certificate_is_one_ray_array(self, d, rank_a, rank_b, seed, monkeypatch):
+        # the pairs of CI's measure commands; no PureState is built until `pures` is read
+        built = []
+
+        class CountingPureState(measure_module.PureState):
+            def __init__(self, vector):
+                built.append(1)
+                super().__init__(vector)
+
+        monkeypatch.setattr(measure_module, "PureState", CountingPureState)
+        a, b = random_density(d, rank_a, seed=seed), random_density(d, rank_b, seed=seed + 1)
+        res = example_measure(a, b)
+        assert built == []
+        dec = res.decomposition_a
+        assert dec.rays is res.decomposition_b.rays
+        assert dec.rays.shape == (res.components, d)
+        assert [p.vector.tobytes() for p in dec.pures] == [v.tobytes() for v in dec.rays]
+        assert len(built) == res.components
+        sides = ((res.decomposition_a, a), (res.decomposition_b, b))
+        assert res.residual == max(float(np.linalg.norm(x.reconstruction() - op.matrix)) for x, op in sides)
+
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("d,rank_a,rank_b", [(4, 2, 3), (8, 5, 6), (MAX_DIM, 40, 40)])
     def test_value_is_the_overlap_of_the_weights(self, d, rank_a, rank_b, swap):

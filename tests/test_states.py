@@ -17,6 +17,7 @@ from qcompat import (
     PureState,
     TraceNotOneError,
     ValidationError,
+    apply_symmetry,
     haar_unitary,
     probe_pure_states,
     pure_state,
@@ -30,7 +31,7 @@ from qcompat import (
     validate_density,
     validate_effect,
 )
-from qcompat.states import DEFAULT_EPS_MEM, _pure_density, child_rng
+from qcompat.states import DEFAULT_EPS_MEM, DEFAULT_EPS_RANK, SpectralOperator, _pure_density, child_rng
 from qcompat.strength import _strengths
 
 dims = st.integers(min_value=1, max_value=6)
@@ -125,6 +126,37 @@ class TestRandomDensity:
             np.testing.assert_allclose(op.eigenvalues, fresh.eigenvalues, atol=1e-13)
             assert op.numerical_rank == fresh.numerical_rank == rank
             assert op.eigenvalues[rank:].tolist() == [0.0] * (d - rank)
+
+
+class TestNumericalRank:
+    """The rank is not a field: every construction route reads it from the cached spectrum."""
+
+    @staticmethod
+    def _routes():
+        yield validate_density(random_density(6, 4, seed=1).matrix)
+        yield validate_effect(np.diag([1.0, 0.5, 1e-12, 0.0]).astype(complex))
+        yield validate_effect(np.zeros((3, 3), dtype=complex))
+        yield random_density(8, 3, seed=2)
+        yield _pure_density(random_pure(5, seed=3))
+        # the d = 64 noisy pure state of test_symmetry: eigenvalues in [-1e-12, 0)
+        rng = np.random.default_rng(7)
+        noise = rng.standard_normal((64, 64)) * 1e-14
+        noise = (noise + noise.T) / 2.0
+        m = random_pure(64, seed=rng).projection + noise - np.trace(noise) / 64 * np.eye(64)
+        rho = validate_density(m)
+        assert -1e-12 <= rho.eigenvalues[-1] < 0.0
+        yield apply_symmetry(random_symmetry(64, antiunitary=False, seed=21), rho)
+
+    def test_read_from_the_spectrum_on_every_route(self):
+        assert [f.name for f in dataclasses.fields(SpectralOperator)] == ["matrix", "eigenvalues", "eigenvectors"]
+        ranks = []
+        for op in self._routes():
+            w = op.eigenvalues
+            assert "numerical_rank" not in vars(op)
+            assert op.numerical_rank == (int(np.count_nonzero(w > DEFAULT_EPS_RANK * w[0])) if w[0] > 0.0 else 0)
+            assert vars(op)["numerical_rank"] == op.numerical_rank  # cached after the first read
+            ranks.append(op.numerical_rank)
+        assert ranks == [4, 2, 0, 3, 1, 1]
 
 
 class TestNonFiniteInput:
