@@ -59,7 +59,6 @@ _SYMMETRY_NAMES = (
     "PureStateMap",
     "VerificationResult",
     "apply_symmetry",
-    "probe_pure_states",
     "pure_state_map",
     "rank_via_compatibility",
     "symmetry_overlap",

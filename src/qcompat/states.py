@@ -97,11 +97,11 @@ def _square_complex(matrix, error: type[ValidationError]) -> np.ndarray:
     return m
 
 
-def _spectral(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # eigh of the hermitized matrix; eigenpairs reordered to descending
-    w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
-    order = np.argsort(w, kind="stable")[::-1]
-    return w[order], v[:, order]
+def _spectral(matrix: np.ndarray, adjoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # eigh of the hermitized matrix; its ascending eigenpairs reversed to descending, the
+    # eigenvectors copied F-contiguous (the layout later products round in)
+    w, v = np.linalg.eigh((matrix + adjoint) / 2.0)
+    return w[::-1].copy(), np.asfortranarray(v[:, ::-1])
 
 
 @dataclass(frozen=True)
@@ -155,23 +155,25 @@ class SymmetryOp:
         return self.u.shape[0]
 
 
-def _checked_hermitian(matrix) -> np.ndarray:
+def _checked_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix as `_square_complex` returns it and its adjoint, once the two agree within HERMITIAN_TOL."""
     m = _square_complex(matrix, NotHermitianError)
-    defect = float(np.abs(m - m.conj().T).max())
+    adjoint = m.conj().T
+    defect = float(np.abs(m - adjoint).max())
     if not defect <= HERMITIAN_TOL:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
-    return m
+    return m, adjoint
 
 
 def _check_unit_trace(m: np.ndarray) -> None:
-    trace = float(np.real(np.trace(m)))
+    trace = float(m.trace().real)
     if not abs(trace - 1.0) <= TRACE_TOL:
         raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL}")
 
 
 def _validate(matrix, density: bool) -> SpectralOperator:
-    m = _checked_hermitian(matrix)
-    w, v = _spectral(m)
+    m, adjoint = _checked_hermitian(matrix)
+    w, v = _spectral(m, adjoint)
     if w[-1] < -PSD_TOL:
         raise NotPSDError(f"lowest eigenvalue {w[-1]:.3e} below -{PSD_TOL}")
     if density:
@@ -208,7 +210,12 @@ def _pure_density(p: PureState) -> SpectralOperator:
     c = -v[0].conj() / abs(v[0]) if v[0] != 0 else -1.0
     w = -c * v
     w[0] += 1.0
-    vecs = np.eye(p.dim, dtype=np.complex128) - np.outer(w, w.conj()) * (2.0 / np.vdot(w, w).real)
+    # I - s w w* in place: 0 - x off the diagonal (negation would turn +0 into -0), 1 + (0 - x) on it
+    vecs = np.outer(w, w.conj())
+    vecs *= 2.0 / np.vdot(w, w).real
+    np.subtract(0.0, vecs, out=vecs)
+    diagonal = vecs.reshape(-1)[:: p.dim + 1]  # a view, as vecs is C-contiguous
+    diagonal += 1.0
     vals = np.zeros(p.dim)
     vals[0] = 1.0
     return SpectralOperator(p.projection, vals, vecs)
@@ -274,7 +281,10 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a Gaussian matrix."""
     _check_dim(dim)
     rng = as_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    z = np.empty((dim, dim), dtype=np.complex128)
+    z.real = rng.standard_normal((dim, dim))
+    z.imag = rng.standard_normal((dim, dim))
+    z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -300,9 +310,11 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     lam = np.sort(lam)[::-1]
     lam = lam / lam.sum()
     m = (v[:, :rank] * lam) @ v[:, :rank].conj().T
+    m += m.conj().T
+    m /= 2.0
     w = np.zeros(dim)
     w[:rank] = lam
-    return SpectralOperator((m + m.conj().T) / 2.0, w, v)
+    return SpectralOperator(m, w, v)
 
 
 def _random_rays(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,10 +11,12 @@ independent of the closed form: it reads only the matrix of T, never its
 spectral data. Each test asks one yes/no question, whether the smallest
 eigenvalue of T - t * |phi><phi| stays at or above PSD_FLOOR, and answers it
 with a Cholesky factorization of S - t |phi><phi|, S = T + |PSD_FLOOR| I,
-instead of a full eigenvalue solve. The bisection starts from the bracket
-that two tests beside 1 / (phi* S^-1 phi) leave, the boundary of that same
-test by the matrix determinant lemma, so when that boundary is right it
-takes at most one more step; the Cholesky test alone decides the answer.
+instead of a full eigenvalue solve. The two tests beside 1 / (phi* S^-1 phi),
+the boundary of that same test by the matrix determinant lemma, run first,
+and an endpoint of [0, 1] is tested only while their bracket leaves its
+side open; so when that boundary is right two tests and at most one
+bisection step follow the solve, and the Cholesky test alone decides the
+answer.
 """
 
 from __future__ import annotations
@@ -80,14 +82,17 @@ def strength_oracle(effect: SpectralOperator, phi: PureState) -> float:
     PSD_FLOOR = -1e-13, to absolute tolerance BISECTION_TOL. A test does not
     compute the floor eigenvalue; it shifts T once by 1e-13 I and asks
     whether S - t * |phi><phi|, S the shifted T, has a Cholesky factor,
-    which it has exactly when that matrix is positive definite. Both
-    endpoints are tested first. Inside (0, 1) the test passes exactly when
-    t < 1 / (phi* S^-1 phi), so one solve gives its boundary, and the points
-    BISECTION_TOL / 2 below and above it are tested next: a feasible one
-    raises the bracket's floor and an infeasible one lowers its ceiling.
-    Then the bracket is halved until it is BISECTION_TOL wide. The solve
-    only places tests: a wrong boundary, or none when phi* S^-1 phi is not a
-    positive finite number, costs bisection steps and never changes the
+    which it has exactly when that matrix is positive definite. The test
+    passes exactly when t < 1 / (phi* S^-1 phi), so one solve gives its
+    boundary, and the points BISECTION_TOL / 2 below and above it inside
+    (0, 1) are tested first: a feasible one raises the bracket's floor and
+    an infeasible one lowers its ceiling. Since phi phi* >= 0, a raised
+    floor means 0 is feasible and a lowered ceiling means 1 is infeasible,
+    so an endpoint is tested only while its side of the bracket is still
+    open: 0 failing gives 0, 1 passing gives 1. Then the bracket is halved
+    until it is BISECTION_TOL wide. The solve only places tests: a wrong
+    boundary, or none when S is singular or phi* S^-1 phi is not a positive
+    finite number, costs tests and bisection steps and never changes the
     answer. Only the matrix of T is read, so the oracle stays independent of
     the closed form. The Cholesky test and the floor eigenvalue can only
     disagree where the latter is within rounding of PSD_FLOOR.
@@ -103,21 +108,26 @@ def strength_oracle(effect: SpectralOperator, phi: PureState) -> float:
             return False
         return True
 
-    if not feasible(0.0):
-        return 0.0
-    if feasible(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
     # S - t * phi phi* is positive definite exactly when t < boundary (matrix determinant lemma)
-    with np.errstate(all="ignore"):
-        q = float(np.vdot(phi.vector, np.linalg.solve(shifted, phi.vector)).real)
+    try:
+        with np.errstate(all="ignore"):
+            q = float(np.vdot(phi.vector, np.linalg.solve(shifted, phi.vector)).real)
+    except np.linalg.LinAlgError:  # a singular S
+        q = np.nan
     boundary = 1.0 / q if 0.0 < q < np.inf else np.nan
+    lo, hi = 0.0, 1.0
     for t in (boundary - 0.5 * BISECTION_TOL, boundary + 0.5 * BISECTION_TOL):
         if lo < t < hi:
             if feasible(t):
                 lo = t
             else:
                 hi = t
+    # phi phi* >= 0, so a feasible t > 0 makes 0 feasible and an infeasible t < 1
+    # makes 1 infeasible: an endpoint is tested only while its side is still open
+    if lo == 0.0 and not feasible(0.0):
+        return 0.0
+    if hi == 1.0 and feasible(1.0):
+        return 1.0
     for _ in range(BISECTION_MAX_ITER):
         if hi - lo <= BISECTION_TOL:
             break

@@ -14,6 +14,15 @@ failing pair in row-major (i, j) order. The probe family itself is built as
 one (2 dim, dim) array of rays (`_probe_family`), which probe matching reads
 directly.
 
+`verify_theorem` works on arrays: it feeds the map the family's rows, writes
+each image's top eigenvector into one (2 dim, dim) array, and hands both to
+`_reconstruct`, the core `wigner_reconstruct` runs after stacking a
+`PureStateMap`. On its own family two checks are vacuous and skipped: the
+duplicate-input check, as the probes are distinct by construction, and
+probe matching, which maps each probe to its own row. The transition and
+reproduction checks still run on every pair, so the operator is bit for bit
+the one `wigner_reconstruct` builds from the same pairs.
+
 No eigendecomposition is repeated for data that is already known. The pure
 probes that `verify_theorem` feeds to the map get their spectral data in
 closed form, `random_density` returns the spectrum and basis it drew, and
@@ -40,6 +49,7 @@ from .states import (
     SymmetryOp,
     _check_count,
     _check_dim,
+    _check_norms,
     _check_same_dim,
     _check_tolerance,
     _check_unit_trace,
@@ -129,15 +139,6 @@ def _probe_family(dim: int) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, rays
 
 
-def probe_pure_states(dim: int) -> list[tuple[str, PureState]]:
-    """Probe family determining a symmetry: basis, pair, and phase states.
-
-    Each state owns a copy of its row of the family's array.
-    """
-    labels, rays = _probe_family(dim)
-    return [(label, PureState(ray.copy())) for label, ray in zip(labels, rays)]
-
-
 def transform_pure(sym: SymmetryOp, p: PureState) -> PureState:
     _check_same_dim("symmetry and state", sym.dim, p.dim)
     v = p.vector.conj() if sym.antiunitary else p.vector
@@ -161,14 +162,15 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
     _check_unit_trace(state.matrix)
     w = state.eigenvalues
     vecs = sym.u @ (state.eigenvectors.conj() if sym.antiunitary else state.eigenvectors)
-    on = w != 0.0
+    on = np.flatnonzero(w)
     image = vecs[:, on]
     return SpectralOperator((image * w[on]) @ image.conj().T, w, vecs)
 
 
 def symmetry_probe_map(sym: SymmetryOp) -> PureStateMap:
-    pairs = [(p, transform_pure(sym, p)) for _, p in probe_pure_states(sym.u.shape[0])]
-    return pure_state_map(pairs)
+    """The map of `_probe_family`'s rays to their images under ``sym``; each state owns its vector."""
+    probes = (PureState(ray.copy()) for ray in _probe_family(sym.dim)[1])
+    return pure_state_map([(p, transform_pure(sym, p)) for p in probes])
 
 
 def symmetry_overlap(first: SymmetryOp, second: SymmetryOp) -> float:
@@ -193,12 +195,21 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     Raises ValidationError for a ``tol`` that is negative or not finite.
     """
     _check_tolerance("tol", tol)
-    d = pmap.dim
+    return _reconstruct(_rays(p for p, _ in pmap.pairs), _rays(q for _, q in pmap.pairs), tol)
+
+
+def _reconstruct(ins: np.ndarray, outs: np.ndarray, tol: float, ins_are_probes: bool = False) -> SymmetryOp:
+    """`wigner_reconstruct` on the map's input and output rays, stacked as rows.
+
+    With ``ins_are_probes`` the rows of ``ins`` are `_probe_family`'s rays in
+    order, so each probe's image is the same row of ``outs`` and probe
+    matching is skipped; the transition and reproduction checks still run on
+    every pair.
+    """
+    d = ins.shape[1]
     # rounding alone moves a transition probability by ~1e-16, so even tol=0
     # accepts an exact map
     floor = max(tol, 1e-12)
-    ins = _rays(p for p, _ in pmap.pairs)
-    outs = _rays(q for _, q in pmap.pairs)
 
     # transition probabilities must already match on every input pair
     t_in, t_out = _overlaps(ins, ins), _overlaps(outs, outs)
@@ -211,22 +222,26 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
             probe=f"overlap-{i}-{j}",
         )
 
-    # each probe's image is the output of the first input on the probe's ray
-    labels, probes = _probe_family(d)
-    matches = _overlaps(probes, ins) >= _RAY_MATCH
-    missing = np.flatnonzero(~matches.any(axis=1))
-    if len(missing):
-        raise IncompleteMapError(f"map lacks an input matching probe {labels[missing[0]]}")
-    images = dict(zip(labels, outs[matches.argmax(axis=1)]))
+    # each probe's image is the output of the first input on the probe's ray;
+    # rows 0..d-1 are basis-j, rows d..2d-2 pair-0-j, row 2d-1 imag-0-1
+    if ins_are_probes:
+        images = outs
+    else:
+        labels, probes = _probe_family(d)
+        matches = _overlaps(probes, ins) >= _RAY_MATCH
+        missing = np.flatnonzero(~matches.any(axis=1))
+        if len(missing):
+            raise IncompleteMapError(f"map lacks an input matching probe {labels[missing[0]]}")
+        images = outs[matches.argmax(axis=1)]
 
     cols = np.zeros((d, d), dtype=np.complex128)
-    f0 = images["basis-0"]
+    f0 = images[0]
     nz = np.flatnonzero(np.abs(f0) > 1e-8)[0]
     cols[:, 0] = f0 * (f0[nz].conj() / abs(f0[nz]))
 
     for j in range(1, d):
-        fj = images[f"basis-{j}"]
-        gj = images[f"pair-0-{j}"]
+        fj = images[j]
+        gj = images[d - 1 + j]
         a = np.vdot(cols[:, 0], gj)
         b = np.vdot(fj, gj)
         if abs(a) < 0.1 or abs(b) < 0.1:
@@ -237,7 +252,7 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
         phase = b / a
         cols[:, j] = fj * (phase / abs(phase))
 
-    h = images["imag-0-1"]
+    h = images[2 * d - 1]
     plus = (cols[:, 0] + 1j * cols[:, 1]) / np.sqrt(2.0)
     minus = (cols[:, 0] - 1j * cols[:, 1]) / np.sqrt(2.0)
     t_plus = abs(np.vdot(plus, h)) ** 2
@@ -282,11 +297,14 @@ def verify_theorem(
     """Check that a state map is implemented by one unitary/antiunitary.
 
     ``transform`` maps SpectralOperator to SpectralOperator. Pure probes must
-    map to pure outputs (else NotASymmetryError). Each probe reaches
-    ``transform`` with its spectral data built in closed form, each mixed
-    state comes from `random_density` with the eigensystem it drew, and each
-    prediction comes from `apply_symmetry`, which carries the state's
-    spectrum through; so with an `apply_symmetry` transform no eigh runs.
+    map to pure outputs (else NotASymmetryError), and each output's top
+    eigenvector must be a unit vector (else NotUnitVectorError); the probes
+    run in `_probe_family` order and the first failing one stops the loop.
+    Each probe reaches ``transform`` with its spectral data built in closed
+    form, each mixed state comes from `random_density` with the eigensystem
+    it drew, and each prediction comes from `apply_symmetry`, which carries
+    the state's spectrum through; so with an `apply_symmetry` transform no
+    eigh runs.
     The reconstructed operator is then compared against the map on
     ``n_mixed`` seeded mixed states of cycling ranks and, via strength
     functions on one stacked ray set (`effects_equal_by_strength`), on the
@@ -301,10 +319,11 @@ def verify_theorem(
     _check_count("n_mixed", n_mixed, 1)
     _check_count("seed", seed)
     _check_tolerance("tol", tol)
-    pairs = []
-    for label, probe in probe_pure_states(dim):
+    labels, probes = _probe_family(dim)
+    images = []
+    for label, probe in zip(labels, probes):
         try:
-            out = transform(_pure_density(probe))
+            out = transform(_pure_density(PureState(probe)))
         except ValidationError as exc:
             raise NotASymmetryError(
                 f"map output rejected on probe {label}: {exc}", probe=label
@@ -315,9 +334,14 @@ def verify_theorem(
                 f"pure probe {label} maps to a mixed state (top weight {top:.8f})",
                 probe=label,
             )
-        pairs.append((probe, pure_state(out.eigenvectors[:, 0])))
+        image = out.eigenvectors[:, 0]
+        _check_norms("vector", float(np.linalg.norm(image)), unit=True)
+        _check_same_dim("map entry", dim, image.shape[0])
+        # a copy, so no image keeps the output's d x d eigenvectors alive; the
+        # rows are stacked once the last probe has passed
+        images.append(image.copy())
 
-    sym = wigner_reconstruct(pure_state_map(pairs), tol=tol)
+    sym = _reconstruct(probes, np.array(images, dtype=np.complex128), tol, ins_are_probes=True)
 
     failures: list[str] = []
     max_error = 0.0

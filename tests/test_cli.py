@@ -9,7 +9,7 @@ import pytest
 
 from qcompat import (
     haar_unitary,
-    probe_pure_states,
+    pure_state,
     pure_state_map,
     random_density,
     random_symmetry,
@@ -19,6 +19,7 @@ from qcompat import (
 from qcompat.cli import build_parser
 from qcompat.io import save_map, save_matrix, save_symmetry, save_vector
 from qcompat.states import SymmetryOp
+from qcompat.symmetry import _probe_family
 
 
 def run_cli(*args, env_extra=None):
@@ -69,12 +70,10 @@ def files(tmp_path_factory):
     save_map(p("map_unitary.json"), symmetry_probe_map(random_symmetry(2, antiunitary=False, seed=3)))
     save_map(p("map_antiunitary.json"), symmetry_probe_map(random_symmetry(4, antiunitary=True, seed=4)))
 
-    probes = probe_pure_states(2)
-    save_map(p("map_truncated.json"), pure_state_map([(q, q) for _, q in probes[:2]]))
-    broken = []
-    for label, q in probes:
-        out = probes[0][1] if label == "pair-0-1" else q
-        broken.append((q, out))
+    labels, rays = _probe_family(2)
+    probes = [pure_state(ray) for ray in rays]
+    save_map(p("map_truncated.json"), pure_state_map([(q, q) for q in probes[:2]]))
+    broken = [(q, probes[0] if label == "pair-0-1" else q) for label, q in zip(labels, probes)]
     save_map(p("map_broken.json"), pure_state_map(broken))
 
     # non-finite entries; json writes them as NaN / Infinity

@@ -105,7 +105,7 @@ SYMMETRY_DIM = {
     "pure_state_map": lambda: pure_state_map([(pure_state([1.0]), pure_state([1.0]))]),
     "verify_theorem": lambda: verify_theorem(lambda rho: rho, 1),
     "rank_via_compatibility": lambda: rank_via_compatibility(random_density(1, 1, seed=0)),
-    "probe_pure_states": lambda: qcompat.probe_pure_states(1),
+    "symmetry_probe_map": lambda: symmetry_probe_map(symmetry_op(np.eye(1))),
 }
 
 

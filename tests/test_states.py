@@ -19,7 +19,6 @@ from qcompat import (
     ValidationError,
     apply_symmetry,
     haar_unitary,
-    probe_pure_states,
     pure_state,
     random_density,
     random_pure,
@@ -33,6 +32,7 @@ from qcompat import (
 )
 from qcompat.states import DEFAULT_EPS_MEM, DEFAULT_EPS_RANK, SpectralOperator, _pure_density, child_rng
 from qcompat.strength import _strengths
+from qcompat.symmetry import _probe_family
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -65,6 +65,17 @@ class TestValidateDensity:
     def test_eigenvalues_sorted_descending(self):
         d = validate_density(np.diag([0.1, 0.6, 0.3]).astype(complex))
         assert list(d.eigenvalues) == sorted(d.eigenvalues, reverse=True)
+
+    @pytest.mark.parametrize("d", [2, 5, 64])
+    def test_eigensystem_is_eigh_reversed_and_f_contiguous(self, d):
+        # later products round in the eigenvectors' layout; the maximally
+        # mixed state's equal eigenvalues keep eigh's columns reversed too
+        for m in (random_density(d, max(1, d // 2), seed=d).matrix, np.eye(d, dtype=complex) / d):
+            op = validate_density(m)
+            w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+            assert op.eigenvalues.tobytes() == w[::-1].tobytes()
+            assert op.eigenvectors.tobytes() == v[:, ::-1].tobytes()
+            assert op.eigenvectors.flags.f_contiguous
 
     @given(dim=dims, seed=seeds)
     @settings(max_examples=30, deadline=None)
@@ -100,7 +111,8 @@ class TestValidateEffect:
 class TestPureDensity:
     @pytest.mark.parametrize("d", [2, 3, 64])
     def test_closed_form_spectral_data_of_every_probe(self, d):
-        for _, p in probe_pure_states(d):
+        for ray in _probe_family(d)[1]:
+            p = pure_state(ray)
             op = _pure_density(p)
             vecs = op.eigenvectors
             np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(d), atol=1e-14)
@@ -111,6 +123,19 @@ class TestPureDensity:
             assert op.eigenvalues.tolist() == [1.0] + [0.0] * (d - 1)
             assert op.numerical_rank == 1
             assert op.matrix.tobytes() == validate_density(p.projection).matrix.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    def test_householder_bytes(self, d):
+        # built in place, bit for bit I - s w w*, signed zeros included: the
+        # basis probes leave whole rows of w w* at zero
+        for ray in [*_probe_family(d)[1], random_pure(d, seed=d).vector]:
+            p = pure_state(ray)
+            v = p.vector
+            c = -v[0].conj() / abs(v[0]) if v[0] != 0 else -1.0
+            w = -c * v
+            w[0] += 1.0
+            want = np.eye(d) - np.outer(w, w.conj()) * (2.0 / np.vdot(w, w).real)
+            assert _pure_density(p).eigenvectors.tobytes() == want.tobytes()
 
 
 class TestRandomDensity:

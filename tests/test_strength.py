@@ -146,15 +146,20 @@ class TestStrengthOracleContract:
     def test_largest_feasible_weight(self, d, kind, deficient):
         _assert_largest_feasible_weight(*_oracle_cases(d, kind, deficient))
 
-    @pytest.mark.parametrize("guess", ["zeros", "nan", "scaled"])
+    @pytest.mark.parametrize("guess", ["zeros", "nan", "scaled", "singular"])
     @pytest.mark.parametrize("d", [2, 8, 64])
     def test_bad_boundary_guess_costs_steps_not_the_answer(self, d, guess, monkeypatch):
         # the solve only places the first two tests; the Cholesky test decides
         real = np.linalg.solve
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
         bad = {
             "zeros": lambda *a, **k: np.zeros_like(real(*a, **k)),
             "nan": lambda *a, **k: np.full_like(real(*a, **k), np.nan),
             "scaled": lambda *a, **k: real(*a, **k) * (1.0 + 1e-6),
+            "singular": singular,
         }[guess]
         monkeypatch.setattr(np.linalg, "solve", bad)
         with warnings.catch_warnings():
@@ -166,8 +171,9 @@ class TestStrengthOracleContract:
     @pytest.mark.parametrize("kind", ["state", "effect"])
     @pytest.mark.parametrize("d", [2, 8, 64])
     def test_factorization_calls(self, d, kind, monkeypatch):
-        # two endpoint tests, one solve for the boundary, two tests beside it and
-        # at most one bisection step; the bisection alone would take 36 factorizations
+        # one solve for the boundary, the two tests beside it, which close both
+        # sides of the bracket so no endpoint is tested, and at most one
+        # bisection step; the bisection alone would take 36 factorizations
         full, full_rays = _oracle_cases(d, kind, False)
         deficient, deficient_rays = _oracle_cases(d, kind, True)
         cases = [(full, ray) for ray in full_rays]
@@ -184,8 +190,18 @@ class TestStrengthOracleContract:
         for op, phi in cases:
             calls.clear()
             assert 0.0 < strength_oracle(op, phi) < 1.0
-            assert calls["cholesky"] <= 5
+            assert calls["cholesky"] <= 3
             assert calls["solve"] == 1
+
+    def test_singular_shift_gives_zero(self):
+        # the shift by -PSD_FLOOR cancels the eigenvalue -1e-13 exactly, so the
+        # boundary's solve raises, no boundary is placed, and the test at 0 fails
+        eff = validate_effect(np.diag([0.5, 0.3, PSD_FLOOR]).astype(complex))
+        shifted = eff.matrix - PSD_FLOOR * np.eye(3)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(shifted, np.ones(3))
+        phi = pure_state(np.array([0.6, 0.8, 0.0], dtype=complex))
+        assert strength_oracle(eff, phi) == 0.0
 
     def test_agrees_on_an_effect_above_one(self):
         # validation keeps eigh's 1 + 5e-13; the closed form stays capped at 1

@@ -9,11 +9,12 @@ from qcompat import (
     DimensionMismatchError,
     IncompleteMapError,
     NotASymmetryError,
+    NotUnitVectorError,
+    SpectralOperator,
     TraceNotOneError,
     ValidationError,
     apply_symmetry,
     haar_unitary,
-    probe_pure_states,
     pure_state,
     pure_state_map,
     random_density,
@@ -30,7 +31,7 @@ from qcompat import (
     verify_theorem,
     wigner_reconstruct,
 )
-from qcompat.states import child_rng
+from qcompat.states import _pure_density, child_rng
 from qcompat.symmetry import _probe_family
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -163,7 +164,7 @@ class TestPureStateMapValidation:
         with pytest.raises(ValidationError):
             pure_state_map([(one, one)])
         with pytest.raises(ValidationError):
-            probe_pure_states(1)
+            symmetry_probe_map(symmetry_op(np.eye(1)))
 
 
 class TestProbeFamily:
@@ -178,23 +179,26 @@ class TestProbeFamily:
     @pytest.mark.parametrize("d", [2, 3, 64])
     def test_matches_one_pure_state_per_ray(self, d):
         want = self._one_pure_state_per_ray(d)
-        got = probe_pure_states(d)
         labels, rays = _probe_family(d)
-        assert [label for label, _ in got] == list(labels) == [label for label, _ in want]
-        assert [p.vector.tobytes() for _, p in got] == [p.vector.tobytes() for _, p in want]
+        assert list(labels) == [label for label, _ in want]
         assert rays.tobytes() == b"".join(p.vector.tobytes() for _, p in want)
+        # symmetry_probe_map's inputs are the same rays, in the same order
+        pmap = symmetry_probe_map(symmetry_op(np.eye(d)))
+        assert [p.vector.tobytes() for p, _ in pmap.pairs] == [p.vector.tobytes() for _, p in want]
 
     @pytest.mark.parametrize("d", [2, 3, 64])
     def test_states_own_their_vectors(self, d):
-        for _, p in probe_pure_states(d):
+        for p, q in symmetry_probe_map(random_symmetry(d, seed=d)).pairs:
             assert p.vector.base is None
+            assert q.vector.base is None
 
     @pytest.mark.parametrize("d", [2, 3, 64])
     @pytest.mark.parametrize("last_basis_dropped", [True, False])
     def test_incomplete_map_names_first_missing_probe(self, d, last_basis_dropped):
         dropped = {"imag-0-1", "pair-0-1"} | ({f"basis-{d - 1}"} if last_basis_dropped else set())
         sym = random_symmetry(d, seed=d)
-        pairs = [(p, transform_pure(sym, p)) for label, p in probe_pure_states(d) if label not in dropped]
+        labels = _probe_family(d)[0]
+        pairs = [pair for label, pair in zip(labels, symmetry_probe_map(sym).pairs) if label not in dropped]
         first = f"basis-{d - 1}" if last_basis_dropped else "pair-0-1"
         with pytest.raises(IncompleteMapError, match=f"probe {first}$"):
             wigner_reconstruct(pure_state_map(pairs))
@@ -202,7 +206,7 @@ class TestProbeFamily:
 
 class TestWignerReconstruct:
     def test_identity_map(self):
-        pairs = [(p, p) for _, p in probe_pure_states(3)]
+        pairs = [(p, p) for p in map(pure_state, _probe_family(3)[1])]
         s = wigner_reconstruct(pure_state_map(pairs))
         assert not s.antiunitary
         ident = symmetry_op(np.eye(3, dtype=complex))
@@ -210,8 +214,7 @@ class TestWignerReconstruct:
 
     def test_conjugation_map(self):
         conj = symmetry_op(np.eye(2, dtype=complex), antiunitary=True)
-        pairs = [(p, transform_pure(conj, p)) for _, p in probe_pure_states(2)]
-        s = wigner_reconstruct(pure_state_map(pairs))
+        s = wigner_reconstruct(symmetry_probe_map(conj))
         assert s.antiunitary
         assert symmetry_overlap(s, conj) > 1 - 1e-10
 
@@ -232,10 +235,8 @@ class TestWignerReconstruct:
             wigner_reconstruct(pure_state_map(pairs))
 
     def test_probability_breaking_map_rejected(self):
-        pairs = []
-        for label, p in probe_pure_states(2):
-            out = _basis(0, 2) if label == "pair-0-1" else p
-            pairs.append((p, out))
+        labels, rays = _probe_family(2)
+        pairs = [(p, _basis(0, 2) if label == "pair-0-1" else p) for label, p in zip(labels, map(pure_state, rays))]
         with pytest.raises(NotASymmetryError) as exc:
             wigner_reconstruct(pure_state_map(pairs))
         assert exc.value.probe
@@ -243,7 +244,8 @@ class TestWignerReconstruct:
     def test_first_broken_transition_is_named(self):
         # outputs break inputs (0, 4) and (1, 2) only; row-major order names (0, 4)
         outs = {2: np.array([0, 1, 1]) / np.sqrt(2.0), 4: np.array([0, 0, 1])}
-        pairs = [(p, pure_state(outs[k]) if k in outs else p) for k, (_, p) in enumerate(probe_pure_states(3))]
+        probes = map(pure_state, _probe_family(3)[1])
+        pairs = [(p, pure_state(outs[k]) if k in outs else p) for k, p in enumerate(probes)]
         with pytest.raises(NotASymmetryError) as exc:
             wigner_reconstruct(pure_state_map(pairs))
         assert exc.value.probe == "overlap-0-4"
@@ -331,6 +333,57 @@ class TestVerifyTheorem:
         with pytest.raises(NotASymmetryError) as exc:
             verify_theorem(depolarize, 3, n_mixed=4, seed=0)
         assert exc.value.probe
+
+    @pytest.mark.parametrize("anti", [False, True])
+    @pytest.mark.parametrize("d", [2, 5, 64])
+    def test_probe_path_matches_the_public_route(self, d, anti):
+        # the map of every probe to its image's top eigenvector, through
+        # pure_state_map and wigner_reconstruct, gives the same operator bytes
+        s = random_symmetry(d, antiunitary=anti, seed=d)
+
+        def transform(rho):
+            return apply_symmetry(s, rho)
+
+        pairs = []
+        for p in map(pure_state, _probe_family(d)[1]):
+            pairs.append((p, pure_state(transform(_pure_density(p)).eigenvectors[:, 0])))
+        want = wigner_reconstruct(pure_state_map(pairs)).u
+        got = verify_theorem(transform, d, n_mixed=1, seed=0).symmetry.u
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _failing_at(k, fail):
+        """A symmetry's transform that counts its calls and returns ``fail(image)`` on call k."""
+        s = random_symmetry(3, seed=21)
+        calls = []
+
+        def transform(rho):
+            calls.append(rho)
+            out = apply_symmetry(s, rho)
+            return fail(out) if len(calls) == k + 1 else out
+
+        return transform, calls
+
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_non_unit_probe_image_stops_the_loop(self, k):
+        def stretched(out):
+            return SpectralOperator(out.matrix, out.eigenvalues, out.eigenvectors * 1.1)
+
+        transform, calls = self._failing_at(k, stretched)
+        with pytest.raises(NotUnitVectorError, match="^vector has norm 1.1"):
+            verify_theorem(transform, 3, n_mixed=1, seed=0)
+        assert len(calls) == k + 1
+
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_rejected_probe_output_names_the_probe_and_stops_the_loop(self, k):
+        def rejected(out):
+            raise TraceNotOneError("trace 2.0 differs from 1")
+
+        transform, calls = self._failing_at(k, rejected)
+        with pytest.raises(NotASymmetryError) as exc:
+            verify_theorem(transform, 3, n_mixed=1, seed=0)
+        assert exc.value.probe == _probe_family(3)[0][k]
+        assert len(calls) == k + 1
 
     def test_probes_skip_the_eigendecomposition(self, monkeypatch):
         # the probes get closed-form spectral data, random_density returns
