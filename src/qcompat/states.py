@@ -97,10 +97,10 @@ def _square_complex(matrix, error: type[ValidationError]) -> np.ndarray:
     return m
 
 
-def _spectral(matrix: np.ndarray, adjoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spectral(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # eigh of the hermitized matrix; its ascending eigenpairs reversed to descending, the
     # eigenvectors copied F-contiguous (the layout later products round in)
-    w, v = np.linalg.eigh((matrix + adjoint) / 2.0)
+    w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
     return w[::-1].copy(), np.asfortranarray(v[:, ::-1])
 
 
@@ -155,14 +155,12 @@ class SymmetryOp:
         return self.u.shape[0]
 
 
-def _checked_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix as `_square_complex` returns it and its adjoint, once the two agree within HERMITIAN_TOL."""
+def _checked_hermitian(matrix) -> np.ndarray:
     m = _square_complex(matrix, NotHermitianError)
-    adjoint = m.conj().T
-    defect = float(np.abs(m - adjoint).max())
+    defect = float(np.abs(m - m.conj().T).max())
     if not defect <= HERMITIAN_TOL:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
-    return m, adjoint
+    return m
 
 
 def _check_unit_trace(m: np.ndarray) -> None:
@@ -172,8 +170,8 @@ def _check_unit_trace(m: np.ndarray) -> None:
 
 
 def _validate(matrix, density: bool) -> SpectralOperator:
-    m, adjoint = _checked_hermitian(matrix)
-    w, v = _spectral(m, adjoint)
+    m = _checked_hermitian(matrix)
+    w, v = _spectral(m)
     if w[-1] < -PSD_TOL:
         raise NotPSDError(f"lowest eigenvalue {w[-1]:.3e} below -{PSD_TOL}")
     if density:
@@ -210,12 +208,9 @@ def _pure_density(p: PureState) -> SpectralOperator:
     c = -v[0].conj() / abs(v[0]) if v[0] != 0 else -1.0
     w = -c * v
     w[0] += 1.0
-    # I - s w w* in place: 0 - x off the diagonal (negation would turn +0 into -0), 1 + (0 - x) on it
     vecs = np.outer(w, w.conj())
     vecs *= 2.0 / np.vdot(w, w).real
-    np.subtract(0.0, vecs, out=vecs)
-    diagonal = vecs.reshape(-1)[:: p.dim + 1]  # a view, as vecs is C-contiguous
-    diagonal += 1.0
+    np.subtract(np.eye(p.dim, dtype=np.complex128), vecs, out=vecs)
     vals = np.zeros(p.dim)
     vals[0] = 1.0
     return SpectralOperator(p.projection, vals, vecs)
@@ -281,10 +276,7 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a Gaussian matrix."""
     _check_dim(dim)
     rng = as_rng(seed)
-    z = np.empty((dim, dim), dtype=np.complex128)
-    z.real = rng.standard_normal((dim, dim))
-    z.imag = rng.standard_normal((dim, dim))
-    z /= np.sqrt(2.0)
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -310,11 +302,9 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     lam = np.sort(lam)[::-1]
     lam = lam / lam.sum()
     m = (v[:, :rank] * lam) @ v[:, :rank].conj().T
-    m += m.conj().T
-    m /= 2.0
     w = np.zeros(dim)
     w[:rank] = lam
-    return SpectralOperator(m, w, v)
+    return SpectralOperator((m + m.conj().T) / 2.0, w, v)
 
 
 def _random_rays(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,14 +14,14 @@ failing pair in row-major (i, j) order. The probe family itself is built as
 one (2 dim, dim) array of rays (`_probe_family`), which probe matching reads
 directly.
 
-`verify_theorem` works on arrays: it feeds the map the family's rows, writes
+`verify_theorem` works on arrays: it feeds the map the family's rows, stacks
 each image's top eigenvector into one (2 dim, dim) array, and hands both to
 `_reconstruct`, the core `wigner_reconstruct` runs after stacking a
-`PureStateMap`. On its own family two checks are vacuous and skipped: the
-duplicate-input check, as the probes are distinct by construction, and
-probe matching, which maps each probe to its own row. The transition and
-reproduction checks still run on every pair, so the operator is bit for bit
-the one `wigner_reconstruct` builds from the same pairs.
+`PureStateMap`. It builds no `PureStateMap`, so it skips that map's
+duplicate-input check, which is vacuous on the probe family: its rays are
+distinct by construction. Probe matching, the transition and the
+reproduction checks run as for any map, so the operator is bit for bit the
+one `wigner_reconstruct` builds from the same pairs.
 
 No eigendecomposition is repeated for data that is already known. The pure
 probes that `verify_theorem` feeds to the map get their spectral data in
@@ -49,7 +49,6 @@ from .states import (
     SymmetryOp,
     _check_count,
     _check_dim,
-    _check_norms,
     _check_same_dim,
     _check_tolerance,
     _check_unit_trace,
@@ -162,7 +161,7 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
     _check_unit_trace(state.matrix)
     w = state.eigenvalues
     vecs = sym.u @ (state.eigenvectors.conj() if sym.antiunitary else state.eigenvectors)
-    on = np.flatnonzero(w)
+    on = w != 0.0
     image = vecs[:, on]
     return SpectralOperator((image * w[on]) @ image.conj().T, w, vecs)
 
@@ -198,14 +197,8 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     return _reconstruct(_rays(p for p, _ in pmap.pairs), _rays(q for _, q in pmap.pairs), tol)
 
 
-def _reconstruct(ins: np.ndarray, outs: np.ndarray, tol: float, ins_are_probes: bool = False) -> SymmetryOp:
-    """`wigner_reconstruct` on the map's input and output rays, stacked as rows.
-
-    With ``ins_are_probes`` the rows of ``ins`` are `_probe_family`'s rays in
-    order, so each probe's image is the same row of ``outs`` and probe
-    matching is skipped; the transition and reproduction checks still run on
-    every pair.
-    """
+def _reconstruct(ins: np.ndarray, outs: np.ndarray, tol: float) -> SymmetryOp:
+    """`wigner_reconstruct` on the map's input and output rays, stacked as rows."""
     d = ins.shape[1]
     # rounding alone moves a transition probability by ~1e-16, so even tol=0
     # accepts an exact map
@@ -224,15 +217,12 @@ def _reconstruct(ins: np.ndarray, outs: np.ndarray, tol: float, ins_are_probes: 
 
     # each probe's image is the output of the first input on the probe's ray;
     # rows 0..d-1 are basis-j, rows d..2d-2 pair-0-j, row 2d-1 imag-0-1
-    if ins_are_probes:
-        images = outs
-    else:
-        labels, probes = _probe_family(d)
-        matches = _overlaps(probes, ins) >= _RAY_MATCH
-        missing = np.flatnonzero(~matches.any(axis=1))
-        if len(missing):
-            raise IncompleteMapError(f"map lacks an input matching probe {labels[missing[0]]}")
-        images = outs[matches.argmax(axis=1)]
+    labels, probes = _probe_family(d)
+    matches = _overlaps(probes, ins) >= _RAY_MATCH
+    missing = np.flatnonzero(~matches.any(axis=1))
+    if len(missing):
+        raise IncompleteMapError(f"map lacks an input matching probe {labels[missing[0]]}")
+    images = outs[matches.argmax(axis=1)]
 
     cols = np.zeros((d, d), dtype=np.complex128)
     f0 = images[0]
@@ -334,14 +324,10 @@ def verify_theorem(
                 f"pure probe {label} maps to a mixed state (top weight {top:.8f})",
                 probe=label,
             )
-        image = out.eigenvectors[:, 0]
-        _check_norms("vector", float(np.linalg.norm(image)), unit=True)
-        _check_same_dim("map entry", dim, image.shape[0])
-        # a copy, so no image keeps the output's d x d eigenvectors alive; the
-        # rows are stacked once the last probe has passed
-        images.append(image.copy())
+        images.append(pure_state(out.eigenvectors[:, 0]).vector)
+        _check_same_dim("map entry", dim, images[-1].shape[0])
 
-    sym = _reconstruct(probes, np.array(images, dtype=np.complex128), tol, ins_are_probes=True)
+    sym = _reconstruct(probes, np.array(images), tol)
 
     failures: list[str] = []
     max_error = 0.0

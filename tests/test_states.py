@@ -126,8 +126,8 @@ class TestPureDensity:
 
     @pytest.mark.parametrize("d", [2, 3, 64])
     def test_householder_bytes(self, d):
-        # built in place, bit for bit I - s w w*, signed zeros included: the
-        # basis probes leave whole rows of w w* at zero
+        # bit for bit I - s w w*, signed zeros included: the basis probes leave
+        # whole rows of w w* at zero, which a negating rewrite would turn to -0
         for ray in [*_probe_family(d)[1], random_pure(d, seed=d).vector]:
             p = pure_state(ray)
             v = p.vector
