@@ -130,7 +130,7 @@ def _split(op: SpectralOperator, rot: np.ndarray, k: int) -> tuple[np.ndarray, n
     if k == r:
         return rot.conj().T * root, np.zeros(0), np.zeros((0, op.dim), np.complex128)
     q, tri = np.linalg.qr(rot[:, :k] / root[:, None], mode="complete")
-    g = (op.eigenvectors[:, :r] * root) @ q[:, k:]
+    g = (op.leading[:, :r] * root) @ q[:, k:]
     return np.linalg.inv(tri[:k]), np.linalg.norm(g, axis=0), g.T
 
 

@@ -95,7 +95,7 @@ def _criterion_strength_oracle(seed: int, dims_cap, quick: bool) -> CriterionOut
         eff = validate_effect(_random_effect(d, rank, rng))
         if k % 3 == 0:  # exercise the in-range branch at every rank
             coef = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
-            v = eff.eigenvectors[:, :rank] @ coef
+            v = eff.leading[:, :rank] @ coef
             phi = pure_state(v / np.linalg.norm(v))
         else:
             phi = random_pure(d, seed=rng)
@@ -360,7 +360,7 @@ def adversarial_cases(seed: int = 0) -> list[AdversarialCase]:
         u1, u2 = next_syms(d)
 
         def split_gen(st, u1=u1, u2=u2):
-            if _pure_top(st) and float(np.max(np.abs(st.eigenvectors[:, 0]) ** 2)) >= 1.0 - 1e-9:
+            if _pure_top(st) and float(np.max(np.abs(st.leading[:, 0]) ** 2)) >= 1.0 - 1e-9:
                 return apply_symmetry(u1, st)
             return apply_symmetry(u2, st) if _pure_top(st) else apply_symmetry(u1, st)
 

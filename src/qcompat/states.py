@@ -111,11 +111,17 @@ class SpectralOperator:
     Built by `validate_density` (trace one) or `validate_effect` (spectrum
     in [0, 1]); the strength, compatibility and measure formulas read the
     same cached spectral data either way, and the rank is read from that spectrum.
+    ``leading`` holds the first m eigenvectors as (dim, m) columns: all dim
+    of them when eigh or a drawn basis gives them, at least the support
+    otherwise, and every eigenvalue past m is zero. The full basis
+    ``eigenvectors`` is completed from it on first read; only the kernel
+    readers (`strength`'s kernel weight, `effects_equal_by_strength`,
+    `rank_via_compatibility`) ask for it.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    leading: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -126,6 +132,21 @@ class SpectralOperator:
         """Eigenvalues above DEFAULT_EPS_RANK relative to the largest; 0 when none is positive."""
         w = self.eigenvalues
         return int(np.count_nonzero(w > DEFAULT_EPS_RANK * w[0])) if w[0] > 0.0 else 0
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """All dim eigenvectors, cached after the first read.
+
+        ``leading`` itself when m = dim; else an F-contiguous array that holds
+        ``leading`` bit for bit, then the kernel columns of one complete QR of it.
+        """
+        m = self.leading.shape[1]
+        if m == self.dim:
+            return self.leading
+        full = np.empty((self.dim, self.dim), dtype=np.complex128, order="F")
+        full[:, :m] = self.leading
+        full[:, m:] = np.linalg.qr(self.leading, mode="complete")[0][:, m:]
+        return full
 
 
 @dataclass(frozen=True)
@@ -199,21 +220,14 @@ def validate_effect(matrix) -> SpectralOperator:
 def _pure_density(p: PureState) -> SpectralOperator:
     """Density operator of a pure state, with its spectral data in closed form.
 
-    The matrix is ``p.projection``, the spectrum (1, 0, ..., 0), so rank 1, and the
-    eigenvectors the Householder reflection I - 2 w w*/|w|^2 with
-    w = e_0 - c v, whose first column is c v; the phase c sets
-    c v_0 = -|v_0|, so w_0 = 1 + |v_0| never cancels. No eigh is needed.
+    The matrix is ``p.projection``, the spectrum (1, 0, ..., 0), so rank 1,
+    and the one stored eigenvector is ``p.vector`` itself, as a (dim, 1)
+    column. No eigh runs, and no d x d basis is built unless a kernel
+    reader asks for ``eigenvectors``.
     """
-    v = p.vector
-    c = -v[0].conj() / abs(v[0]) if v[0] != 0 else -1.0
-    w = -c * v
-    w[0] += 1.0
-    vecs = np.outer(w, w.conj())
-    vecs *= 2.0 / np.vdot(w, w).real
-    np.subtract(np.eye(p.dim, dtype=np.complex128), vecs, out=vecs)
     vals = np.zeros(p.dim)
     vals[0] = 1.0
-    return SpectralOperator(p.projection, vals, vecs)
+    return SpectralOperator(p.projection, vals, p.vector[:, None])
 
 
 def pure_state(vector, normalize: bool = False) -> PureState:
@@ -243,7 +257,7 @@ def symmetry_op(u, antiunitary: bool = False) -> SymmetryOp:
 
 def support(op: SpectralOperator) -> np.ndarray:
     """Orthonormal support basis: the eigenvectors above the rank threshold, as (dim, rank) columns."""
-    return op.eigenvectors[:, : op.numerical_rank].copy()
+    return op.leading[:, : op.numerical_rank].copy()
 
 
 def _principal_rotations(u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:

@@ -25,12 +25,15 @@ one `wigner_reconstruct` builds from the same pairs.
 
 No eigendecomposition is repeated for data that is already known. The pure
 probes that `verify_theorem` feeds to the map get their spectral data in
-closed form, `random_density` returns the spectrum and basis it drew, and
+closed form, with the probe's own vector as the one stored eigenvector;
+`random_density` returns the spectrum and basis it drew, and
 `apply_symmetry` carries the input's spectrum through the symmetry: the
-image of a state with spectrum w and eigenvectors V has spectrum w and
-eigenvectors W = U·V (U·conj(V) for an antiunitary), and its matrix is
-built from them. A `verify_theorem` of an `apply_symmetry` map runs no eigh
-at all, and one d x d product per image.
+image of a state with spectrum w and stored eigenvectors V has spectrum w
+and stored eigenvectors W = U·V (U·conj(V) for an antiunitary), and its
+matrix is built from them. A `verify_theorem` of an `apply_symmetry` map
+runs no eigh at all, and each pure image costs one matrix-vector product
+U·v and one outer product; no d x d kernel basis is built for a probe or
+its image, since the loop reads only the stored top vector.
 
 Also here: rank estimation through compatibility queries alone, which asks
 `strength`'s ray test of each eigenvector.
@@ -148,10 +151,11 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
     """Image U rho U* (U conj(rho) U* for an antiunitary) as a density operator.
 
     The image is built from the input's carried spectral decomposition: its
-    eigenvectors are W = U·V (U·conj(V)), its spectrum is the input's, and
-    its matrix is (W' · w') W'* over the columns with w != 0. That is one
-    d x d product for W and O(d^2) per nonzero eigenvalue, so a rank-one
-    image costs one product and no eigh runs. The matrix is thus the image
+    stored eigenvectors are W = U·V (U·conj(V)) for the input's stored
+    columns V, its spectrum is the input's, and its matrix is (W' · w') W'*
+    over the columns with w != 0. That is one d x m product for W and
+    O(d^2) per nonzero eigenvalue, so a pure image, m = 1, costs two O(d^2)
+    passes, and no eigh runs. The matrix is thus the image
     of the spectral decomposition, which agrees with U rho U* to rounding,
     trace included. The unit-trace check runs on the input, so an
     effect whose trace is not one raises TraceNotOneError. The spectrum is
@@ -159,11 +163,11 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
     """
     _check_same_dim("symmetry and state", sym.dim, state.dim)
     _check_unit_trace(state.matrix)
-    w = state.eigenvalues
-    vecs = sym.u @ (state.eigenvectors.conj() if sym.antiunitary else state.eigenvectors)
+    vecs = sym.u @ (state.leading.conj() if sym.antiunitary else state.leading)
+    w = state.eigenvalues[: vecs.shape[1]]
     on = w != 0.0
     image = vecs[:, on]
-    return SpectralOperator((image * w[on]) @ image.conj().T, w, vecs)
+    return SpectralOperator((image * w[on]) @ image.conj().T, state.eigenvalues, vecs)
 
 
 def symmetry_probe_map(sym: SymmetryOp) -> PureStateMap:
@@ -288,7 +292,8 @@ def verify_theorem(
 
     ``transform`` maps SpectralOperator to SpectralOperator. Pure probes must
     map to pure outputs (else NotASymmetryError), and each output's top
-    eigenvector must be a unit vector (else NotUnitVectorError); the probes
+    eigenvector, read from its stored columns, must be a unit vector (else
+    NotUnitVectorError); the probes
     run in `_probe_family` order and the first failing one stops the loop.
     Each probe reaches ``transform`` with its spectral data built in closed
     form, each mixed state comes from `random_density` with the eigensystem
@@ -324,7 +329,7 @@ def verify_theorem(
                 f"pure probe {label} maps to a mixed state (top weight {top:.8f})",
                 probe=label,
             )
-        images.append(pure_state(out.eigenvectors[:, 0]).vector)
+        images.append(pure_state(out.leading[:, 0]).vector)
         _check_same_dim("map entry", dim, images[-1].shape[0])
 
     sym = _reconstruct(probes, np.array(images), tol)

@@ -18,11 +18,13 @@ from qcompat import (
     TraceNotOneError,
     ValidationError,
     apply_symmetry,
+    effects_equal_by_strength,
     haar_unitary,
     pure_state,
     random_density,
     random_pure,
     random_symmetry,
+    rank_via_compatibility,
     strength,
     subspace_intersection_dim,
     support,
@@ -125,17 +127,40 @@ class TestPureDensity:
             assert op.matrix.tobytes() == validate_density(p.projection).matrix.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 64])
-    def test_householder_bytes(self, d):
-        # bit for bit I - s w w*, signed zeros included: the basis probes leave
-        # whole rows of w w* at zero, which a negating rewrite would turn to -0
+    def test_stores_the_vector_and_completes_the_basis_on_demand(self, d):
+        # one stored column, the state's own bytes; the kernel columns come
+        # from one complete QR on the first read of eigenvectors, then stay cached
         for ray in [*_probe_family(d)[1], random_pure(d, seed=d).vector]:
             p = pure_state(ray)
-            v = p.vector
-            c = -v[0].conj() / abs(v[0]) if v[0] != 0 else -1.0
-            w = -c * v
-            w[0] += 1.0
-            want = np.eye(d) - np.outer(w, w.conj()) * (2.0 / np.vdot(w, w).real)
-            assert _pure_density(p).eigenvectors.tobytes() == want.tobytes()
+            op = _pure_density(p)
+            assert op.leading.shape == (d, 1)
+            assert op.leading[:, 0].tobytes() == p.vector.tobytes()
+            assert "eigenvectors" not in vars(op)
+            full = op.eigenvectors
+            assert full.shape == (d, d)
+            assert full.flags.f_contiguous
+            assert full[:, :1].tobytes() == op.leading.tobytes()
+            np.testing.assert_allclose(full.conj().T @ full, np.eye(d), rtol=0, atol=1e-14)
+            assert op.eigenvectors is full
+
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    def test_kernel_readers_agree_with_the_eigh_route(self, d):
+        # the lazily completed basis answers every kernel question as the
+        # full eigh basis of the same projection does
+        rng = child_rng(d, 71)
+        rays = [*_probe_family(d)[1], *(random_pure(d, seed=rng).vector for _ in range(20))]
+        probes = np.array(rays).T
+        for ray in rays:
+            p = pure_state(ray)
+            lazy, ref = _pure_density(p), validate_density(p.projection)
+            cols = np.hstack([p.vector[:, None], 1j * p.vector[:, None], probes])
+            got, want = _strengths(lazy, cols), _strengths(ref, cols)
+            np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-15)
+            assert got[1].tolist() == want[1].tolist()
+            assert got[2].tolist() == want[2].tolist()
+            assert got[1][:2].all()
+            assert rank_via_compatibility(lazy) == 1
+            assert effects_equal_by_strength(lazy, ref)
 
 
 class TestRandomDensity:
@@ -151,6 +176,39 @@ class TestRandomDensity:
             np.testing.assert_allclose(op.eigenvalues, fresh.eigenvalues, atol=1e-13)
             assert op.numerical_rank == fresh.numerical_rank == rank
             assert op.eigenvalues[rank:].tolist() == [0.0] * (d - rank)
+
+
+class TestEigenvectorLayout:
+    """The memory layout each constructor hands out, as it stands.
+
+    Products such as `strength`'s round by the strides of the eigenvectors,
+    so a refactor that flips a layout moves result bytes. ROADMAP's
+    byte-stability item (one eigenvector layout) is open; until it lands,
+    any layout change has to show up here first.
+    """
+
+    @staticmethod
+    def _flags(a):
+        return a.shape[1], a.flags.c_contiguous, a.flags.f_contiguous
+
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_every_constructor(self, d):
+        rho = random_density(d, 2, seed=d)
+        pure = _pure_density(random_pure(d, seed=d))
+        uni, anti = random_symmetry(d, seed=d), random_symmetry(d, antiunitary=True, seed=d)
+        # (stored columns, C-contiguous, F-contiguous) of leading, then of eigenvectors
+        layouts = {
+            "validate_density": (validate_density(rho.matrix), (d, False, True), (d, False, True)),
+            "validate_effect": (validate_effect(rho.matrix), (d, False, True), (d, False, True)),
+            "random_density": (rho, (d, True, False), (d, True, False)),
+            "_pure_density": (pure, (1, True, True), (d, False, True)),
+            "apply_symmetry": (apply_symmetry(uni, rho), (d, True, False), (d, True, False)),
+            "apply_symmetry antiunitary": (apply_symmetry(anti, rho), (d, True, False), (d, True, False)),
+            "apply_symmetry of a pure state": (apply_symmetry(anti, pure), (1, True, True), (d, False, True)),
+        }
+        for name, (op, leading, full) in layouts.items():
+            assert self._flags(op.leading) == leading, name
+            assert self._flags(op.eigenvectors) == full, name
 
 
 class TestNumericalRank:
@@ -173,7 +231,7 @@ class TestNumericalRank:
         yield apply_symmetry(random_symmetry(64, antiunitary=False, seed=21), rho)
 
     def test_read_from_the_spectrum_on_every_route(self):
-        assert [f.name for f in dataclasses.fields(SpectralOperator)] == ["matrix", "eigenvalues", "eigenvectors"]
+        assert [f.name for f in dataclasses.fields(SpectralOperator)] == ["matrix", "eigenvalues", "leading"]
         ranks = []
         for op in self._routes():
             w = op.eigenvalues

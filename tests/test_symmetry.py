@@ -93,6 +93,26 @@ class TestApplySymmetry:
             np.testing.assert_allclose(out.eigenvalues, fresh.eigenvalues, atol=1e-13)
             assert out.numerical_rank == fresh.numerical_rank == rank
 
+    @pytest.mark.parametrize("anti", [False, True])
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_every_constructor_route(self, d, anti):
+        # only the stored columns are mapped, whichever constructor stored them
+        s = random_symmetry(d, antiunitary=anti, seed=d + 1)
+        pure = _pure_density(random_pure(d, seed=d))
+        routes = {
+            "validate_density": validate_density(random_density(d, max(1, d // 2), seed=d).matrix),
+            "random_density": random_density(d, max(1, d // 3), seed=d + 2),
+            "_pure_density": pure,
+            "pure image": apply_symmetry(random_symmetry(d, antiunitary=not anti, seed=d + 3), pure),
+        }
+        for name, rho in routes.items():
+            out = apply_symmetry(s, rho)
+            m = rho.matrix.conj() if anti else rho.matrix
+            err = float(np.abs(out.matrix - s.u @ m @ s.u.conj().T).max())
+            assert err <= 1e-14, (name, err)
+            assert out.eigenvalues.tobytes() == rho.eigenvalues.tobytes(), name
+            assert out.leading.shape == rho.leading.shape, name
+
     def test_effect_with_other_trace_rejected(self):
         s = random_symmetry(3, antiunitary=False, seed=8)
         with pytest.raises(TraceNotOneError):
@@ -401,6 +421,26 @@ class TestVerifyTheorem:
         res = verify_theorem(lambda rho: apply_symmetry(s, rho), 16, n_mixed=4, seed=0)
         assert res.verdict
         assert calls == []
+
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_probes_and_images_never_complete_a_basis(self, anti):
+        # each pure probe and its image store one column, and nothing in the
+        # run reads their kernel, so neither fills its eigenvectors cache
+        s = random_symmetry(64, antiunitary=anti, seed=22)
+        seen = []
+
+        def transform(rho):
+            out = apply_symmetry(s, rho)
+            seen.append((rho, out))
+            return out
+
+        assert verify_theorem(transform, 64, n_mixed=2, seed=0).verdict
+        pure = [(rho, out) for rho, out in seen if rho.leading.shape[1] == 1]
+        assert len(pure) == len(seen) - 2 == 128
+        for rho, out in pure:
+            assert out.leading.shape == (64, 1)
+            assert "eigenvectors" not in vars(rho)
+            assert "eigenvectors" not in vars(out)
 
     def test_memory_stays_small_at_max_dim(self):
         # each probe image keeps only its own vector, not the d x d eigenvectors
