@@ -112,11 +112,11 @@ class SpectralOperator:
     in [0, 1]); the strength, compatibility and measure formulas read the
     same cached spectral data either way, and the rank is read from that spectrum.
     ``leading`` holds the first m eigenvectors as (dim, m) columns: all dim
-    of them when eigh or a drawn basis gives them, at least the support
-    otherwise, and every eigenvalue past m is zero. The full basis
-    ``eigenvectors`` is completed from it on first read; only the kernel
-    readers (`strength`'s kernel weight, `effects_equal_by_strength`,
-    `rank_via_compatibility`) ask for it.
+    of them when eigh gives them, at least the support otherwise (a drawn
+    state stores exactly its support), and every eigenvalue past m is
+    zero. The full basis ``eigenvectors`` is completed from it on first
+    read; only the kernel readers (`strength`'s kernel weight,
+    `effects_equal_by_strength`, `rank_via_compatibility`) ask for it.
     """
 
     matrix: np.ndarray
@@ -286,14 +286,24 @@ def subspace_intersection_dim(u: np.ndarray, v: np.ndarray) -> int:
     return _principal_rotations(u, v)[0]
 
 
-def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via phase-corrected QR of a Gaussian matrix."""
-    _check_dim(dim)
-    rng = as_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+def _haar_columns(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The first ``count`` columns of a Haar unitary, phase-corrected QR (Mezzadri 2007).
+
+    Both dim x dim Gaussians are drawn, so ``rng`` advances as for the whole
+    unitary, but only their first ``count`` columns are factored: the reduced
+    QR of those columns gives the same Q columns and R diagonal as the full one.
+    """
+    real, imag = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+    z = (real[:, :count] + 1j * imag[:, :count]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def haar_unitary(dim: int, seed) -> np.ndarray:
+    """Haar-distributed unitary via phase-corrected QR of a Gaussian matrix."""
+    _check_dim(dim)
+    return _haar_columns(dim, dim, as_rng(seed))
 
 
 def random_density(dim: int, rank: int, seed) -> SpectralOperator:
@@ -301,21 +311,23 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
 
     Spectrum is Dirichlet-like with a floor of 0.05/(1 + 0.05 rank) so the
     requested rank never collapses through the rank threshold. The drawn
-    spectrum (padded with zeros) and the Haar basis it sits on are returned
-    as the eigensystem, so no eigh runs and no check is repeated: the matrix
-    is hermitized and built from a spectrum that sums to 1.
+    spectrum (padded with zeros) and the first ``rank`` columns of the Haar
+    unitary it sits on are returned as the eigensystem, so no eigh runs and
+    no check is repeated: the matrix is hermitized and built from a spectrum
+    that sums to 1. The generator advances as for the whole unitary, and the
+    columns, matrix and spectrum are bit for bit those of the full draw.
     """
     _check_dim(dim)
     if isinstance(rank, (int, np.integer)) and not 1 <= rank <= dim:
         raise InvalidRankError(f"rank {rank} outside 1..{dim}")
     _check_count("rank", rank, 1)  # what is left to reject: a bool or a non-integer
     rng = as_rng(seed)
-    v = haar_unitary(dim, rng)
+    v = _haar_columns(dim, rank, rng)
     raw = rng.dirichlet(np.ones(rank))
     lam = (raw + 0.05) / (1.0 + 0.05 * rank)
     lam = np.sort(lam)[::-1]
     lam = lam / lam.sum()
-    m = (v[:, :rank] * lam) @ v[:, :rank].conj().T
+    m = (v * lam) @ v.conj().T
     w = np.zeros(dim)
     w[:rank] = lam
     return SpectralOperator((m + m.conj().T) / 2.0, w, v)

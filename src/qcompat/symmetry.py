@@ -26,11 +26,12 @@ one `wigner_reconstruct` builds from the same pairs.
 No eigendecomposition is repeated for data that is already known. The pure
 probes that `verify_theorem` feeds to the map get their spectral data in
 closed form, with the probe's own vector as the one stored eigenvector;
-`random_density` returns the spectrum and basis it drew, and
-`apply_symmetry` carries the input's spectrum through the symmetry: the
-image of a state with spectrum w and stored eigenvectors V has spectrum w
-and stored eigenvectors W = U·V (U·conj(V) for an antiunitary), and its
-matrix is built from them. A `verify_theorem` of an `apply_symmetry` map
+`random_density` returns the spectrum it drew and, as stored eigenvectors,
+only the support columns of its Haar basis; and `apply_symmetry` carries
+the input's spectrum through the symmetry: the image of a state with
+spectrum w and stored eigenvectors V has spectrum w and stored
+eigenvectors W = U·V (U·conj(V) for an antiunitary), and its matrix is
+built from them. A `verify_theorem` of an `apply_symmetry` map
 runs no eigh at all, and each pure image costs one matrix-vector product
 U·v and one outer product; no d x d kernel basis is built for a probe or
 its image, since the loop reads only the stored top vector.
@@ -296,10 +297,11 @@ def verify_theorem(
     NotUnitVectorError); the probes
     run in `_probe_family` order and the first failing one stops the loop.
     Each probe reaches ``transform`` with its spectral data built in closed
-    form, each mixed state comes from `random_density` with the eigensystem
-    it drew, and each prediction comes from `apply_symmetry`, which carries
-    the state's spectrum through; so with an `apply_symmetry` transform no
-    eigh runs.
+    form, each mixed state comes from `random_density` with the spectrum it
+    drew and its support columns as the stored eigenvectors, and each
+    prediction comes from `apply_symmetry`, which carries the state's
+    spectrum through and maps only those columns; so with an
+    `apply_symmetry` transform no eigh runs.
     The reconstructed operator is then compared against the map on
     ``n_mixed`` seeded mixed states of cycling ranks and, via strength
     functions on one stacked ray set (`effects_equal_by_strength`), on the

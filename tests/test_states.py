@@ -177,6 +177,24 @@ class TestRandomDensity:
             assert op.numerical_rank == fresh.numerical_rank == rank
             assert op.eigenvalues[rank:].tolist() == [0.0] * (d - rank)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 64])
+    def test_same_draw_as_the_full_haar_unitary(self, d):
+        # the stored columns are the first ones of the Haar unitary the same
+        # generator draws, the matrix is the full-basis formula's, bit for bit,
+        # and the generator is left where that unitary and spectrum leave it
+        for rank in sorted({1, d // 2, d} - {0}):
+            g, twin = np.random.default_rng(10 * d + rank), np.random.default_rng(10 * d + rank)
+            op = random_density(d, rank, seed=g)
+            v = haar_unitary(d, twin)[:, :rank]
+            lam = np.sort((twin.dirichlet(np.ones(rank)) + 0.05) / (1.0 + 0.05 * rank))[::-1]
+            lam = lam / lam.sum()
+            m = (v * lam) @ v.conj().T
+            assert op.leading.shape == (d, rank)
+            assert op.leading.tobytes() == v.tobytes()
+            assert op.matrix.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+            assert op.eigenvalues.tobytes() == np.concatenate([lam, np.zeros(d - rank)]).tobytes()
+            assert g.standard_normal(4).tobytes() == twin.standard_normal(4).tobytes()
+
 
 class TestEigenvectorLayout:
     """The memory layout each constructor hands out, as it stands.
@@ -200,10 +218,10 @@ class TestEigenvectorLayout:
         layouts = {
             "validate_density": (validate_density(rho.matrix), (d, False, True), (d, False, True)),
             "validate_effect": (validate_effect(rho.matrix), (d, False, True), (d, False, True)),
-            "random_density": (rho, (d, True, False), (d, True, False)),
+            "random_density": (rho, (2, True, False), (d, False, True)),
             "_pure_density": (pure, (1, True, True), (d, False, True)),
-            "apply_symmetry": (apply_symmetry(uni, rho), (d, True, False), (d, True, False)),
-            "apply_symmetry antiunitary": (apply_symmetry(anti, rho), (d, True, False), (d, True, False)),
+            "apply_symmetry": (apply_symmetry(uni, rho), (2, True, False), (d, False, True)),
+            "apply_symmetry antiunitary": (apply_symmetry(anti, rho), (2, True, False), (d, False, True)),
             "apply_symmetry of a pure state": (apply_symmetry(anti, pure), (1, True, True), (d, False, True)),
         }
         for name, (op, leading, full) in layouts.items():

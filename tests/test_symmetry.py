@@ -435,9 +435,13 @@ class TestVerifyTheorem:
             return out
 
         assert verify_theorem(transform, 64, n_mixed=2, seed=0).verdict
-        pure = [(rho, out) for rho, out in seen if rho.leading.shape[1] == 1]
+        # the 2d probes are the first transform calls, then come the mixed
+        # draws of ranks 1 and 2; the rank-1 draw stores one column too
+        pure = seen[: 2 * 64]
         assert len(pure) == len(seen) - 2 == 128
+        assert seen[128][0].leading.shape == (64, 1)
         for rho, out in pure:
+            assert rho.leading.shape == (64, 1)
             assert out.leading.shape == (64, 1)
             assert "eigenvectors" not in vars(rho)
             assert "eigenvectors" not in vars(out)
