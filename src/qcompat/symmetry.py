@@ -34,7 +34,9 @@ eigenvectors W = U·V (U·conj(V) for an antiunitary), and its matrix is
 built from them. A `verify_theorem` of an `apply_symmetry` map
 runs no eigh at all, and each pure image costs one matrix-vector product
 U·v and one outer product; no d x d kernel basis is built for a probe or
-its image, since the loop reads only the stored top vector.
+its image, since the loop reads only the stored top vector. Nor does a
+map that re-validates a pure image run eigh: `validate_density` stores a
+rank-one input's one ray without it.
 
 Also here: rank estimation through compatibility queries alone, which asks
 `strength`'s ray test of each eigenvector.
@@ -163,7 +165,7 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
     the input's, so its rank, read from it, is too.
     """
     _check_same_dim("symmetry and state", sym.dim, state.dim)
-    _check_unit_trace(state.matrix)
+    _check_unit_trace(float(state.matrix.trace().real))
     vecs = sym.u @ (state.leading.conj() if sym.antiunitary else state.leading)
     w = state.eigenvalues[: vecs.shape[1]]
     on = w != 0.0
@@ -301,7 +303,8 @@ def verify_theorem(
     drew and its support columns as the stored eigenvectors, and each
     prediction comes from `apply_symmetry`, which carries the state's
     spectrum through and maps only those columns; so with an
-    `apply_symmetry` transform no eigh runs.
+    `apply_symmetry` transform no eigh runs, nor for a probe whose image a
+    transform re-validates while it stays rank one.
     The reconstructed operator is then compared against the map on
     ``n_mixed`` seeded mixed states of cycling ranks and, via strength
     functions on one stacked ray set (`effects_equal_by_strength`), on the

@@ -71,13 +71,39 @@ class TestValidateDensity:
     @pytest.mark.parametrize("d", [2, 5, 64])
     def test_eigensystem_is_eigh_reversed_and_f_contiguous(self, d):
         # later products round in the eigenvectors' layout; the maximally
-        # mixed state's equal eigenvalues keep eigh's columns reversed too
-        for m in (random_density(d, max(1, d // 2), seed=d).matrix, np.eye(d, dtype=complex) / d):
+        # mixed state's equal eigenvalues keep eigh's columns reversed too.
+        # Rank >= 2, since a rank-one input skips eigh
+        for m in (random_density(d, max(2, d // 2), seed=d).matrix, np.eye(d, dtype=complex) / d):
             op = validate_density(m)
             w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
             assert op.eigenvalues.tobytes() == w[::-1].tobytes()
             assert op.eigenvectors.tobytes() == v[:, ::-1].tobytes()
             assert op.eigenvectors.flags.f_contiguous
+
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    def test_near_rank_one_inputs(self, d, monkeypatch):
+        # an exact v v* with the wrong trace or above 1 is rejected without
+        # eigh; a second eigenvalue of +-1e-11 or 1e-9 lies far above the
+        # rank-one cut, so eigh runs and decides
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(d) or eigh(h))
+        u = haar_unitary(d, seed=d)
+        vv, ww = (np.outer(u[:, k], u[:, k].conj()) for k in (0, 1))
+        with pytest.raises(TraceNotOneError):
+            validate_density(2.0 * vv)
+        with pytest.raises(NotAnEffectError):
+            validate_effect((1.0 + 1e-9) * vv)
+        assert calls == []
+        with pytest.raises(NotPSDError):
+            validate_density((vv - 1e-11 * ww) / (1.0 - 1e-11))
+        assert len(calls) == 1
+        for second, rank in ((1e-11, 1), (1e-9, 2)):
+            op = validate_density((vv + second * ww) / (1.0 + second))
+            assert op.leading.shape == (d, d)
+            np.testing.assert_allclose(op.eigenvalues[1], second / (1.0 + second), rtol=1e-3)
+            assert op.numerical_rank == rank
+        assert len(calls) == 3
 
     @given(dim=dims, seed=seeds)
     @settings(max_examples=30, deadline=None)
@@ -144,23 +170,47 @@ class TestPureDensity:
             assert op.eigenvectors is full
 
     @pytest.mark.parametrize("d", [2, 3, 64])
-    def test_kernel_readers_agree_with_the_eigh_route(self, d):
-        # the lazily completed basis answers every kernel question as the
-        # full eigh basis of the same projection does
+    def test_kernel_readers_agree_with_the_eigh_route(self, d, monkeypatch):
+        # every rank-one route (the closed form, and the validation of the
+        # projection and of the effect 0.3 v v*) stores one column and the
+        # spectrum (lam, 0, ..., 0), runs no eigh, and its lazily completed
+        # basis answers every kernel question as eigh's full basis does. A
+        # validated route's values get 2e-15 against eigh, whose own top
+        # eigenvalue is 1 ulp off at d = 64, and 1e-15 against the closed form
+        eigh = np.linalg.eigh
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh ran on a rank-one input")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         rng = child_rng(d, 71)
         rays = [*_probe_family(d)[1], *(random_pure(d, seed=rng).vector for _ in range(20))]
         probes = np.array(rays).T
         for ray in rays:
             p = pure_state(ray)
-            lazy, ref = _pure_density(p), validate_density(p.projection)
             cols = np.hstack([p.vector[:, None], 1j * p.vector[:, None], probes])
-            got, want = _strengths(lazy, cols), _strengths(ref, cols)
-            np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-15)
-            assert got[1].tolist() == want[1].tolist()
-            assert got[2].tolist() == want[2].tolist()
-            assert got[1][:2].all()
-            assert rank_via_compatibility(lazy) == 1
-            assert effects_equal_by_strength(lazy, ref)
+            closed = _pure_density(p)
+            validated = validate_density(p.projection)
+            np.testing.assert_allclose(_strengths(validated, cols)[0], _strengths(closed, cols)[0], rtol=0, atol=1e-15)
+            for m, routes in (
+                (p.projection, ((closed, 1e-15), (validated, 2e-15))),
+                (0.3 * p.projection, ((validate_effect(0.3 * p.projection), 2e-15),)),
+            ):
+                w, v = eigh((m + m.conj().T) / 2.0)
+                ref = SpectralOperator(m, w[::-1].copy(), np.asfortranarray(v[:, ::-1]))
+                assert routes[-1][0].matrix.tobytes() == m.tobytes()
+                for op, atol in routes:
+                    assert op.leading.shape == (d, 1)
+                    assert op.eigenvalues[1:].tolist() == [0.0] * (d - 1)
+                    assert abs(op.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-15
+                    assert op.numerical_rank == 1
+                    got, want = _strengths(op, cols), _strengths(ref, cols)
+                    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=atol)
+                    assert got[1].tolist() == want[1].tolist()
+                    assert got[2].tolist() == want[2].tolist()
+                    assert got[1][:2].all()
+                    assert rank_via_compatibility(op) == 1
+                    assert effects_equal_by_strength(op, ref)
 
 
 class TestRandomDensity:
@@ -220,6 +270,7 @@ class TestEigenvectorLayout:
             "validate_effect": (validate_effect(rho.matrix), (d, False, True), (d, False, True)),
             "random_density": (rho, (2, True, False), (d, False, True)),
             "_pure_density": (pure, (1, True, True), (d, False, True)),
+            "validate_density of a pure state": (validate_density(pure.matrix), (1, True, True), (d, False, True)),
             "apply_symmetry": (apply_symmetry(uni, rho), (2, True, False), (d, False, True)),
             "apply_symmetry antiunitary": (apply_symmetry(anti, rho), (2, True, False), (d, False, True)),
             "apply_symmetry of a pure state": (apply_symmetry(anti, pure), (1, True, True), (d, False, True)),
