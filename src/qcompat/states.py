@@ -108,10 +108,8 @@ class SpectralOperator:
     ``leading`` holds the first m eigenvectors as (dim, m) columns: all dim
     of them when eigh gives them, at least the support otherwise (a drawn
     state stores exactly its support, a rank-one input its one ray), and
-    every eigenvalue past m is zero. The full basis ``eigenvectors`` is
-    completed from it on first read; only the kernel readers (`strength`'s
-    kernel weight, `effects_equal_by_strength`, `rank_via_compatibility`)
-    ask for it.
+    every eigenvalue past m is zero. No kernel basis is kept: a ray's
+    distance from the support is its residual off ``leading[:, :rank]``.
     """
 
     matrix: np.ndarray
@@ -127,21 +125,6 @@ class SpectralOperator:
         """Eigenvalues above DEFAULT_EPS_RANK relative to the largest; 0 when none is positive."""
         w = self.eigenvalues
         return int(np.count_nonzero(w > DEFAULT_EPS_RANK * w[0])) if w[0] > 0.0 else 0
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """All dim eigenvectors, cached after the first read.
-
-        ``leading`` itself when m = dim; else an F-contiguous array that holds
-        ``leading`` bit for bit, then the kernel columns of one complete QR of it.
-        """
-        m = self.leading.shape[1]
-        if m == self.dim:
-            return self.leading
-        full = np.empty((self.dim, self.dim), dtype=np.complex128, order="F")
-        full[:, :m] = self.leading
-        full[:, m:] = np.linalg.qr(self.leading, mode="complete")[0][:, m:]
-        return full
 
 
 @dataclass(frozen=True)
@@ -267,8 +250,7 @@ def _pure_density(p: PureState) -> SpectralOperator:
     The matrix is ``p.projection``, the spectrum (1, 0, ..., 0), so rank 1,
     and the one stored eigenvector is ``p.vector`` itself, as a (dim, 1)
     column: the `_rank_one` form that validation also gives a rank-one
-    input. No eigh runs, and no d x d basis is built unless a kernel
-    reader asks for ``eigenvectors``.
+    input. No eigh runs, and no d x d basis is built.
     """
     return _rank_one(p.projection, p.vector, 1.0)
 

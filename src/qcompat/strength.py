@@ -55,13 +55,16 @@ class StrengthResult:
 def _strengths(effect: SpectralOperator, rays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed form on every column of ``rays``: values, in-range and near-boundary flags.
 
-    A column off the support (kernel weight above DEFAULT_EPS_MEM) gets value 0;
-    one on it gets 1 / sum_i |<e_i, phi>|^2 / t_i, clipped at 1.
+    With V = ``leading[:, :rank]`` the support columns, a column's kernel
+    weight is its squared residual off the support, |phi - V V* phi|^2. A
+    column whose kernel weight exceeds DEFAULT_EPS_MEM gets value 0; one on
+    the support gets 1 / sum_i |<e_i, phi>|^2 / t_i, clipped at 1.
     """
-    weights = np.abs(effect.eigenvectors.conj().T @ rays) ** 2
     r = effect.numerical_rank
-    kernel_sq = weights[r:].sum(axis=0)
-    denom = (weights[:r] / effect.eigenvalues[:r, None]).sum(axis=0)
+    v = effect.leading[:, :r]
+    coeffs = v.conj().T @ rays
+    kernel_sq = (np.abs(rays - v @ coeffs) ** 2).sum(axis=0)
+    denom = (np.abs(coeffs) ** 2 / effect.eigenvalues[:r, None]).sum(axis=0)
     in_range = (kernel_sq <= DEFAULT_EPS_MEM) & (denom > 0.0)
     values = np.minimum(1.0, np.divide(1.0, denom, out=np.zeros_like(denom), where=in_range))
     near = (kernel_sq > DEFAULT_EPS_MEM) & (kernel_sq <= NEAR_BOUNDARY_SQ)
@@ -167,18 +170,20 @@ def effects_equal_by_strength(
 ) -> bool:
     """Probe two effects along sampled rays and compare their strengths.
 
-    The ray set always contains the eigenvector rays of both effects (random
-    rays alone cannot separate effects with different supports, since the
-    strength vanishes identically off-range), plus ``n_rays`` seeded random
-    rays, the same ones ``n_rays`` `random_pure` calls would draw. All rays
-    sit in one (dim, 2 dim + n_rays) array, and each effect's strengths come
-    from one stacked product. Raises ValidationError for a ``tol`` that is
-    negative or not finite, and for an ``n_rays`` that is not an integer >= 0.
+    The ray set always contains the stored eigenvector rays (``leading``)
+    of both effects, plus ``n_rays`` seeded random rays, the same ones
+    ``n_rays`` `random_pure` calls would draw. Random rays alone cannot
+    separate effects with different supports, since the strength vanishes
+    identically off-range; but then some stored support ray of one effect
+    lies off the other's support, where only its own strength is nonzero.
+    All rays sit in one array, and each effect's strengths come from one
+    stacked product. Raises ValidationError for a ``tol`` that is negative
+    or not finite, and for an ``n_rays`` that is not an integer >= 0.
     """
     _check_same_dim("effect", first.dim, second.dim)
     _check_tolerance("tol", tol)
     _check_count("n_rays", n_rays)
-    eig_rays = np.hstack([first.eigenvectors, second.eigenvectors])
+    eig_rays = np.hstack([first.leading, second.leading])
     rays = np.hstack([eig_rays / np.linalg.norm(eig_rays, axis=0), _random_rays(first.dim, n_rays, as_rng(seed))])
     gap = np.abs(_strengths(first, rays)[0] - _strengths(second, rays)[0])
     return bool(np.all(gap <= tol))

@@ -33,13 +33,13 @@ spectrum w and stored eigenvectors V has spectrum w and stored
 eigenvectors W = U·V (U·conj(V) for an antiunitary), and its matrix is
 built from them. A `verify_theorem` of an `apply_symmetry` map
 runs no eigh at all, and each pure image costs one matrix-vector product
-U·v and one outer product; no d x d kernel basis is built for a probe or
-its image, since the loop reads only the stored top vector. Nor does a
-map that re-validates a pure image run eigh: `validate_density` stores a
-rank-one input's one ray without it.
+U·v and one outer product; a probe and its image hold one column each,
+and no operator holds a kernel basis. Nor does a map that re-validates a
+pure image run eigh: `validate_density` stores a rank-one input's one ray
+without it.
 
 Also here: rank estimation through compatibility queries alone, which asks
-`strength`'s ray test of each eigenvector.
+`strength`'s ray test of each stored eigenvector.
 """
 
 from __future__ import annotations
@@ -369,16 +369,17 @@ def verify_theorem(
 
 
 def rank_via_compatibility(state: SpectralOperator, seed: int = 0) -> int:
-    """Operational rank: count the eigenvector rays compatible with the state.
+    """Operational rank: count the stored eigenvector rays compatible with the state.
 
     A pure state is compatible with ``state`` exactly when its ray lies in
     supp ``state``; `strength`'s ray test (`in_range`) asks that of each
-    eigenvector. The eigenbasis is orthonormal and spans the whole space, so
-    the compatible ones are a basis of the compatible span, and their count
-    is the rank. No random ray is drawn. ``seed`` is accepted and unused; one
-    that is not an integer >= 0 still raises ValidationError.
+    column of ``leading``. Those columns are orthonormal and hold the whole
+    support (all d of them after eigh, just the support for a drawn or
+    rank-one state), so the compatible ones are a basis of the support, and
+    their count is the rank. No random ray is drawn. ``seed`` is accepted
+    and unused; one that is not an integer >= 0 still raises ValidationError.
     """
     _check_dim(state.dim, _MIN_DIM)
     _check_count("seed", seed)
-    return int(np.count_nonzero(_strengths(state, state.eigenvectors)[1]))
+    return int(np.count_nonzero(_strengths(state, state.leading)[1]))
 

@@ -15,6 +15,7 @@ from qcompat import (
     random_symmetry,
     selftest,
     symmetry_probe_map,
+    validate_density,
 )
 from qcompat.cli import build_parser
 from qcompat.io import save_map, save_matrix, save_symmetry, save_vector
@@ -49,9 +50,11 @@ def files(tmp_path_factory):
     save_matrix(p("bad.json"), np.diag([2.0, -1.0]).astype(complex))
     save_matrix(p("r43.json"), random_density(4, 3, seed=0).matrix)
     save_matrix(p("r42.json"), random_density(4, 2, seed=1000).matrix)
-    # a rank-2 state and a ray with kernel weight 1e-14, inside the membership cut
+    # a rank-2 state and a ray with kernel weight 1e-14, inside the membership cut;
+    # the kernel direction is the third column of the state's eigh-validated form
     a7 = random_density(4, 2, seed=7)
-    ray = np.sqrt(1.0 - 1e-14) * a7.eigenvectors[:, :2] @ np.array([0.6, 0.8]) + 1e-7 * a7.eigenvectors[:, 2]
+    kernel = validate_density(a7.matrix).leading[:, 2]
+    ray = np.sqrt(1.0 - 1e-14) * a7.leading @ np.array([0.6, 0.8]) + 1e-7 * kernel
     save_matrix(p("r7.json"), a7.matrix)
     save_vector(p("near7.json"), ray)
     save_matrix(p("near7proj.json"), np.outer(ray, ray.conj()))

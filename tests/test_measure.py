@@ -55,7 +55,7 @@ def _pure_side_pair():
     a = random_density(3, 2, seed=13)
     rng = child_rng(13, 52)
     coef = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v = a.eigenvectors[:, :2] @ coef
+    v = a.leading @ coef
     v /= np.linalg.norm(v)
     return a, validate_density(np.outer(v, v.conj())), strength(a, pure_state(v)).value
 
@@ -142,11 +142,14 @@ class TestCompatibility:
 
 
 def _tilted_ray(a, kernel_weight, rng):
-    """A ray in supp A tilted into its kernel until the kernel holds ``kernel_weight`` of it."""
+    """A ray in supp A tilted into its kernel until the kernel holds ``kernel_weight`` of it.
+
+    The kernel directions are the first d - r columns of eigh's ascending basis of A.
+    """
     r = a.numerical_rank
     gauss = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)  # noqa: E731
-    inside = a.eigenvectors[:, :r] @ gauss(r)
-    kernel = a.eigenvectors[:, r:] @ gauss(a.dim - r)
+    inside = a.leading[:, :r] @ gauss(r)
+    kernel = np.linalg.eigh(a.matrix)[1][:, : a.dim - r] @ gauss(a.dim - r)
     v = np.sqrt(1.0 - kernel_weight) * inside / np.linalg.norm(inside)
     return pure_state(v + np.sqrt(kernel_weight) * kernel / np.linalg.norm(kernel), normalize=True)
 

@@ -33,7 +33,7 @@ from qcompat import (
     validate_effect,
 )
 from qcompat.states import DEFAULT_EPS_MEM, DEFAULT_EPS_RANK, SpectralOperator, _pure_density, child_rng
-from qcompat.strength import _strengths
+from qcompat.strength import NEAR_BOUNDARY_SQ, _strengths
 from qcompat.symmetry import _probe_family
 
 dims = st.integers(min_value=1, max_value=6)
@@ -77,8 +77,8 @@ class TestValidateDensity:
             op = validate_density(m)
             w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
             assert op.eigenvalues.tobytes() == w[::-1].tobytes()
-            assert op.eigenvectors.tobytes() == v[:, ::-1].tobytes()
-            assert op.eigenvectors.flags.f_contiguous
+            assert op.leading.tobytes() == v[:, ::-1].tobytes()
+            assert op.leading.flags.f_contiguous
 
     @pytest.mark.parametrize("d", [2, 3, 64])
     def test_near_rank_one_inputs(self, d, monkeypatch):
@@ -142,39 +142,28 @@ class TestPureDensity:
         for ray in _probe_family(d)[1]:
             p = pure_state(ray)
             op = _pure_density(p)
-            vecs = op.eigenvectors
-            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(d), atol=1e-14)
-            phase = np.vdot(p.vector, vecs[:, 0])
-            assert abs(abs(phase) - 1.0) <= 1e-14
-            np.testing.assert_allclose(vecs[:, 0], phase * p.vector, atol=1e-14)
-            np.testing.assert_allclose((vecs * op.eigenvalues) @ vecs.conj().T, p.projection, atol=1e-14)
+            vecs = op.leading
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(1), atol=1e-14)
+            np.testing.assert_allclose((vecs * op.eigenvalues[:1]) @ vecs.conj().T, p.projection, atol=1e-14)
             assert op.eigenvalues.tolist() == [1.0] + [0.0] * (d - 1)
             assert op.numerical_rank == 1
             assert op.matrix.tobytes() == validate_density(p.projection).matrix.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 64])
-    def test_stores_the_vector_and_completes_the_basis_on_demand(self, d):
-        # one stored column, the state's own bytes; the kernel columns come
-        # from one complete QR on the first read of eigenvectors, then stay cached
+    def test_stores_only_the_vector(self, d):
+        # one stored column, the state's own bytes
         for ray in [*_probe_family(d)[1], random_pure(d, seed=d).vector]:
             p = pure_state(ray)
             op = _pure_density(p)
             assert op.leading.shape == (d, 1)
             assert op.leading[:, 0].tobytes() == p.vector.tobytes()
-            assert "eigenvectors" not in vars(op)
-            full = op.eigenvectors
-            assert full.shape == (d, d)
-            assert full.flags.f_contiguous
-            assert full[:, :1].tobytes() == op.leading.tobytes()
-            np.testing.assert_allclose(full.conj().T @ full, np.eye(d), rtol=0, atol=1e-14)
-            assert op.eigenvectors is full
 
     @pytest.mark.parametrize("d", [2, 3, 64])
     def test_kernel_readers_agree_with_the_eigh_route(self, d, monkeypatch):
         # every rank-one route (the closed form, and the validation of the
         # projection and of the effect 0.3 v v*) stores one column and the
-        # spectrum (lam, 0, ..., 0), runs no eigh, and its lazily completed
-        # basis answers every kernel question as eigh's full basis does. A
+        # spectrum (lam, 0, ..., 0), runs no eigh, and its residual off that
+        # one column answers every kernel question as eigh's full basis does. A
         # validated route's values get 2e-15 against eigh, whose own top
         # eigenvalue is 1 ulp off at d = 64, and 1e-15 against the closed form
         eigh = np.linalg.eigh
@@ -219,9 +208,9 @@ class TestRandomDensity:
         # the returned eigensystem is the drawn one, and a fresh eigh agrees
         for rank in sorted({1, d // 2, d}):
             op = random_density(d, rank, seed=100 * d + rank)
-            v = op.eigenvectors
-            np.testing.assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-13)
-            np.testing.assert_allclose((v * op.eigenvalues) @ v.conj().T, op.matrix, atol=1e-13)
+            v = op.leading
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(rank), atol=1e-13)
+            np.testing.assert_allclose((v * op.eigenvalues[:rank]) @ v.conj().T, op.matrix, atol=1e-13)
             fresh = validate_density(op.matrix)
             np.testing.assert_allclose(op.eigenvalues, fresh.eigenvalues, atol=1e-13)
             assert op.numerical_rank == fresh.numerical_rank == rank
@@ -249,7 +238,7 @@ class TestRandomDensity:
 class TestEigenvectorLayout:
     """The memory layout each constructor hands out, as it stands.
 
-    Products such as `strength`'s round by the strides of the eigenvectors,
+    Products such as `strength`'s round by the strides of ``leading``,
     so a refactor that flips a layout moves result bytes. ROADMAP's
     byte-stability item (one eigenvector layout) is open; until it lands,
     any layout change has to show up here first.
@@ -264,20 +253,19 @@ class TestEigenvectorLayout:
         rho = random_density(d, 2, seed=d)
         pure = _pure_density(random_pure(d, seed=d))
         uni, anti = random_symmetry(d, seed=d), random_symmetry(d, antiunitary=True, seed=d)
-        # (stored columns, C-contiguous, F-contiguous) of leading, then of eigenvectors
+        # (stored columns, C-contiguous, F-contiguous) of leading
         layouts = {
-            "validate_density": (validate_density(rho.matrix), (d, False, True), (d, False, True)),
-            "validate_effect": (validate_effect(rho.matrix), (d, False, True), (d, False, True)),
-            "random_density": (rho, (2, True, False), (d, False, True)),
-            "_pure_density": (pure, (1, True, True), (d, False, True)),
-            "validate_density of a pure state": (validate_density(pure.matrix), (1, True, True), (d, False, True)),
-            "apply_symmetry": (apply_symmetry(uni, rho), (2, True, False), (d, False, True)),
-            "apply_symmetry antiunitary": (apply_symmetry(anti, rho), (2, True, False), (d, False, True)),
-            "apply_symmetry of a pure state": (apply_symmetry(anti, pure), (1, True, True), (d, False, True)),
+            "validate_density": (validate_density(rho.matrix), (d, False, True)),
+            "validate_effect": (validate_effect(rho.matrix), (d, False, True)),
+            "random_density": (rho, (2, True, False)),
+            "_pure_density": (pure, (1, True, True)),
+            "validate_density of a pure state": (validate_density(pure.matrix), (1, True, True)),
+            "apply_symmetry": (apply_symmetry(uni, rho), (2, True, False)),
+            "apply_symmetry antiunitary": (apply_symmetry(anti, rho), (2, True, False)),
+            "apply_symmetry of a pure state": (apply_symmetry(anti, pure), (1, True, True)),
         }
-        for name, (op, leading, full) in layouts.items():
+        for name, (op, leading) in layouts.items():
             assert self._flags(op.leading) == leading, name
-            assert self._flags(op.eigenvectors) == full, name
 
 
 class TestNumericalRank:
@@ -373,7 +361,7 @@ class TestPureState:
         assert [f.name for f in dataclasses.fields(PureState)] == ["vector"]
 
     def test_copies_a_matrix_column(self):
-        vecs = random_density(8, 3, seed=4).eigenvectors
+        vecs = random_density(8, 3, seed=4).leading
         p = pure_state(vecs[:, 0])
         assert not np.shares_memory(p.vector, vecs)
         np.testing.assert_array_equal(p.vector, vecs[:, 0])
@@ -408,19 +396,78 @@ class TestSupportAndRange:
         v = np.array([0.0, 0.0, 1.0], dtype=complex)
         assert not strength(d, pure_state(v)).in_range
 
-    @pytest.mark.parametrize("rank", [1, 5, 8])
-    def test_stacked_kernel_weights_match_each_ray(self, rank):
-        # reference: a unit ray's kernel weight is one minus its support weight;
-        # half the rays are projected into the support first
-        d = random_density(8, rank, seed=rank)
-        s = support(d)
-        rays = [random_pure(8, seed=k) for k in range(6)]
-        rays[:3] = [pure_state(s @ (s.conj().T @ p.vector), normalize=True) for p in rays[:3]]
-        in_range = _strengths(d, np.stack([p.vector for p in rays], axis=1))[1]
-        for flag, p in zip(in_range, rays):
-            inside = np.linalg.norm(s.conj().T @ p.vector) ** 2
-            assert flag == strength(d, p).in_range == (1.0 - inside <= DEFAULT_EPS_MEM)
-        assert in_range[:3].all()
+    @staticmethod
+    def _residual_sq(op, rays):
+        """Each column's kernel weight as its squared residual off the support columns."""
+        s = support(op)
+        return (np.abs(rays - s @ (s.conj().T @ rays)) ** 2).sum(axis=0)
+
+    @staticmethod
+    def _operators(d):
+        """A drawn, an eigh-validated, a rank-one, a symmetry-image and a full-rank operator.
+
+        The eigh-validated one carries 1e-12 of weight on a kernel ray, under
+        the rank cut and far above the rank-one test, so eigh runs at every d.
+        """
+        r = max(1, d // 2)
+        drawn = random_density(d, r, seed=d)
+        u = haar_unitary(d, seed=d + 1)
+        w = np.zeros(d)
+        w[:r] = np.linspace(2.0, 1.0, r)
+        w[r] = 1e-12 * w.sum()
+        yield "drawn", drawn
+        yield "eigh-validated", validate_density((u * (w / w.sum())) @ u.conj().T)
+        yield "rank-one", validate_density(random_pure(d, seed=d + 2).projection)
+        yield "apply_symmetry", apply_symmetry(random_symmetry(d, antiunitary=True, seed=d + 3), drawn)
+        yield "full rank", random_density(d, d, seed=d + 4)
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 64])
+    def test_stacked_kernel_weights_match_each_ray(self, d):
+        # reference: the squared residual off the support. Each operator gets
+        # three rays in its support, three anywhere, and, when it has a
+        # kernel, rays with a planted kernel weight: 10^U(-16, -10), then
+        # within 3% of the 1e-13 cut, then through the near-boundary band and
+        # past it. Up to 1e-10 the residual agrees within 1e-19 with the weight
+        # read from a full orthonormal basis (the support, then its complete-QR
+        # kernel columns); past it, to a relative 1e-15 or so. A planted weight
+        # at least 1% from the cut is decided by its side of the cut, and every
+        # ray by its residual (one minus the support weight is off by up to
+        # 1.6e-15 here and flips rays within 1% of the cut)
+        rng = child_rng(d, 72)
+        gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+        for name, op in self._operators(d):
+            r = op.numerical_rank
+            rays = np.hstack([support(op) @ gauss(r, 3), gauss(d, 3)])
+            rays /= np.linalg.norm(rays, axis=0)
+            planted = np.zeros(0)
+            if r < d:
+                planted = np.concatenate(
+                    [
+                        10.0 ** rng.uniform(-16.0, -10.0, 40),
+                        DEFAULT_EPS_MEM * (1.0 + rng.uniform(-0.03, 0.03, 40)),
+                        [1e-6, 5e-5, 2e-4, 1e-2],
+                    ]
+                )
+                kernel_basis = np.linalg.qr(support(op), mode="complete")[0][:, r:]
+                inside, kernel = support(op) @ gauss(r, planted.size), kernel_basis @ gauss(d - r, planted.size)
+                tilted = np.sqrt(1.0 - planted) * inside / np.linalg.norm(inside, axis=0)
+                tilted += np.sqrt(planted) * kernel / np.linalg.norm(kernel, axis=0)
+                full_basis_weight = (np.abs(kernel_basis.conj().T @ tilted) ** 2).sum(axis=0)
+                gap = np.abs(self._residual_sq(op, tilted) - full_basis_weight)
+                assert gap[planted <= 1e-10].max() <= 1e-19, name
+                rays = np.hstack([rays, tilted])
+            _, in_range, near = _strengths(op, rays)
+            assert in_range[:3].all(), name
+            clear = np.abs(planted - DEFAULT_EPS_MEM) >= 0.01 * DEFAULT_EPS_MEM
+            for weight, got_in, got_near in (
+                (self._residual_sq(op, rays), in_range, near),
+                (planted[clear], in_range[6:][clear], near[6:][clear]),
+            ):
+                assert got_in.tolist() == (weight <= DEFAULT_EPS_MEM).tolist(), name
+                assert got_near.tolist() == ((weight > DEFAULT_EPS_MEM) & (weight <= NEAR_BOUNDARY_SQ)).tolist(), name
+            for k in range(rays.shape[1]):
+                one = strength(op, pure_state(rays[:, k]))
+                assert (one.in_range, one.near_boundary) == (in_range[k], near[k]), name
 
 
 class TestSubspaceIntersection:

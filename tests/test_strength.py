@@ -94,7 +94,7 @@ class TestStrengthClosedForm:
         # along an eigenvector the strength equals that eigenvalue exactly
         d = random_density(4, 4, seed=11)
         for i in range(4):
-            phi = pure_state(d.eigenvectors[:, i])
+            phi = pure_state(d.leading[:, i])
             assert abs(strength(d, phi).value - d.eigenvalues[i]) < 1e-10
 
 
@@ -114,10 +114,11 @@ def _oracle_cases(d, kind, deficient):
         t[:rank] = rng.uniform(0.05, 1.0, size=rank)
         op = validate_effect((u * t) @ u.conj().T)
     gauss = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    inside = _unit(op.eigenvectors[:, :rank] @ gauss(rank))
+    inside = _unit(op.leading[:, :rank] @ gauss(rank))
     rays = [inside, _unit(gauss(d))]
     if deficient:
-        kernel = _unit(op.eigenvectors[:, rank:] @ gauss(d - rank))
+        # the kernel: the first d - rank columns of eigh's ascending basis
+        kernel = _unit(np.linalg.eigh(op.matrix)[1][:, : d - rank] @ gauss(d - rank))
         rays += [np.sqrt(1.0 - w) * inside + np.sqrt(w) * kernel for w in np.logspace(-24, -2, 12)]
     return op, [pure_state(v, normalize=True) for v in rays]
 
@@ -339,8 +340,7 @@ class TestStackedStrength:
     def test_matches_per_ray_loop(self, seed, n_rays, tol):
         first, second = _effect_pair(child_rng(seed, 95))
         d = first.dim
-        rays = [pure_state(first.eigenvectors[:, k], normalize=True) for k in range(d)]
-        rays += [pure_state(second.eigenvectors[:, k], normalize=True) for k in range(d)]
+        rays = [pure_state(v, normalize=True) for v in np.hstack([first.leading, second.leading]).T]
         rays += _old_random_pure_stream(d, n_rays, seed)
         gaps = [abs(strength(first, ray).value - strength(second, ray).value) for ray in rays]
         # a gap within rounding of tol may fall either way
@@ -382,7 +382,7 @@ def test_density_and_effect_constructors_agree_bitwise(name):
     dens, eff = validate_density(m), validate_effect(m)
     d = dens.dim
     other = validate_effect(random_density(d, d, seed=24).matrix)
-    in_support = dens.eigenvectors[:, : dens.numerical_rank] @ np.linspace(1.0, 2.0, dens.numerical_rank)
+    in_support = dens.leading[:, : dens.numerical_rank] @ np.linspace(1.0, 2.0, dens.numerical_rank)
     rays = [pure_state(in_support, normalize=True)] + [random_pure(d, seed=s) for s in range(3)]
     for phi in rays:
         assert strength(dens, phi) == strength(eff, phi)

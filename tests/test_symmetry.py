@@ -81,14 +81,14 @@ class TestApplySymmetry:
     @pytest.mark.parametrize("anti", [False, True])
     @pytest.mark.parametrize("d", [2, 3, 16, 64])
     def test_closed_form_spectral_data(self, d, anti):
-        # the image's spectrum is the input's and its eigenvectors are U.V,
-        # and they agree with a fresh eigendecomposition of the image
+        # the image's spectrum is the input's and its stored eigenvectors are
+        # U.V, and they agree with a fresh eigendecomposition of the image
         s = random_symmetry(d, antiunitary=anti, seed=d)
         for rank in sorted({1, max(d // 2, 1), d}):
             out = apply_symmetry(s, random_density(d, rank, seed=10 * d + rank))
-            v = out.eigenvectors
-            np.testing.assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-13)
-            np.testing.assert_allclose((v * out.eigenvalues) @ v.conj().T, out.matrix, atol=1e-13)
+            v = out.leading
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(rank), atol=1e-13)
+            np.testing.assert_allclose((v * out.eigenvalues[:rank]) @ v.conj().T, out.matrix, atol=1e-13)
             fresh = validate_density(out.matrix)
             np.testing.assert_allclose(out.eigenvalues, fresh.eigenvalues, atol=1e-13)
             assert out.numerical_rank == fresh.numerical_rank == rank
@@ -366,7 +366,7 @@ class TestVerifyTheorem:
 
         pairs = []
         for p in map(pure_state, _probe_family(d)[1]):
-            pairs.append((p, pure_state(transform(_pure_density(p)).eigenvectors[:, 0])))
+            pairs.append((p, pure_state(transform(_pure_density(p)).leading[:, 0])))
         want = wigner_reconstruct(pure_state_map(pairs)).u
         got = verify_theorem(transform, d, n_mixed=1, seed=0).symmetry.u
         assert got.tobytes() == want.tobytes()
@@ -387,7 +387,7 @@ class TestVerifyTheorem:
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_non_unit_probe_image_stops_the_loop(self, k):
         def stretched(out):
-            return SpectralOperator(out.matrix, out.eigenvalues, out.eigenvectors * 1.1)
+            return SpectralOperator(out.matrix, out.eigenvalues, out.leading * 1.1)
 
         transform, calls = self._failing_at(k, stretched)
         with pytest.raises(NotUnitVectorError, match="^vector has norm 1.1"):
@@ -423,9 +423,8 @@ class TestVerifyTheorem:
         assert calls == []
 
     @pytest.mark.parametrize("anti", [False, True])
-    def test_probes_and_images_never_complete_a_basis(self, anti):
-        # each pure probe and its image store one column, and nothing in the
-        # run reads their kernel, so neither fills its eigenvectors cache
+    def test_probes_and_images_store_one_column(self, anti):
+        # each pure probe and its image store one column
         s = random_symmetry(64, antiunitary=anti, seed=22)
         seen = []
 
@@ -443,11 +442,9 @@ class TestVerifyTheorem:
         for rho, out in pure:
             assert rho.leading.shape == (64, 1)
             assert out.leading.shape == (64, 1)
-            assert "eigenvectors" not in vars(rho)
-            assert "eigenvectors" not in vars(out)
 
     def test_memory_stays_small_at_max_dim(self):
-        # each probe image keeps only its own vector, not the d x d eigenvectors
+        # each probe image keeps only its own vector, not a d x d basis
         s = random_symmetry(64, antiunitary=False, seed=20)
         tracemalloc.start()
         try:
