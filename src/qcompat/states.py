@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,15 +111,25 @@ class SpectralOperator:
     state stores exactly its support, a rank-one input its one ray), and
     every eigenvalue past m is zero. No kernel basis is kept: a ray's
     distance from the support is its residual off ``leading[:, :rank]``.
+
+    ``source`` is the matrix itself, as validation and `random_density`
+    store it, or a formula that builds it from the operator's spectral data
+    (`_pure_density`, `apply_symmetry`). `matrix` reads it, calling the
+    formula on the first read only, so an operator whose matrix no one reads
+    stays O(d m); ``dim`` reads ``leading``.
     """
 
-    matrix: np.ndarray
+    source: np.ndarray | Callable[[SpectralOperator], np.ndarray]
     eigenvalues: np.ndarray
     leading: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.leading.shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.source(self) if callable(self.source) else self.source
 
     @cached_property
     def numerical_rank(self) -> int:
@@ -169,11 +180,11 @@ def _check_unit_trace(trace: float) -> None:
         raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL}")
 
 
-def _rank_one(matrix: np.ndarray, vector: np.ndarray, top: float) -> SpectralOperator:
-    """The operator form of a rank-one ``matrix``: spectrum (top, 0, ..., 0), the unit ``vector`` its one stored column."""
+def _rank_one(source, vector: np.ndarray, top: float) -> SpectralOperator:
+    """The operator form of a rank-one matrix (``source``, as in `SpectralOperator`): spectrum (top, 0, ..., 0), the unit ``vector`` its one stored column."""
     w = np.zeros(vector.shape[0])
     w[0] = top
-    return SpectralOperator(matrix, w, vector[:, None])
+    return SpectralOperator(source, w, vector[:, None])
 
 
 def _as_rank_one(m: np.ndarray, h: np.ndarray, trace: float) -> SpectralOperator | None:
@@ -244,15 +255,22 @@ def validate_effect(matrix) -> SpectralOperator:
     return _validate(matrix, density=False)
 
 
+def _projection(op: SpectralOperator) -> np.ndarray:
+    """v v* of a rank-one operator's one stored column v, by `np.outer` as ``PureState.projection``."""
+    v = op.leading[:, 0]
+    return np.outer(v, v.conj())
+
+
 def _pure_density(p: PureState) -> SpectralOperator:
     """Density operator of a pure state, with its spectral data in closed form.
 
-    The matrix is ``p.projection``, the spectrum (1, 0, ..., 0), so rank 1,
-    and the one stored eigenvector is ``p.vector`` itself, as a (dim, 1)
-    column: the `_rank_one` form that validation also gives a rank-one
-    input. No eigh runs, and no d x d basis is built.
+    The spectrum is (1, 0, ..., 0), so rank 1, and the one stored
+    eigenvector is ``p.vector`` itself, as a (dim, 1) column: the `_rank_one`
+    form that validation also gives a rank-one input. No eigh runs, and no
+    d x d array is built until ``matrix`` is read: it is then
+    ``p.projection``, bit for bit.
     """
-    return _rank_one(p.projection, p.vector, 1.0)
+    return _rank_one(_projection, p.vector, 1.0)
 
 
 def pure_state(vector, normalize: bool = False) -> PureState:

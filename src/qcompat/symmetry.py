@@ -31,12 +31,16 @@ only the support columns of its Haar basis; and `apply_symmetry` carries
 the input's spectrum through the symmetry: the image of a state with
 spectrum w and stored eigenvectors V has spectrum w and stored
 eigenvectors W = U·V (U·conj(V) for an antiunitary), and its matrix is
-built from them. A `verify_theorem` of an `apply_symmetry` map
-runs no eigh at all, and each pure image costs one matrix-vector product
-U·v and one outer product; a probe and its image hold one column each,
-and no operator holds a kernel basis. Nor does a map that re-validates a
-pure image run eigh: `validate_density` stores a rank-one input's one ray
-without it.
+built from them. A probe and an image build their d x d matrix only when
+it is first read, the probe as the outer product v v*, the image as
+(W' · w') W'*, and `verify_theorem`'s probe loop reads only their
+spectra and first columns. So a `verify_theorem` of an `apply_symmetry`
+map runs no eigh at all, each pure image costs one matrix-vector product
+U·v, and neither a probe nor its image builds a matrix: each holds one
+column, and no operator holds a kernel basis. Nor does a map that
+re-validates a pure image run eigh: `validate_density` stores a rank-one
+input's one ray without it. The seeded mixed states are drawn once per
+(dim, seed, k) and shared read-only between calls (`_mixed_state`).
 
 Also here: rank estimation through compatibility queries alone, which asks
 `strength`'s ray test of each stored eigenvector.
@@ -45,6 +49,7 @@ Also here: rank estimation through compatibility queries alone, which asks
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,27 +155,35 @@ def transform_pure(sym: SymmetryOp, p: PureState) -> PureState:
     return pure_state(sym.u @ v, normalize=True)
 
 
+def _image_matrix(op: SpectralOperator) -> np.ndarray:
+    """(W' · w') W'* over the stored columns W of ``op`` whose eigenvalue w is nonzero."""
+    vecs = op.leading
+    w = op.eigenvalues[: vecs.shape[1]]
+    on = w != 0.0
+    image = vecs[:, on]
+    return (image * w[on]) @ image.conj().T
+
+
 def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator:
     """Image U rho U* (U conj(rho) U* for an antiunitary) as a density operator.
 
     The image is built from the input's carried spectral decomposition: its
     stored eigenvectors are W = U·V (U·conj(V)) for the input's stored
-    columns V, its spectrum is the input's, and its matrix is (W' · w') W'*
-    over the columns with w != 0. That is one d x m product for W and
-    O(d^2) per nonzero eigenvalue, so a pure image, m = 1, costs two O(d^2)
-    passes, and no eigh runs. The matrix is thus the image
+    columns V, and its spectrum is the input's. That is one d x m product,
+    so a pure image, m = 1, is one matrix-vector product, and no eigh runs.
+    Its matrix is built on its first read, as (W' · w') W'* over the columns
+    with w != 0 (`_image_matrix`): O(d^2) per nonzero eigenvalue, the image
     of the spectral decomposition, which agrees with U rho U* to rounding,
-    trace included. The unit-trace check runs on the input, so an
-    effect whose trace is not one raises TraceNotOneError. The spectrum is
-    the input's, so its rank, read from it, is too.
+    trace included. The unit-trace check reads the input's carried spectrum
+    (its sum, within ~d eps of the trace), not its matrix, so an effect
+    whose trace is not one raises TraceNotOneError and the input's matrix is
+    not built either. The spectrum is the input's, so its rank, read from
+    it, is too.
     """
     _check_same_dim("symmetry and state", sym.dim, state.dim)
-    _check_unit_trace(float(state.matrix.trace().real))
+    _check_unit_trace(float(state.eigenvalues.sum()))
     vecs = sym.u @ (state.leading.conj() if sym.antiunitary else state.leading)
-    w = state.eigenvalues[: vecs.shape[1]]
-    on = w != 0.0
-    image = vecs[:, on]
-    return SpectralOperator((image * w[on]) @ image.conj().T, state.eigenvalues, vecs)
+    return SpectralOperator(_image_matrix, state.eigenvalues, vecs)
 
 
 def symmetry_probe_map(sym: SymmetryOp) -> PureStateMap:
@@ -284,6 +297,25 @@ def _reconstruct(ins: np.ndarray, outs: np.ndarray, tol: float) -> SymmetryOp:
     return sym
 
 
+@lru_cache(maxsize=32)
+def _mixed_state(dim: int, seed: int, k: int) -> SpectralOperator:
+    """`verify_theorem`'s k-th seeded mixed state, drawn once and shared read-only.
+
+    The state is ``random_density(dim, (k % dim) + 1, seed=child_rng(seed, 2, k))``,
+    a pure function of (dim, seed, k), so every call that draws it again gets
+    the same bytes. Its matrix, spectrum and stored columns are made
+    read-only: a transform that writes into its input raises numpy's
+    ValueError rather than corrupt a later call. One entry is one state, and
+    at most 32 are kept, least recently used first out. At
+    d = 64 an entry holds at most a 64 x 64 complex matrix, up to 64 stored
+    columns and 64 eigenvalues, 128.5 KiB, so the memo holds at most 4.0 MiB.
+    """
+    state = random_density(dim, (k % dim) + 1, seed=child_rng(seed, 2, k))
+    for array in (state.matrix, state.eigenvalues, state.leading):
+        array.flags.writeable = False
+    return state
+
+
 def verify_theorem(
     transform,
     dim: int,
@@ -299,12 +331,18 @@ def verify_theorem(
     NotUnitVectorError); the probes
     run in `_probe_family` order and the first failing one stops the loop.
     Each probe reaches ``transform`` with its spectral data built in closed
-    form, each mixed state comes from `random_density` with the spectrum it
-    drew and its support columns as the stored eigenvectors, and each
-    prediction comes from `apply_symmetry`, which carries the state's
-    spectrum through and maps only those columns; so with an
-    `apply_symmetry` transform no eigh runs, nor for a probe whose image a
-    transform re-validates while it stays rank one.
+    form and its matrix not yet built, and the loop reads only each image's
+    top eigenvalue and first stored column, so with an `apply_symmetry`
+    transform no probe or probe image builds its d x d matrix. Each mixed
+    state comes from `random_density` with the spectrum it drew and its
+    support columns as the stored eigenvectors, and each prediction comes
+    from `apply_symmetry`, which carries the state's spectrum through and
+    maps only those columns; so with an `apply_symmetry` transform no eigh
+    runs, nor for a probe whose image a transform re-validates while it
+    stays rank one. The mixed states are shared: each is drawn once per
+    (dim, seed, k) and kept for later calls (`_mixed_state`), with its
+    matrix, spectrum and columns read-only, so a transform that writes into
+    one raises numpy's ValueError and must copy what it would change.
     The reconstructed operator is then compared against the map on
     ``n_mixed`` seeded mixed states of cycling ranks and, via strength
     functions on one stacked ray set (`effects_equal_by_strength`), on the
@@ -342,8 +380,7 @@ def verify_theorem(
     failures: list[str] = []
     max_error = 0.0
     for k in range(n_mixed):
-        rank = (k % dim) + 1
-        state = random_density(dim, rank, seed=child_rng(seed, 2, k))
+        state = _mixed_state(dim, seed, k)
         try:
             actual = transform(state)
         except ValidationError:

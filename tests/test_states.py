@@ -149,6 +149,18 @@ class TestPureDensity:
             assert op.numerical_rank == 1
             assert op.matrix.tobytes() == validate_density(p.projection).matrix.tobytes()
 
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_matrix_is_the_outer_product_built_on_first_read(self, d):
+        # np.outer, not a generic (V w) V*, which differs from it in the last bits
+        rng = child_rng(d, 72)
+        for ray in [*_probe_family(d)[1], *(random_pure(d, seed=rng).vector for _ in range(20))]:
+            p = pure_state(ray)
+            op = _pure_density(p)
+            assert op.dim == d
+            assert "matrix" not in vars(op)
+            assert op.matrix.tobytes() == np.outer(p.vector, p.vector.conj()).tobytes()
+            assert vars(op)["matrix"] is op.matrix  # built once
+
     @pytest.mark.parametrize("d", [2, 3, 64])
     def test_stores_only_the_vector(self, d):
         # one stored column, the state's own bytes
@@ -288,7 +300,7 @@ class TestNumericalRank:
         yield apply_symmetry(random_symmetry(64, antiunitary=False, seed=21), rho)
 
     def test_read_from_the_spectrum_on_every_route(self):
-        assert [f.name for f in dataclasses.fields(SpectralOperator)] == ["matrix", "eigenvalues", "leading"]
+        assert [f.name for f in dataclasses.fields(SpectralOperator)] == ["source", "eigenvalues", "leading"]
         ranks = []
         for op in self._routes():
             w = op.eigenvalues

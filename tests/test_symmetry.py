@@ -31,8 +31,9 @@ from qcompat import (
     verify_theorem,
     wigner_reconstruct,
 )
+from qcompat import symmetry
 from qcompat.states import _pure_density, child_rng
-from qcompat.symmetry import _probe_family
+from qcompat.symmetry import _mixed_state, _probe_family
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -117,6 +118,46 @@ class TestApplySymmetry:
         s = random_symmetry(3, antiunitary=False, seed=8)
         with pytest.raises(TraceNotOneError):
             apply_symmetry(s, validate_effect(np.diag([1.0, 0.5, 0.0]).astype(complex)))
+
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_trace_check_on_the_spectrum_decides_as_on_the_matrix(self, d):
+        # the check reads the carried spectrum's sum; on the eigh route and on
+        # the rank-one route it rejects and accepts what Re tr(m) did
+        s = random_symmetry(d, antiunitary=False, seed=d + 9)
+        mixed = random_density(d, d // 2 + 1, seed=d).matrix
+        pure = random_pure(d, seed=d).projection
+        cases = [(mixed, 0.5, False), (mixed, 1.0 + 5e-12, False), (mixed, 1.0 - 1e-14, True), (mixed, 1.0 + 1e-14, True)]
+        cases += [(pure, 0.5, False), (pure, 1.0 - 1e-14, True), (pure, 1.0 + 1e-14, True)]
+        for m, scale, accepted in cases:
+            effect = validate_effect(scale * m)
+            assert (abs(effect.matrix.trace().real - 1.0) <= 1e-12) == accepted
+            if accepted:
+                assert apply_symmetry(s, effect).eigenvalues is effect.eigenvalues
+            else:
+                with pytest.raises(TraceNotOneError):
+                    apply_symmetry(s, effect)
+
+    @pytest.mark.parametrize("anti", [False, True])
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_matrix_is_the_image_formula_built_on_first_read(self, d, anti):
+        # (W' w') W'* over the nonzero eigenvalues, bit for bit; nor is a
+        # lazy input's matrix built by its image
+        s = random_symmetry(d, antiunitary=anti, seed=d + 4)
+        routes = [
+            _pure_density(random_pure(d, seed=d)),
+            random_density(d, d // 2 + 1, seed=d),
+            validate_density(random_density(d, d, seed=d + 1).matrix),
+        ]
+        for rho in routes:
+            lazy = "matrix" not in vars(rho)
+            out = apply_symmetry(s, rho)
+            assert "matrix" not in vars(out)
+            assert ("matrix" not in vars(rho)) == lazy
+            vecs = s.u @ (rho.leading.conj() if anti else rho.leading)
+            w = rho.eigenvalues[: vecs.shape[1]]
+            image = vecs[:, w != 0.0]
+            want = (image * w[w != 0.0]) @ image.conj().T
+            assert out.matrix.tobytes() == want.tobytes()
 
     def test_negative_eigenvalues_keep_the_image_valid(self):
         # entry noise of 1e-14 leaves eigenvalues in [-1e-12, 0); the image is
@@ -442,6 +483,9 @@ class TestVerifyTheorem:
         for rho, out in pure:
             assert rho.leading.shape == (64, 1)
             assert out.leading.shape == (64, 1)
+            # nor did the run build either one's d x d matrix
+            assert "matrix" not in vars(rho)
+            assert "matrix" not in vars(out)
 
     def test_memory_stays_small_at_max_dim(self):
         # each probe image keeps only its own vector, not a d x d basis
@@ -473,6 +517,63 @@ class TestVerifyTheorem:
         s = random_symmetry(2, antiunitary=False, seed=18)
         with pytest.raises(ValidationError, match="seed"):
             verify_theorem(lambda rho: apply_symmetry(s, rho), 2, n_mixed=2, seed=-1)
+
+
+class TestMixedStateMemo:
+    @staticmethod
+    def _apply(s):
+        return lambda rho: apply_symmetry(s, rho)
+
+    def test_a_second_call_draws_no_state(self, monkeypatch):
+        _mixed_state.cache_clear()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return random_density(*args, **kwargs)
+
+        monkeypatch.setattr(symmetry, "random_density", counted)
+        transform = self._apply(random_symmetry(8, antiunitary=True, seed=30))
+        first = verify_theorem(transform, 8, n_mixed=12, seed=5)
+        assert len(calls) == 12
+        calls.clear()
+        second = verify_theorem(transform, 8, n_mixed=12, seed=5)
+        assert calls == []
+        assert np.float64(second.max_error).tobytes() == np.float64(first.max_error).tobytes()
+
+    def test_states_are_read_only(self):
+        state = _mixed_state(8, 5, 3)
+        for array in (state.matrix, state.eigenvalues, state.leading):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_a_writing_transform_raises_and_corrupts_no_later_call(self):
+        s = random_symmetry(4, seed=31)
+        before = verify_theorem(self._apply(s), 4, n_mixed=3, seed=6)
+
+        def writes(rho):
+            out = apply_symmetry(s, rho)
+            rho.matrix[0, 0] += 1.0
+            return out
+
+        with pytest.raises(ValueError, match="read-only"):
+            verify_theorem(writes, 4, n_mixed=3, seed=6)
+        after = verify_theorem(self._apply(s), 4, n_mixed=3, seed=6)
+        assert np.float64(after.max_error).tobytes() == np.float64(before.max_error).tobytes()
+        assert after.symmetry.u.tobytes() == before.symmetry.u.tobytes()
+
+    def test_bounded_and_its_worst_case_memory_documented(self):
+        _mixed_state.cache_clear()
+        bound = _mixed_state.cache_info().maxsize
+        assert bound is not None
+        verify_theorem(self._apply(random_symmetry(2, seed=32)), 2, n_mixed=bound + 8, seed=7)
+        assert _mixed_state.cache_info().currsize == bound
+        # the largest entry at d = 64 is a full-rank draw
+        full = _mixed_state(64, 0, 63)
+        entry = full.matrix.nbytes + full.eigenvalues.nbytes + full.leading.nbytes
+        assert f"{entry / 2**10:.1f} KiB" in _mixed_state.__doc__
+        assert f"{bound * entry / 2**20:.1f} MiB" in _mixed_state.__doc__
 
 
 class TestRankViaCompatibility:
