@@ -130,11 +130,11 @@ def _split(op: SpectralOperator, rot: np.ndarray, k: int) -> tuple[np.ndarray, n
     if k == r:
         return rot.conj().T * root, np.zeros(0), np.zeros((0, op.dim), np.complex128)
     q, tri = np.linalg.qr(rot[:, :k] / root[:, None], mode="complete")
-    g = (op.leading[:, :r] * root) @ q[:, k:]
+    g = (support(op) * root) @ q[:, k:]
     return np.linalg.inv(tri[:k]), np.linalg.norm(g, axis=0), g.T
 
 
-def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -> MeasureResult:
+def _closed_form(a: SpectralOperator, b: SpectralOperator, feas_tol: float) -> MeasureResult:
     """tr([A]_S # [B]_S) and its certificate, in the argument order given.
 
     Q is an orthonormal basis of S, and F_A, F_B are factors of the shorts,
@@ -173,10 +173,8 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig) -
     rays = np.vstack([shared, rays_a, rays_b]) / norms[:, None]
     dec_a, dec_b = Decomposition(lam, rays), Decomposition(mu, rays)
     residual = float(max(np.linalg.norm(dec.reconstruction() - s.matrix) for dec, s in ((dec_a, a), (dec_b, b))))
-    if not residual <= cfg.feas_tol:  # also catches a NaN residual
-        raise InfeasibleError(
-            f"certificate residual {residual:.3e} exceeds feas_tol {cfg.feas_tol:.3e}"
-        )
+    if not residual <= feas_tol:  # also catches a NaN residual
+        raise InfeasibleError(f"certificate residual {residual:.3e} exceeds feas_tol {feas_tol:.3e}")
     value = min(1.0, float(np.sqrt(lam * mu).sum()))
     return MeasureResult(value, dec_a, dec_b, residual, 1, len(rays))
 
@@ -201,9 +199,9 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     _check_tolerance("feas_tol", cfg.feas_tol)
     key_a, key_b = a.matrix.tobytes(), b.matrix.tobytes()
     if key_b < key_a:
-        res = _closed_form(b, a, cfg)
+        res = _closed_form(b, a, cfg.feas_tol)
         return replace(res, decomposition_a=res.decomposition_b, decomposition_b=res.decomposition_a)
-    res = _closed_form(a, b, cfg)
+    res = _closed_form(a, b, cfg.feas_tol)
     if key_a != key_b:
         return res
     # one state on both sides: mirror A's decomposition, whose residual

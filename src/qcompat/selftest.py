@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NotASymmetryError, ValidationError
-from .measure import MeasureConfig, MeasureResult, _closed_form, example_measure, fidelity, is_compatible
+from .measure import DEFAULT_FEAS_TOL, MeasureResult, _closed_form, example_measure, fidelity, is_compatible
 from .states import (
     DEFAULT_EPS_RANK,
     SpectralOperator,
@@ -37,6 +37,7 @@ from .states import (
     random_density,
     random_pure,
     random_symmetry,
+    support,
     validate_density,
     validate_effect,
 )
@@ -75,12 +76,12 @@ def _dims(default: tuple[int, ...], cap: tuple[int, int] | None) -> tuple[int, .
     return chosen
 
 
-def _random_effect(dim: int, rank: int, rng) -> "np.ndarray":
+def _random_effect(dim: int, rank: int, rng) -> np.ndarray:
     u = haar_unitary(dim, rng)
     t = np.zeros(dim)
     t[:rank] = rng.uniform(0.05, 1.0, size=rank)
     t[: min(1, rank)] = rng.uniform(0.5, 1.0)  # keep one well-sized eigenvalue
-    m = (u[:, :dim] * t) @ u[:, :dim].conj().T
+    m = (u * t) @ u.conj().T
     return (m + m.conj().T) / 2.0
 
 
@@ -95,7 +96,7 @@ def _criterion_strength_oracle(seed: int, dims_cap, quick: bool) -> CriterionOut
         eff = validate_effect(_random_effect(d, rank, rng))
         if k % 3 == 0:  # exercise the in-range branch at every rank
             coef = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
-            v = eff.leading[:, :rank] @ coef
+            v = support(eff) @ coef
             phi = pure_state(v / np.linalg.norm(v))
         else:
             phi = random_pure(d, seed=rng)
@@ -203,7 +204,7 @@ def _measure_pair(a: SpectralOperator, b: SpectralOperator) -> tuple[MeasureResu
     when a certificate exists."""
     res, mirror = example_measure(a, b), example_measure(b, a)
     first, second = (b, a) if a.matrix.tobytes() <= b.matrix.tobytes() else (a, b)
-    other = _closed_form(first, second, MeasureConfig())
+    other = _closed_form(first, second, DEFAULT_FEAS_TOL)
     mirrored = (res.value, res.residual, _dec_bytes(res.decomposition_a), _dec_bytes(res.decomposition_b)) == (
         mirror.value,
         mirror.residual,

@@ -110,7 +110,8 @@ class SpectralOperator:
     of them when eigh gives them, at least the support otherwise (a drawn
     state stores exactly its support, a rank-one input its one ray), and
     every eigenvalue past m is zero. No kernel basis is kept: a ray's
-    distance from the support is its residual off ``leading[:, :rank]``.
+    distance from the support is its residual off `support`. Every
+    constructor stores ``leading`` C-ordered: products round by layout.
 
     ``source`` is the matrix itself, as validation and `random_density`
     store it, or a formula that builds it from the operator's spectral data
@@ -224,10 +225,8 @@ def _validate(matrix, density: bool) -> SpectralOperator:
     trace = float(m.trace().real)
     op = _as_rank_one(m, h, trace)
     if op is None:
-        # eigh's ascending eigenpairs reversed to descending, the eigenvectors
-        # copied F-contiguous (the layout later products round in)
         w, v = np.linalg.eigh(h)
-        op = SpectralOperator(m, w[::-1].copy(), np.asfortranarray(v[:, ::-1]))
+        op = SpectralOperator(m, w[::-1].copy(), v[:, ::-1].copy())
     w = op.eigenvalues
     if w[-1] < -PSD_TOL:
         raise NotPSDError(f"lowest eigenvalue {w[-1]:.3e} below -{PSD_TOL}")
@@ -299,8 +298,8 @@ def symmetry_op(u, antiunitary: bool = False) -> SymmetryOp:
 
 
 def support(op: SpectralOperator) -> np.ndarray:
-    """Orthonormal support basis: the eigenvectors above the rank threshold, as (dim, rank) columns."""
-    return op.leading[:, : op.numerical_rank].copy()
+    """The eigenvectors above the rank threshold as a (dim, rank) view of ``op.leading``; never write to it."""
+    return op.leading[:, : op.numerical_rank]
 
 
 def _principal_rotations(u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:

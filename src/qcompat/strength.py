@@ -35,6 +35,7 @@ from .states import (
     _check_tolerance,
     _random_rays,
     as_rng,
+    support,
 )
 
 # rays whose squared kernel component lands in (DEFAULT_EPS_MEM, NEAR_BOUNDARY_SQ]
@@ -55,16 +56,15 @@ class StrengthResult:
 def _strengths(effect: SpectralOperator, rays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed form on every column of ``rays``: values, in-range and near-boundary flags.
 
-    With V = ``leading[:, :rank]`` the support columns, a column's kernel
+    With V = ``support(effect)`` the support columns, a column's kernel
     weight is its squared residual off the support, |phi - V V* phi|^2. A
     column whose kernel weight exceeds DEFAULT_EPS_MEM gets value 0; one on
     the support gets 1 / sum_i |<e_i, phi>|^2 / t_i, clipped at 1.
     """
-    r = effect.numerical_rank
-    v = effect.leading[:, :r]
+    v = support(effect)
     coeffs = v.conj().T @ rays
     kernel_sq = (np.abs(rays - v @ coeffs) ** 2).sum(axis=0)
-    denom = (np.abs(coeffs) ** 2 / effect.eigenvalues[:r, None]).sum(axis=0)
+    denom = (np.abs(coeffs) ** 2 / effect.eigenvalues[: v.shape[1], None]).sum(axis=0)
     in_range = (kernel_sq <= DEFAULT_EPS_MEM) & (denom > 0.0)
     values = np.minimum(1.0, np.divide(1.0, denom, out=np.zeros_like(denom), where=in_range))
     near = (kernel_sq > DEFAULT_EPS_MEM) & (kernel_sq <= NEAR_BOUNDARY_SQ)

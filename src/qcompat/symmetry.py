@@ -412,9 +412,11 @@ def rank_via_compatibility(state: SpectralOperator, seed: int = 0) -> int:
     supp ``state``; `strength`'s ray test (`in_range`) asks that of each
     column of ``leading``. Those columns are orthonormal and hold the whole
     support (all d of them after eigh, just the support for a drawn or
-    rank-one state), so the compatible ones are a basis of the support, and
-    their count is the rank. No random ray is drawn. ``seed`` is accepted
-    and unused; one that is not an integer >= 0 still raises ValidationError.
+    rank-one state), so the compatible ones are a basis of the support: the
+    count equals ``numerical_rank`` by construction, and the function stays
+    only until ROADMAP items 4-5 rebuild the benchmark that calls it. No
+    random ray is drawn. ``seed`` is accepted and unused; one that is not an
+    integer >= 0 still raises ValidationError.
     """
     _check_dim(state.dim, _MIN_DIM)
     _check_count("seed", seed)

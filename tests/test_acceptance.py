@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from qcompat import selftest
-from qcompat.measure import MeasureConfig, _closed_form
+from qcompat.measure import DEFAULT_FEAS_TOL, _closed_form
 from qcompat.selftest import run_criteria
 
 IDENTS = [
@@ -62,7 +62,7 @@ def test_selftest_cli_output_is_byte_deterministic():
 
 def _unmirrored_measure(a, b, cfg=None):
     # the formula in argument order: right to rounding, but not bit-symmetric
-    return _closed_form(a, b, MeasureConfig())
+    return _closed_form(a, b, DEFAULT_FEAS_TOL)
 
 
 @pytest.mark.parametrize(

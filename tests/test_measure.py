@@ -23,7 +23,7 @@ from qcompat import (
     validate_density,
 )
 from qcompat import measure as measure_module
-from qcompat.measure import _closed_form
+from qcompat.measure import DEFAULT_FEAS_TOL, _closed_form
 from qcompat.selftest import _joint_decomposition
 from qcompat.states import (
     DEFAULT_EPS_MEM,
@@ -274,7 +274,7 @@ class TestExampleMeasure:
         a, b, _, lam, mu = _joint_decomposition(7, 4, child_rng(0, 23, 47))
         overlap = float(np.sqrt(lam * mu).sum())
         for x, y in ((a, b), (b, a)):
-            res = _closed_form(x, y, MeasureConfig())
+            res = _closed_form(x, y, DEFAULT_FEAS_TOL)
             assert abs(res.value - overlap) <= 1e-7
             assert res.residual <= 1e-11
 

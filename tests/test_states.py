@@ -34,7 +34,7 @@ from qcompat import (
 )
 from qcompat.states import DEFAULT_EPS_MEM, DEFAULT_EPS_RANK, SpectralOperator, _pure_density, child_rng
 from qcompat.strength import NEAR_BOUNDARY_SQ, _strengths
-from qcompat.symmetry import _probe_family
+from qcompat.symmetry import _mixed_state, _probe_family
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -69,16 +69,16 @@ class TestValidateDensity:
         assert list(d.eigenvalues) == sorted(d.eigenvalues, reverse=True)
 
     @pytest.mark.parametrize("d", [2, 5, 64])
-    def test_eigensystem_is_eigh_reversed_and_f_contiguous(self, d):
-        # later products round in the eigenvectors' layout; the maximally
-        # mixed state's equal eigenvalues keep eigh's columns reversed too.
-        # Rank >= 2, since a rank-one input skips eigh
+    def test_eigensystem_is_eigh_reversed_and_c_contiguous(self, d):
+        # later products round in the eigenvectors' layout, C order on every
+        # route; the maximally mixed state's equal eigenvalues keep eigh's
+        # columns reversed too. Rank >= 2, since a rank-one input skips eigh
         for m in (random_density(d, max(2, d // 2), seed=d).matrix, np.eye(d, dtype=complex) / d):
             op = validate_density(m)
             w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
             assert op.eigenvalues.tobytes() == w[::-1].tobytes()
             assert op.leading.tobytes() == v[:, ::-1].tobytes()
-            assert op.leading.flags.f_contiguous
+            assert op.leading.flags.c_contiguous
 
     @pytest.mark.parametrize("d", [2, 3, 64])
     def test_near_rank_one_inputs(self, d, monkeypatch):
@@ -198,7 +198,7 @@ class TestPureDensity:
                 (0.3 * p.projection, ((validate_effect(0.3 * p.projection), 2e-15),)),
             ):
                 w, v = eigh((m + m.conj().T) / 2.0)
-                ref = SpectralOperator(m, w[::-1].copy(), np.asfortranarray(v[:, ::-1]))
+                ref = SpectralOperator(m, w[::-1].copy(), v[:, ::-1].copy())
                 assert routes[-1][0].matrix.tobytes() == m.tobytes()
                 for op, atol in routes:
                     assert op.leading.shape == (d, 1)
@@ -248,36 +248,32 @@ class TestRandomDensity:
 
 
 class TestEigenvectorLayout:
-    """The memory layout each constructor hands out, as it stands.
+    """Every constructor stores ``leading`` C-contiguous.
 
-    Products such as `strength`'s round by the strides of ``leading``,
-    so a refactor that flips a layout moves result bytes. ROADMAP's
-    byte-stability item (one eigenvector layout) is open; until it lands,
-    any layout change has to show up here first.
+    Products such as `strength`'s round by the strides of ``leading``, so
+    one layout on every route keeps result bytes from depending on which
+    constructor built an operator.
     """
-
-    @staticmethod
-    def _flags(a):
-        return a.shape[1], a.flags.c_contiguous, a.flags.f_contiguous
 
     @pytest.mark.parametrize("d", [3, 64])
     def test_every_constructor(self, d):
         rho = random_density(d, 2, seed=d)
         pure = _pure_density(random_pure(d, seed=d))
         uni, anti = random_symmetry(d, seed=d), random_symmetry(d, antiunitary=True, seed=d)
-        # (stored columns, C-contiguous, F-contiguous) of leading
-        layouts = {
-            "validate_density": (validate_density(rho.matrix), (d, False, True)),
-            "validate_effect": (validate_effect(rho.matrix), (d, False, True)),
-            "random_density": (rho, (2, True, False)),
-            "_pure_density": (pure, (1, True, True)),
-            "validate_density of a pure state": (validate_density(pure.matrix), (1, True, True)),
-            "apply_symmetry": (apply_symmetry(uni, rho), (2, True, False)),
-            "apply_symmetry antiunitary": (apply_symmetry(anti, rho), (2, True, False)),
-            "apply_symmetry of a pure state": (apply_symmetry(anti, pure), (1, True, True)),
+        ops = {
+            "validate_density": validate_density(rho.matrix),
+            "validate_effect": validate_effect(rho.matrix),
+            "random_density": rho,
+            "_pure_density": pure,
+            "validate_density of a pure state": validate_density(pure.matrix),
+            "apply_symmetry": apply_symmetry(uni, rho),
+            "apply_symmetry antiunitary": apply_symmetry(anti, rho),
+            "apply_symmetry of a pure state": apply_symmetry(anti, pure),
+            "apply_symmetry of a validated state": apply_symmetry(uni, validate_density(rho.matrix)),
+            "_mixed_state": _mixed_state(d, 0, 1),
         }
-        for name, (op, leading) in layouts.items():
-            assert self._flags(op.leading) == leading, name
+        for name, op in ops.items():
+            assert op.leading.flags.c_contiguous, name
 
 
 class TestNumericalRank:
@@ -396,6 +392,18 @@ class TestSupportAndRange:
     def test_support_dimension(self):
         d = validate_density(np.diag([0.5, 0.5, 0.0]).astype(complex))
         assert support(d).shape == (3, 2)
+
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_support_is_a_view_of_leading(self, d):
+        # support hands out the stored columns themselves, never a copy, so on a
+        # shared read-only `_mixed_state` entry a write raises instead of landing
+        shared = _mixed_state(d, 0, 1)
+        for op in (validate_density(random_density(d, 2, seed=d).matrix), shared):
+            s = support(op)
+            assert np.shares_memory(s, op.leading)
+            assert s.shape == (d, op.numerical_rank)
+        with pytest.raises(ValueError):
+            support(shared)[0, 0] = 0.0
 
     def test_range_membership_inside(self):
         # strength's ray test: kernel weight at most the membership cut
