@@ -11,8 +11,11 @@ builds a decomposition pair that attains it, from at most one QR per side
 (its short to S as a triangular factor) and one SVD for the mean; no
 eigenproblem is solved. Every reported value is recomputed from that
 certificate, whose reconstruction residual is checked against the
-feasibility tolerance. Like #, the result is symmetric in A and B, bit for
-bit: swapping the arguments only swaps the two decompositions.
+feasibility tolerance. The formula is symmetric in A and B but its rounding
+is not, so one rule, `_side_key`, picks the side it starts from: the one
+whose kept spectrum is better conditioned, ties broken by the stored bytes.
+`fidelity` uses the same order. Like #, the result is then symmetric in A
+and B, bit for bit: swapping the arguments only swaps the two decompositions.
 
 The measure's upper bound, the Uhlmann fidelity ||sqrt(A) sqrt(B)||_1, is
 read from the same cached eigensystems: `fidelity` sums the singular values
@@ -101,15 +104,31 @@ def fidelity(a: SpectralOperator, b: SpectralOperator) -> float:
     r_A x r_B product, and no matrix square root is formed. The kernel
     columns are left out: the square root would lift a rounding-level
     kernel eigenvalue (~1e-17) to weight ~1e-9. The sum is capped
-    at 1 and evaluated in the order of the two matrices' bytes, like
+    at 1 and evaluated with the sides in `_side_key` order, like
     `example_measure`, so swapping the arguments gives a bit-identical value.
     """
     _check_same_dim("state", a.dim, b.dim)
-    if b.matrix.tobytes() < a.matrix.tobytes():
+    if _side_key(b) < _side_key(a):
         a, b = b, a
     root_a, root_b = (support(op) * np.sqrt(op.eigenvalues[: op.numerical_rank]) for op in (a, b))
     value = float(np.linalg.svd(root_a.conj().T @ root_b, compute_uv=False).sum())
     return min(1.0, value)
+
+
+def _side_key(op: SpectralOperator) -> tuple[float, bytes, bytes, bytes]:
+    """The order in which the two-sided formulas take their sides: smaller key first.
+
+    First lam_max / lam_r of the kept spectrum (r = numerical_rank, 1 at
+    rank 0), so the better-conditioned side goes first: `_closed_form`
+    builds the shared rays from the first side's factor and rebuilds the
+    second through sigma^2 lam, where an ill-conditioned side costs
+    residual. Then the matrix bytes, the eigenvalue bytes and the
+    ``leading`` bytes break ties, so equal keys mean identical stored data
+    and the order does not depend on the order of the arguments.
+    """
+    r, w = op.numerical_rank, op.eigenvalues
+    ratio = float(w[0] / w[r - 1]) if r else 1.0
+    return ratio, op.matrix.tobytes(), w.tobytes(), op.leading.tobytes()
 
 
 def _split(op: SpectralOperator, rot: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,11 +201,12 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, feas_tol: float) -> M
 def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig | None = None) -> MeasureResult:
     """The measure tr([A]_S # [B]_S), with the joint decomposition that attains it.
 
-    The closed form runs once, on the two states in the order of their matrix
-    bytes, so swapping ``a`` and ``b`` gives a bit-identical value, residual
-    and certificate, with the two decompositions swapped. When the bytes are
-    equal, both sides get A's decomposition, and the value (sum of its
-    weights) and residual are recomputed from it.
+    The closed form runs once, with the side of smaller `_side_key` first
+    (the better-conditioned one), so swapping ``a`` and ``b`` gives a
+    bit-identical value, residual and certificate, with the two
+    decompositions swapped. When the matrix bytes are equal, both sides get
+    the first side's decomposition, and the value (sum of its weights) and
+    residual are recomputed from it.
 
     Returns 0 with no certificate when the supports are disjoint. Raises
     ValidationError for a ``cfg`` that breaks `MeasureConfig`'s rules, and
@@ -197,19 +217,19 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     cfg = cfg or MeasureConfig()
     _check_count("restarts", cfg.restarts, 1)
     _check_tolerance("feas_tol", cfg.feas_tol)
-    key_a, key_b = a.matrix.tobytes(), b.matrix.tobytes()
-    if key_b < key_a:
-        res = _closed_form(b, a, cfg.feas_tol)
-        return replace(res, decomposition_a=res.decomposition_b, decomposition_b=res.decomposition_a)
-    res = _closed_form(a, b, cfg.feas_tol)
-    if key_a != key_b:
-        return res
-    # one state on both sides: mirror A's decomposition, whose residual
-    # _closed_form has already checked against feas_tol
+    key_a, key_b = _side_key(a), _side_key(b)
+    swapped = key_b < key_a
+    res = _closed_form(b, a, cfg.feas_tol) if swapped else _closed_form(a, b, cfg.feas_tol)
     dec = res.decomposition_a
-    value = min(1.0, float(dec.weights.sum()))
-    residual = float(np.linalg.norm(dec.reconstruction() - a.matrix))
-    return replace(res, value=value, residual=residual, decomposition_b=dec)
+    if key_a[1] == key_b[1] and dec is not None:
+        # one matrix on both sides: mirror the first side's decomposition,
+        # whose residual _closed_form has already checked against feas_tol
+        value = min(1.0, float(dec.weights.sum()))
+        residual = float(np.linalg.norm(dec.reconstruction() - a.matrix))
+        return replace(res, value=value, residual=residual, decomposition_b=dec)
+    if swapped:
+        return MeasureResult(res.value, res.decomposition_b, dec, res.residual, res.restarts_used, res.components)
+    return res
 
 
 # already independent of argument order; the name stays for existing callers

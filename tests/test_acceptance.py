@@ -8,13 +8,15 @@ FAIL line per criterion.  Run with ``-s`` to see the lines as they appear:
 """
 
 import json
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from qcompat import selftest
-from qcompat.measure import DEFAULT_FEAS_TOL, _closed_form
+from qcompat.measure import DEFAULT_FEAS_TOL, _closed_form, _side_key
 from qcompat.selftest import run_criteria
 
 IDENTS = [
@@ -65,17 +67,27 @@ def _unmirrored_measure(a, b, cfg=None):
     return _closed_form(a, b, DEFAULT_FEAS_TOL)
 
 
+def _ill_first_measure(a, b, cfg=None):
+    # mirrors bit for bit, but starts the formula from the worse-conditioned side
+    if _side_key(a) < _side_key(b):
+        res = _closed_form(b, a, DEFAULT_FEAS_TOL)
+        return replace(res, decomposition_a=res.decomposition_b, decomposition_b=res.decomposition_a)
+    return _closed_form(a, b, DEFAULT_FEAS_TOL)
+
+
 @pytest.mark.parametrize(
-    "name, stand_in, failed",
+    "name, stand_in, seed, quick, sign",
     [
-        ("example_measure", _unmirrored_measure, "pair-"),
-        ("is_compatible", lambda a, b: False, "pair-"),
-        ("is_compatible", lambda a, b: True, "disjoint-"),
+        ("example_measure", _unmirrored_measure, 0, True, r"'pair-"),
+        ("is_compatible", lambda a, b: False, 0, True, r"'pair-"),
+        ("is_compatible", lambda a, b: True, 0, True, r"'disjoint-"),
+        # check (vi) alone: every pair mirrors, and the residual exceeds 1e-12
+        ("example_measure", _ill_first_measure, 111, False, r"max_residual=\d\.\d+e-1[12] .*failures=\[\]"),
     ],
-    ids=["measure-stops-mirroring", "never-compatible", "always-compatible"],
+    ids=["measure-stops-mirroring", "never-compatible", "always-compatible", "measure-starts-ill-conditioned"],
 )
-def test_measure_exact_catches(monkeypatch, name, stand_in, failed):
+def test_measure_exact_catches(monkeypatch, name, stand_in, seed, quick, sign):
     monkeypatch.setattr(selftest, name, stand_in)
-    outcome = selftest._criterion_measure_exact(0, None, True)
+    outcome = selftest._criterion_measure_exact(seed, None, quick)
     assert not outcome.passed
-    assert f"'{failed}" in outcome.detail
+    assert re.search(sign, outcome.detail)

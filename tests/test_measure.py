@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from qcompat import (
     random_density,
     strength,
     validate_density,
+    validate_effect,
 )
 from qcompat import measure as measure_module
 from qcompat.measure import DEFAULT_FEAS_TOL, _closed_form
@@ -192,14 +194,20 @@ class TestExampleMeasure:
         assert abs(res.value - 1.0) <= 1e-9
         assert res.residual <= 1e-9
 
-    @pytest.mark.parametrize("d,rank,seed", [(1, 1, 0), (2, 1, 3), (3, 2, 4), (4, 4, 5), (8, 5, 6)])
+    @pytest.mark.parametrize(
+        "d,rank,seed", [(1, 1, 0), (2, 1, 3), (3, 2, 4), (4, 4, 5), (8, 5, 6), (16, 9, 7), (MAX_DIM, 40, 8)]
+    )
     def test_byte_equal_inputs_mirror_one_decomposition(self, d, rank, seed):
+        # a drawn state and its eigh-validated copy: one matrix, two spectra that differ in the last bits
         a = random_density(d, rank, seed=seed)
         for b in (a, validate_density(a.matrix.copy())):
-            res = example_measure(a, b)
+            res, swapped = example_measure(a, b), example_measure(b, a)
             assert res.decomposition_a.weights.tobytes() == res.decomposition_b.weights.tobytes()
             assert abs(res.value - 1.0) <= 1e-12
             assert res.residual <= 1e-12
+            _assert_bit_identical(
+                res, replace(swapped, decomposition_a=swapped.decomposition_b, decomposition_b=swapped.decomposition_a)
+            )
 
     def test_disjoint_supports_give_zero(self):
         u = haar_unitary(4, seed=2)
@@ -326,6 +334,34 @@ class TestExampleMeasure:
         res = example_measure(a, b, MeasureConfig(restarts=3, seed=seed))
         assert 0.0 <= res.value <= 1.0
         assert res.residual <= MeasureConfig().feas_tol
+
+
+# the measure-exact pairs (seed, k, kind) of d = 5 whose worse-conditioned side, taken
+# first, rebuilt the other side at 1.39e-12, 3.13e-12 and 1.19e-12; lam_max / lam_r is
+# 7.97 against 3.14e4, 3.66e4 against 5.36 and 6.22e4 against 135
+ILL_FIRST_PAIRS = [(111, 80, 0), (250, 52, 0), (948, 94, 2)]
+
+
+class TestSideOrder:
+    """One rule, `_side_key`, picks the side the closed form and the fidelity start from."""
+
+    @pytest.mark.parametrize("seed,k,kind", ILL_FIRST_PAIRS)
+    def test_better_conditioned_side_goes_first(self, seed, k, kind):
+        a, b, *_ = _joint_decomposition(5, kind, child_rng(seed, 22, k))
+        ratio_a, ratio_b = (op.eigenvalues[0] / op.eigenvalues[op.numerical_rank - 1] for op in (a, b))
+        assert max(ratio_a, ratio_b) > 1e4 and min(ratio_a, ratio_b) < 200
+        assert (measure_module._side_key(a) < measure_module._side_key(b)) == (ratio_a < ratio_b)
+        for x, y in ((a, b), (b, a)):
+            assert example_measure(x, y).residual <= 1e-12
+
+    def test_rank_zero_side_divides_nothing(self):
+        zero = validate_effect(np.zeros((3, 3), dtype=complex))
+        a = random_density(3, 2, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in ((zero, a), (a, zero), (zero, zero)):
+                assert example_measure(x, y).value == 0.0
+                assert fidelity(x, y) == 0.0
 
 
 class TestFactorizations:
