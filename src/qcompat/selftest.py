@@ -1,8 +1,8 @@
 """Built-in verification suite shared by the CLI and the test battery.
 
 Eight criteria: strength against its bisection oracle, the two-state closed
-form, the exact measure, symmetry round trips, adversarial rejection, rank
-detection, symmetry invariance and determinism. `measure-exact` holds every
+form, the exact measure, symmetry round trips, adversarial rejection, the
+rank cut, symmetry invariance and determinism. `measure-exact` holds every
 check of the measure: on constructed joint decompositions (known overlap, a
 pure side, commuting states, ill-conditioned weights) it bounds the value
 by the one-ray bound and the fidelity and the residual of the certificate
@@ -45,7 +45,6 @@ from .states import (
 from .strength import strength, strength_oracle, two_state_formula
 from .symmetry import (
     apply_symmetry,
-    rank_via_compatibility,
     symmetry_overlap,
     transform_pure,
     transition_prob,
@@ -439,45 +438,46 @@ def _criterion_adversarial(seed: int, dims_cap, quick: bool) -> CriterionOutcome
     )
 
 
-def _edge_density(d: int, rank: int, rng) -> SpectralOperator:
-    """Validated state of rank 2..d-1 whose smallest kept and largest dropped
-    eigenvalues lie within 10x of the rank cut, above and below it, each at
-    least a factor 10^0.1 away from it, far beyond eigh's rounding."""
+def _edge_density(d: int, rank: int, rng, below: tuple[float, float]) -> SpectralOperator:
+    """Validated state of rank 1..d: its smallest kept eigenvalue (rank >= 2) sits 10^U(0.1, 1)
+    times the rank cut, its largest dropped one (rank < d) 10^U(``below``) times it, far beyond
+    eigh's rounding either way."""
     u = haar_unitary(d, rng)
     w = np.zeros(d)
-    w[: rank - 1] = np.sort(rng.uniform(0.5, 1.0, rank - 1))[::-1]
-    w[rank - 1] = w[0] * DEFAULT_EPS_RANK * 10.0 ** rng.uniform(0.1, 1.0)
-    w[rank] = w[0] * DEFAULT_EPS_RANK * 10.0 ** rng.uniform(-1.0, -0.1)
+    w[:rank] = np.sort(rng.uniform(0.5, 1.0, rank))[::-1]
+    if rank >= 2:
+        w[rank - 1] = w[0] * DEFAULT_EPS_RANK * 10.0 ** rng.uniform(0.1, 1.0)
+    if rank < d:
+        w[rank] = w[0] * DEFAULT_EPS_RANK * 10.0 ** rng.uniform(*below)
     m = (u * (w / w.sum())) @ u.conj().T
     return validate_density((m + m.conj().T) / 2.0)
 
 
-def _criterion_rank_detection(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
+def _criterion_rank_cut(seed: int, dims_cap, quick: bool) -> CriterionOutcome:
     dims = _dims((2, 3, 4, 5, 8, 16, 32, 64), dims_cap)
-    total = 40 if quick else 200
-    # states at the rank cut need a kept and a dropped eigenvalue besides
-    # the largest, so d >= 3
-    edge_dims = [d for d in dims if d >= 3]
-    n_edge = (1 if quick else 4) * len(edge_dims)
     bad = []
-    for k in range(total + n_edge):
-        if k < total:
-            d = dims[k % len(dims)]
-            rank = 1 + (k // len(dims)) % d
-            state = random_density(d, rank, seed=child_rng(seed, 20, k))
-        else:
-            j = k - total
-            d = edge_dims[j % len(edge_dims)]
-            rank = 2 + (j // len(edge_dims)) % (d - 2)
-            state = _edge_density(d, rank, child_rng(seed, 24, j))
-        if not rank_via_compatibility(state) == state.numerical_rank == rank:
-            bad.append(k)
-    ok = not bad
+    n = n_rank_one = 0
+    for d in dims:
+        for j in range(1 if quick else 4):
+            rng = child_rng(seed, 24, d, j)
+            # rank 1, one drawn rank in between where there is one, and rank d,
+            # each at the cut; then rank 1 dropping 1e-16..1e-13 of the top,
+            # where validation's rank-one route can decide without eigh
+            ranks = (1, d) if d == 2 else (1, int(rng.integers(2, d)), d)
+            rows = [(rank, (-1.0, -0.1)) for rank in ranks] + [(1, (-6.0, -3.0))]
+            for rank, below in rows:
+                state = _edge_density(d, rank, rng, below)
+                n_rank_one += state.leading.shape[1] == 1
+                if state.numerical_rank != rank:
+                    bad.append(n)
+                n += 1
     return CriterionOutcome(
-        "rank-detection",
-        "compatibility queries recover the spectral rank",
-        ok,
-        f"n={total + n_edge} failures={bad!r}",
+        "rank-cut",
+        "at ranks 1 to d the rank cut (1e-10 of the largest eigenvalue) keeps an eigenvalue 10^0.1 to 10 "
+        "times above it and drops one 10^0.1 to 10 times below it, and rank 1 holds when the one dropped "
+        "eigenvalue is 1e-16 to 1e-13 of the largest",
+        not bad,
+        f"n={n} rank_one_route={n_rank_one} failures={bad!r}",
     )
 
 
@@ -526,7 +526,7 @@ def _criterion_determinism(seed: int, dims_cap, quick: bool) -> CriterionOutcome
     def probe() -> bytes:
         outs = [
             _criterion_two_state(seed, dims_cap, True),
-            _criterion_rank_detection(seed, dims_cap, True),
+            _criterion_rank_cut(seed, dims_cap, True),
         ]
         return json.dumps([asdict(o) for o in outs], sort_keys=True).encode()
 
@@ -546,7 +546,7 @@ _CRITERIA = (
     _criterion_measure_exact,
     _criterion_roundtrip,
     _criterion_adversarial,
-    _criterion_rank_detection,
+    _criterion_rank_cut,
     _criterion_invariance,
     _criterion_determinism,
 )

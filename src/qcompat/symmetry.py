@@ -42,8 +42,8 @@ re-validates a pure image run eigh: `validate_density` stores a rank-one
 input's one ray without it. The seeded mixed states are drawn once per
 (dim, seed, k) and shared read-only between calls (`_mixed_state`).
 
-Also here: rank estimation through compatibility queries alone, which asks
-`strength`'s ray test of each stored eigenvector.
+Also here: `rank_via_compatibility`, another name for `numerical_rank`
+that only the benchmark still calls.
 """
 
 from __future__ import annotations
@@ -69,12 +69,17 @@ from .states import (
     random_density,
     symmetry_op,
 )
-from .strength import _strengths, effects_equal_by_strength
+from .strength import effects_equal_by_strength
 
 _RAY_MATCH = 1.0 - 1e-10
 _DUPLICATE_OVERLAP = 1.0 - 1e-8
 # the reconstruction story is vacuous on a one-dimensional space
 _MIN_DIM = 2
+
+
+def _rounding_floor(tol: float) -> float:
+    """``tol`` raised to 1e-12, so rounding (~1e-16) alone never fails an exact map, even at tol=0."""
+    return max(tol, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -220,9 +225,7 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
 def _reconstruct(ins: np.ndarray, outs: np.ndarray, tol: float) -> SymmetryOp:
     """`wigner_reconstruct` on the map's input and output rays, stacked as rows."""
     d = ins.shape[1]
-    # rounding alone moves a transition probability by ~1e-16, so even tol=0
-    # accepts an exact map
-    floor = max(tol, 1e-12)
+    floor = _rounding_floor(tol)
 
     # transition probabilities must already match on every input pair
     t_in, t_out = _overlaps(ins, ins), _overlaps(outs, outs)
@@ -367,7 +370,7 @@ def verify_theorem(
                 f"map output rejected on probe {label}: {exc}", probe=label
             ) from exc
         top = out.eigenvalues[0]
-        if top < 1.0 - max(tol, 1e-12):
+        if top < 1.0 - _rounding_floor(tol):
             raise NotASymmetryError(
                 f"pure probe {label} maps to a mixed state (top weight {top:.8f})",
                 probe=label,
@@ -406,19 +409,11 @@ def verify_theorem(
 
 
 def rank_via_compatibility(state: SpectralOperator, seed: int = 0) -> int:
-    """Operational rank: count the stored eigenvector rays compatible with the state.
+    """``state.numerical_rank``, kept under this name only because the benchmark still calls it.
 
-    A pure state is compatible with ``state`` exactly when its ray lies in
-    supp ``state``; `strength`'s ray test (`in_range`) asks that of each
-    column of ``leading``. Those columns are orthonormal and hold the whole
-    support (all d of them after eigh, just the support for a drawn or
-    rank-one state), so the compatible ones are a basis of the support: the
-    count equals ``numerical_rank`` by construction, and the function stays
-    only until ROADMAP items 4-5 rebuild the benchmark that calls it. No
-    random ray is drawn. ``seed`` is accepted and unused; one that is not an
-    integer >= 0 still raises ValidationError.
+    Raises DimensionMismatchError for a dim below 2 and ValidationError for
+    a ``seed`` that is not an integer >= 0; ``seed`` is otherwise unused.
     """
     _check_dim(state.dim, _MIN_DIM)
     _check_count("seed", seed)
-    return int(np.count_nonzero(_strengths(state, state.leading)[1]))
-
+    return state.numerical_rank

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from qcompat import selftest
+from qcompat import selftest, states
 from qcompat.measure import DEFAULT_FEAS_TOL, _closed_form, _side_key
 from qcompat.selftest import run_criteria
 
@@ -25,7 +25,7 @@ IDENTS = [
     "measure-exact",
     "symmetry-roundtrip",
     "adversarial-rejection",
-    "rank-detection",
+    "rank-cut",
     "symmetry-invariance",
     "determinism",
 ]
@@ -91,3 +91,13 @@ def test_measure_exact_catches(monkeypatch, name, stand_in, seed, quick, sign):
     outcome = selftest._criterion_measure_exact(seed, None, quick)
     assert not outcome.passed
     assert re.search(sign, outcome.detail)
+
+
+@pytest.mark.parametrize("eps_rank", [1e-9, 1e-11], ids=["cut-too-high", "cut-too-low"])
+@pytest.mark.parametrize("dims_cap", [None, (2, 2)], ids=["all-dims", "d2"])
+def test_rank_cut_catches(monkeypatch, eps_rank, dims_cap):
+    # the selftest binds its own copy of the cut, so its states stay where they were drawn
+    monkeypatch.setattr(states, "DEFAULT_EPS_RANK", eps_rank)
+    outcome = selftest._criterion_rank_cut(0, dims_cap, True)
+    assert not outcome.passed
+    assert re.search(r"failures=\[\d", outcome.detail)

@@ -16,6 +16,7 @@ from qcompat import cli, io, random_density, random_pure, random_symmetry, symme
 
 UNREACHED = {
     "symmetry_probe_map": "it builds the map that io.save_map writes, and CI's hash-seed script calls it",
+    "rank_via_compatibility": "only the benchmark calls it; ROADMAP item 4 deletes it with the benchmark rebuild",
 }
 
 
