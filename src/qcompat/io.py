@@ -102,9 +102,7 @@ def symmetry_payload(sym: SymmetryOp) -> dict:
 def map_payload(pmap: PureStateMap) -> dict:
     return {
         "dim": pmap.dim,
-        "pairs": [
-            [vector_payload(p.vector), vector_payload(q.vector)] for p, q in pmap.pairs
-        ],
+        "pairs": [[vector_payload(p), vector_payload(q)] for p, q in zip(pmap.ins, pmap.outs)],
     }
 
 

@@ -30,9 +30,7 @@ from .states import (
     DEFAULT_EPS_MEM,
     PureState,
     SpectralOperator,
-    _check_count,
     _check_same_dim,
-    _check_tolerance,
     _random_rays,
     as_rng,
     support,
@@ -44,6 +42,9 @@ NEAR_BOUNDARY_SQ = 1e-4
 PSD_FLOOR = -1e-13
 BISECTION_MAX_ITER = 80
 BISECTION_TOL = 1e-10
+# effects_equal_by_strength's random ray count and largest strength gap it calls equal
+EQUALITY_RAYS = 8
+EQUALITY_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -165,25 +166,21 @@ def two_state_formula(weight_low: float, weight_high: float, overlap: float) -> 
     return weight_low * weight_high / ((weight_high - weight_low) * x + weight_low)
 
 
-def effects_equal_by_strength(
-    first: SpectralOperator, second: SpectralOperator, n_rays: int = 50, seed=0, tol: float = 1e-8
-) -> bool:
+def effects_equal_by_strength(first: SpectralOperator, second: SpectralOperator, seed=0) -> bool:
     """Probe two effects along sampled rays and compare their strengths.
 
     The ray set always contains the stored eigenvector rays (``leading``)
-    of both effects, plus ``n_rays`` seeded random rays, the same ones
-    ``n_rays`` `random_pure` calls would draw. Random rays alone cannot
+    of both effects, plus EQUALITY_RAYS seeded random rays, the same ones
+    that many `random_pure` calls would draw. Random rays alone cannot
     separate effects with different supports, since the strength vanishes
     identically off-range; but then some stored support ray of one effect
     lies off the other's support, where only its own strength is nonzero.
     All rays sit in one array, and each effect's strengths come from one
-    stacked product. Raises ValidationError for a ``tol`` that is negative
-    or not finite, and for an ``n_rays`` that is not an integer >= 0.
+    stacked product. The effects are equal when no ray's strengths differ
+    by more than EQUALITY_GAP.
     """
     _check_same_dim("effect", first.dim, second.dim)
-    _check_tolerance("tol", tol)
-    _check_count("n_rays", n_rays)
     eig_rays = np.hstack([first.leading, second.leading])
-    rays = np.hstack([eig_rays / np.linalg.norm(eig_rays, axis=0), _random_rays(first.dim, n_rays, as_rng(seed))])
+    rays = np.hstack([eig_rays / np.linalg.norm(eig_rays, axis=0), _random_rays(first.dim, EQUALITY_RAYS, as_rng(seed))])
     gap = np.abs(_strengths(first, rays)[0] - _strengths(second, rays)[0])
-    return bool(np.all(gap <= tol))
+    return bool(np.all(gap <= EQUALITY_GAP))

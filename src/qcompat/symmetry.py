@@ -7,21 +7,16 @@ NotASymmetryError naming the probe that failed. `verify_theorem` closes the
 loop for a full state map: reconstruct from pure probes, then confirm the
 operator reproduces the map on mixed states and on strength functionals.
 
-The pairwise checks (duplicate inputs, preserved transition probabilities,
-probe matching and the final reproduction of every pair) are Gram-matrix
-tests over the stacked input and output rays, and an error names the first
-failing pair in row-major (i, j) order. The probe family itself is built as
-one (2 dim, dim) array of rays (`_probe_family`), which probe matching reads
-directly.
-
-`verify_theorem` works on arrays: it feeds the map the family's rows, stacks
-each image's top eigenvector into one (2 dim, dim) array, and hands both to
-`_reconstruct`, the core `wigner_reconstruct` runs after stacking a
-`PureStateMap`. It builds no `PureStateMap`, so it skips that map's
-duplicate-input check, which is vacuous on the probe family: its rays are
-distinct by construction. Probe matching, the transition and the
-reproduction checks run as for any map, so the operator is bit for bit the
-one `wigner_reconstruct` builds from the same pairs.
+A `PureStateMap` holds its rays stacked: row i of ``ins`` maps to row i of
+``outs``. The pairwise checks (duplicate inputs, preserved transition
+probabilities, probe matching and the final reproduction of every pair) are
+Gram-matrix tests over those arrays, and an error names the first failing
+pair in row-major (i, j) order. The probe family itself is built as one
+(2 dim, dim) array of rays (`_probe_family`), which probe matching reads
+directly. `pure_state_map` validates pairs that come from outside;
+`symmetry_probe_map` and `verify_theorem` build their maps directly from
+the probe family, whose rays are distinct by construction, and
+`verify_theorem` reconstructs through `wigner_reconstruct` like any caller.
 
 No eigendecomposition is repeated for data that is already known. The pure
 probes that `verify_theorem` feeds to the map get their spectral data in
@@ -84,10 +79,14 @@ def _rounding_floor(tol: float) -> float:
 
 @dataclass(frozen=True)
 class PureStateMap:
-    """Finite list of (input ray, output ray) pairs, inputs pairwise distinct."""
+    """Input rays mapped to output rays: row i of ``ins`` to row i of ``outs``, both (n, dim)."""
 
-    dim: int
-    pairs: tuple[tuple[PureState, PureState], ...]
+    ins: np.ndarray
+    outs: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.ins.shape[1]
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,7 @@ def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:
 
 
 def pure_state_map(pairs) -> PureStateMap:
+    """The map of (input, output) `PureState` pairs, checked: nonempty, one dim of 2..64, distinct inputs."""
     pairs = tuple((p, q) for p, q in pairs)
     if not pairs:
         raise ValidationError("map needs at least one pair")
@@ -133,7 +133,7 @@ def pure_state_map(pairs) -> PureStateMap:
     dup = _first_pair(_overlaps(ins, ins) > _DUPLICATE_OVERLAP)
     if dup is not None:
         raise ValidationError(f"duplicate input ray at pairs {dup[0]} and {dup[1]}")
-    return PureStateMap(dim, pairs)
+    return PureStateMap(ins, _rays(q for _, q in pairs))
 
 
 def _probe_family(dim: int) -> tuple[tuple[str, ...], np.ndarray]:
@@ -192,9 +192,9 @@ def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator
 
 
 def symmetry_probe_map(sym: SymmetryOp) -> PureStateMap:
-    """The map of `_probe_family`'s rays to their images under ``sym``; each state owns its vector."""
-    probes = (PureState(ray.copy()) for ray in _probe_family(sym.dim)[1])
-    return pure_state_map([(p, transform_pure(sym, p)) for p in probes])
+    """The map of `_probe_family`'s rays to their `transform_pure` images under ``sym``."""
+    rays = _probe_family(sym.dim)[1]
+    return PureStateMap(rays, _rays(transform_pure(sym, PureState(ray)) for ray in rays))
 
 
 def symmetry_overlap(first: SymmetryOp, second: SymmetryOp) -> float:
@@ -216,15 +216,11 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     |<in_i|in_j>|^2 and |<out_i|out_j>|^2 of the stacked rays on i < j, and
     probe matching and the final reproduction check are one matrix product
     each; every error names the first failing pair in row-major order.
+    It does not check the inputs for duplicates: `pure_state_map` does that.
     Raises ValidationError for a ``tol`` that is negative or not finite.
     """
     _check_tolerance("tol", tol)
-    return _reconstruct(_rays(p for p, _ in pmap.pairs), _rays(q for _, q in pmap.pairs), tol)
-
-
-def _reconstruct(ins: np.ndarray, outs: np.ndarray, tol: float) -> SymmetryOp:
-    """`wigner_reconstruct` on the map's input and output rays, stacked as rows."""
-    d = ins.shape[1]
+    ins, outs, d = pmap.ins, pmap.outs, pmap.dim
     floor = _rounding_floor(tol)
 
     # transition probabilities must already match on every input pair
@@ -333,6 +329,8 @@ def verify_theorem(
     eigenvector, read from its stored columns, must be a unit vector (else
     NotUnitVectorError); the probes
     run in `_probe_family` order and the first failing one stops the loop.
+    The probe rays and those top eigenvectors form the `PureStateMap` that
+    `wigner_reconstruct` rebuilds the operator from.
     Each probe reaches ``transform`` with its spectral data built in closed
     form and its matrix not yet built, and the loop reads only each image's
     top eigenvalue and first stored column, so with an `apply_symmetry`
@@ -378,7 +376,7 @@ def verify_theorem(
         images.append(pure_state(out.leading[:, 0]).vector)
         _check_same_dim("map entry", dim, images[-1].shape[0])
 
-    sym = _reconstruct(probes, np.array(images), tol)
+    sym = wigner_reconstruct(PureStateMap(probes, np.array(images)), tol)
 
     failures: list[str] = []
     max_error = 0.0
@@ -394,9 +392,7 @@ def verify_theorem(
         max_error = max(max_error, err)
         if err > tol:
             failures.append(f"mixed-{k}")
-        elif k < 2 and not effects_equal_by_strength(
-            actual, predicted, n_rays=8, seed=seed, tol=1e-6
-        ):
+        elif k < 2 and not effects_equal_by_strength(actual, predicted, seed=seed):
             failures.append(f"strength-{k}")
 
     return VerificationResult(

@@ -72,6 +72,12 @@ def files(tmp_path_factory):
     save_symmetry(p("sym.json"), sym)
     save_map(p("map_unitary.json"), symmetry_probe_map(random_symmetry(2, antiunitary=False, seed=3)))
     save_map(p("map_antiunitary.json"), symmetry_probe_map(random_symmetry(4, antiunitary=True, seed=4)))
+    # the d = 4 probe map with its first pair appended as pair 2d = 8
+    with open(p("map_antiunitary.json")) as fh:
+        dup = json.load(fh)
+    dup["pairs"].append(dup["pairs"][0])
+    with open(p("map_duplicate.json"), "w") as fh:
+        json.dump(dup, fh)
 
     labels, rays = _probe_family(2)
     probes = [pure_state(ray) for ray in rays]
@@ -345,6 +351,14 @@ class TestVerifyCommand:
         rc, rep, _ = run_cli("verify", "--symmetry", files("sym.json"), "--n-mixed", "0")
         assert rc == 3
         assert rep["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "verify"])
+def test_duplicate_input_map_file_is_validation_error(files, command):
+    # a map file reaches both commands through pure_state_map, which rejects the repeated input
+    rc, rep, _ = run_cli(command, "--map", files("map_duplicate.json"))
+    assert rc == 3
+    assert rep["error"] == {"type": "ValidationError", "message": "duplicate input ray at pairs 0 and 8"}
 
 
 TOLERANCE_FLAGS = [

@@ -60,10 +60,8 @@ class TestRoundTrips:
         save_map(path, pmap)
         out = load_map(path)
         assert out.dim == 3
-        assert len(out.pairs) == len(pmap.pairs)
-        for (p, q), (p2, q2) in zip(pmap.pairs, out.pairs):
-            np.testing.assert_array_equal(p.vector, p2.vector)
-            np.testing.assert_array_equal(q.vector, q2.vector)
+        np.testing.assert_array_equal(out.ins, pmap.ins)
+        np.testing.assert_array_equal(out.outs, pmap.outs)
 
 
 class TestParsing:

@@ -140,7 +140,6 @@ TOLERANCES = {
     "example_measure": (lambda t: example_measure(A3, A3, MeasureConfig(feas_tol=t)), "feas_tol"),
     "wigner_reconstruct": (lambda t: wigner_reconstruct(symmetry_probe_map(S3), tol=t), "tol"),
     "verify_theorem": (lambda t: verify_theorem(_by_s3, 3, n_mixed=1, tol=t), "tol"),
-    "effects_equal_by_strength": (lambda t: effects_equal_by_strength(A3, A3, tol=t), "tol"),
 }
 
 
@@ -156,7 +155,6 @@ def test_tolerance_is_finite_and_nonnegative(entry, tol):
 COUNTS = {
     "example_measure": (lambda n: example_measure(A3, A3, MeasureConfig(restarts=n)), "restarts", 1),
     "verify_theorem": (lambda n: verify_theorem(_by_s3, 3, n_mixed=n), "n_mixed", 1),
-    "effects_equal_by_strength": (lambda n: effects_equal_by_strength(A3, A3, n_rays=n), "n_rays", 0),
 }
 
 

@@ -10,6 +10,8 @@ from qcompat import (
     IncompleteMapError,
     NotASymmetryError,
     NotUnitVectorError,
+    PureState,
+    PureStateMap,
     SpectralOperator,
     TraceNotOneError,
     ValidationError,
@@ -42,6 +44,11 @@ def _basis(i, d):
     v = np.zeros(d, dtype=complex)
     v[i] = 1.0
     return pure_state(v)
+
+
+def _pairs(pmap):
+    """The map's rows as (input, output) pure-state pairs."""
+    return [(PureState(x), PureState(y)) for x, y in zip(pmap.ins, pmap.outs)]
 
 
 class TestTransitionProb:
@@ -245,13 +252,23 @@ class TestProbeFamily:
         assert rays.tobytes() == b"".join(p.vector.tobytes() for _, p in want)
         # symmetry_probe_map's inputs are the same rays, in the same order
         pmap = symmetry_probe_map(symmetry_op(np.eye(d)))
-        assert [p.vector.tobytes() for p, _ in pmap.pairs] == [p.vector.tobytes() for _, p in want]
+        assert pmap.ins.tobytes() == b"".join(p.vector.tobytes() for _, p in want)
 
     @pytest.mark.parametrize("d", [2, 3, 64])
-    def test_states_own_their_vectors(self, d):
-        for p, q in symmetry_probe_map(random_symmetry(d, seed=d)).pairs:
-            assert p.vector.base is None
-            assert q.vector.base is None
+    def test_map_owns_its_two_arrays(self, d):
+        pmap = symmetry_probe_map(random_symmetry(d, seed=d))
+        assert pmap.ins.base is None
+        assert pmap.outs.base is None
+
+    @pytest.mark.parametrize("anti", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    def test_matches_pure_state_map_of_its_pairs(self, d, anti):
+        sym = random_symmetry(d, antiunitary=anti, seed=d)
+        want = pure_state_map([(p, transform_pure(sym, p)) for _, p in self._one_pure_state_per_ray(d)])
+        pmap = symmetry_probe_map(sym)
+        assert pmap.ins.shape == pmap.outs.shape == want.outs.shape
+        assert pmap.ins.tobytes() == want.ins.tobytes()
+        assert pmap.outs.tobytes() == want.outs.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 64])
     @pytest.mark.parametrize("last_basis_dropped", [True, False])
@@ -259,7 +276,7 @@ class TestProbeFamily:
         dropped = {"imag-0-1", "pair-0-1"} | ({f"basis-{d - 1}"} if last_basis_dropped else set())
         sym = random_symmetry(d, seed=d)
         labels = _probe_family(d)[0]
-        pairs = [pair for label, pair in zip(labels, symmetry_probe_map(sym).pairs) if label not in dropped]
+        pairs = [pair for label, pair in zip(labels, _pairs(symmetry_probe_map(sym))) if label not in dropped]
         first = f"basis-{d - 1}" if last_basis_dropped else "pair-0-1"
         with pytest.raises(IncompleteMapError, match=f"probe {first}$"):
             wigner_reconstruct(pure_state_map(pairs))
@@ -291,7 +308,7 @@ class TestWignerReconstruct:
 
     def test_incomplete_map_rejected(self):
         s = random_symmetry(3, antiunitary=False, seed=8)
-        pairs = list(symmetry_probe_map(s).pairs)[:3]
+        pairs = _pairs(symmetry_probe_map(s))[:3]
         with pytest.raises(IncompleteMapError):
             wigner_reconstruct(pure_state_map(pairs))
 
@@ -317,7 +334,7 @@ class TestWignerReconstruct:
     def test_broken_transition_matches_loop_reference(self, seed, anti):
         rng = child_rng(seed, 62)
         d = int(rng.integers(2, 6))
-        pairs = list(symmetry_probe_map(random_symmetry(d, antiunitary=anti, seed=rng)).pairs)
+        pairs = _pairs(symmetry_probe_map(random_symmetry(d, antiunitary=anti, seed=rng)))
         for k in rng.choice(len(pairs), size=int(rng.integers(1, 4)), replace=False):
             pairs[k] = (pairs[k][0], random_pure(d, seed=rng))
         expected = next(
@@ -344,7 +361,7 @@ class TestWignerReconstruct:
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
         # an infinite tol would accept this map, whose pair 0 output is a random ray
-        pairs = list(symmetry_probe_map(random_symmetry(3, seed=1)).pairs)
+        pairs = _pairs(symmetry_probe_map(random_symmetry(3, seed=1)))
         pairs[0] = (pairs[0][0], random_pure(3, seed=2))
         with pytest.raises(ValidationError, match="tol"):
             wigner_reconstruct(pure_state_map(pairs), tol=tol)
@@ -411,6 +428,22 @@ class TestVerifyTheorem:
         want = wigner_reconstruct(pure_state_map(pairs)).u
         got = verify_theorem(transform, d, n_mixed=1, seed=0).symmetry.u
         assert got.tobytes() == want.tobytes()
+
+    def test_reconstructs_once_through_wigner_reconstruct(self, monkeypatch):
+        maps = []
+        public = symmetry.wigner_reconstruct
+
+        def counted(pmap, tol=1e-8):
+            maps.append(pmap)
+            return public(pmap, tol)
+
+        monkeypatch.setattr(symmetry, "wigner_reconstruct", counted)
+        s = random_symmetry(3, seed=15)
+        res = verify_theorem(lambda rho: apply_symmetry(s, rho), 3, n_mixed=3, seed=0)
+        assert res.verdict
+        assert len(maps) == 1
+        assert isinstance(maps[0], PureStateMap)
+        assert maps[0].ins.tobytes() == _probe_family(3)[1].tobytes()
 
     @staticmethod
     def _failing_at(k, fail):
