@@ -119,6 +119,7 @@ SEEDS = {
     "as_rng": lambda s: as_rng(s),
     "random_pure": lambda s: random_pure(3, seed=s),
     "child_rng": lambda s: child_rng(s, 2, 0),
+    "effects_equal_by_strength": lambda s: effects_equal_by_strength(A3, A3, seed=s),
     "verify_theorem": lambda s: verify_theorem(_by_s3, 3, n_mixed=1, seed=s),
     "rank_via_compatibility": lambda s: rank_via_compatibility(A3, seed=s),
 }

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 from collections import Counter
 
@@ -291,6 +292,18 @@ class TestEffectsEqualByStrength:
         e = validate_effect(np.diag([0.9, 0.5, 0.1]).astype(complex))
         f = validate_effect(u @ e.matrix @ u.conj().T)
         assert not effects_equal_by_strength(e, f)
+
+    @pytest.mark.parametrize("factor, equal", [(0.5, True), (2.0, False)])
+    def test_gap_is_cut_at_equality_gap(self, factor, equal):
+        # c * I has strength c along every ray, so the gap is factor * EQUALITY_GAP on each
+        a = validate_effect(np.eye(3, dtype=complex) * 0.5)
+        b = validate_effect(np.eye(3, dtype=complex) * (0.5 + factor * EQUALITY_GAP))
+        assert effects_equal_by_strength(a, b) is equal
+
+    def test_takes_two_effects_and_a_seed(self):
+        params = inspect.signature(effects_equal_by_strength).parameters
+        assert list(params) == ["first", "second", "seed"]
+        assert params["seed"].default == 0
 
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,17 @@ class TestPureStateMapValidation:
             pure_state_map([(one, one)])
         with pytest.raises(ValidationError):
             symmetry_probe_map(symmetry_op(np.eye(1)))
+
+
+class TestPureStateMapForm:
+    def test_holds_input_and_output_rays_as_rows(self):
+        pairs = [(random_pure(3, seed=k), random_pure(3, seed=10 + k)) for k in range(4)]
+        pmap = pure_state_map(pairs)
+        assert [f.name for f in dataclasses.fields(PureStateMap)] == ["ins", "outs"]
+        assert pmap.ins.shape == pmap.outs.shape == (4, 3)
+        assert pmap.dim == 3
+        assert pmap.ins.tobytes() == b"".join(p.vector.tobytes() for p, _ in pairs)
+        assert pmap.outs.tobytes() == b"".join(q.vector.tobytes() for _, q in pairs)
 
 
 class TestProbeFamily:
