@@ -46,7 +46,7 @@ DEFAULT_RESTARTS = 32
 DEFAULT_FEAS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Convex weights over a shared list of unit rays, the rows of ``rays``; `pures` wraps them on request."""
 
@@ -61,7 +61,7 @@ class Decomposition:
         return (self.rays.T * self.weights) @ self.rays.conj()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureResult:
     value: float
     decomposition_a: Decomposition | None

@@ -99,7 +99,7 @@ def _square_complex(matrix, error: type[ValidationError]) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralOperator:
     """PSD matrix with cached eigensystem (descending eigenvalues).
 
@@ -139,7 +139,7 @@ class SpectralOperator:
         return int(np.count_nonzero(w > DEFAULT_EPS_RANK * w[0])) if w[0] > 0.0 else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector; its rank-one projection is built on demand."""
 
@@ -154,7 +154,7 @@ class PureState:
         return np.outer(self.vector, self.vector.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetryOp:
     """A unitary, optionally composed with coordinate-wise conjugation."""
 

@@ -35,7 +35,8 @@ U·v, and neither a probe nor its image builds a matrix: each holds one
 column, and no operator holds a kernel basis. Nor does a map that
 re-validates a pure image run eigh: `validate_density` stores a rank-one
 input's one ray without it. The seeded mixed states are drawn once per
-(dim, seed, k) and shared read-only between calls (`_mixed_state`).
+(dim, seed, k) and shared read-only between calls (`_mixed_state`), while
+at most 64 such keys are in use: 4 dims of the default 10 states fit.
 
 Also here: `rank_via_compatibility`, another name for `numerical_rank`
 that only the benchmark still calls.
@@ -77,7 +78,7 @@ def _rounding_floor(tol: float) -> float:
     return max(tol, 1e-12)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureStateMap:
     """Input rays mapped to output rays: row i of ``ins`` to row i of ``outs``, both (n, dim)."""
 
@@ -296,7 +297,7 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     return sym
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _mixed_state(dim: int, seed: int, k: int) -> SpectralOperator:
     """`verify_theorem`'s k-th seeded mixed state, drawn once and shared read-only.
 
@@ -305,9 +306,11 @@ def _mixed_state(dim: int, seed: int, k: int) -> SpectralOperator:
     the same bytes. Its matrix, spectrum and stored columns are made
     read-only: a transform that writes into its input raises numpy's
     ValueError rather than corrupt a later call. One entry is one state, and
-    at most 32 are kept, least recently used first out. At
+    at most 64 are kept, least recently used first out: a process that
+    verifies one seed at 4 dims with the default ``n_mixed`` = 10 uses 40
+    keys, and a cycle of more keys than the bound would hit none. At
     d = 64 an entry holds at most a 64 x 64 complex matrix, up to 64 stored
-    columns and 64 eigenvalues, 128.5 KiB, so the memo holds at most 4.0 MiB.
+    columns and 64 eigenvalues, 128.5 KiB, so the memo holds at most 8.0 MiB.
     """
     state = random_density(dim, (k % dim) + 1, seed=child_rng(seed, 2, k))
     for array in (state.matrix, state.eigenvalues, state.leading):
@@ -341,9 +344,10 @@ def verify_theorem(
     maps only those columns; so with an `apply_symmetry` transform no eigh
     runs, nor for a probe whose image a transform re-validates while it
     stays rank one. The mixed states are shared: each is drawn once per
-    (dim, seed, k) and kept for later calls (`_mixed_state`), with its
-    matrix, spectrum and columns read-only, so a transform that writes into
-    one raises numpy's ValueError and must copy what it would change.
+    (dim, seed, k) while at most 64 such keys are in use, and kept for
+    later calls (`_mixed_state`), with its matrix, spectrum and columns
+    read-only, so a transform that writes into one raises numpy's
+    ValueError and must copy what it would change.
     The reconstructed operator is then compared against the map on
     ``n_mixed`` seeded mixed states of cycling ranks and, via strength
     functions on one stacked ray set (`effects_equal_by_strength`), on the

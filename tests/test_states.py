@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from qcompat import (
     ValidationError,
     apply_symmetry,
     effects_equal_by_strength,
+    example_measure,
     haar_unitary,
     pure_state,
     random_density,
@@ -29,6 +31,7 @@ from qcompat import (
     subspace_intersection_dim,
     support,
     symmetry_op,
+    symmetry_probe_map,
     validate_density,
     validate_effect,
 )
@@ -549,6 +552,32 @@ def test_negative_seed_is_validation_error(draw, args):
     # as for child_rng, not numpy's bare ValueError
     with pytest.raises(ValidationError, match="seed"):
         draw(*args, seed=-1)
+
+
+def _measured():
+    return example_measure(random_density(3, 3, seed=1), random_density(3, 2, seed=2))
+
+
+# each builds one instance of an array-holding result type, the same bytes on every call
+ARRAY_HOLDERS = {
+    "SpectralOperator": lambda: random_density(3, 2, seed=1),
+    "PureState": lambda: random_pure(3, seed=3),
+    "SymmetryOp": lambda: random_symmetry(3, antiunitary=True, seed=5),
+    "PureStateMap": lambda: symmetry_probe_map(random_symmetry(3, seed=5)),
+    "Decomposition": lambda: _measured().decomposition_a,
+    "MeasureResult": _measured,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_HOLDERS))
+def test_array_holding_results_compare_by_identity(kind):
+    first, second = ARRAY_HOLDERS[kind](), ARRAY_HOLDERS[kind]()
+    assert type(first).__name__ == kind
+    assert first is not second and pickle.dumps(first) == pickle.dumps(second)  # same bytes
+    assert first == first
+    assert (first == second) is False
+    assert (first != second) is True
+    assert len({first, second, first}) == 2
 
 
 class TestChildRng:

@@ -608,6 +608,23 @@ class TestMixedStateMemo:
         assert np.float64(after.max_error).tobytes() == np.float64(before.max_error).tobytes()
         assert after.symmetry.u.tobytes() == before.symmetry.u.tobytes()
 
+    def test_one_seed_at_four_dims_draws_each_state_once(self):
+        # 4 dims x the default n_mixed = 10 keys, cycled: an LRU smaller than the
+        # cycle would miss on every key of every round
+        _mixed_state.cache_clear()
+        transforms = {d: self._apply(random_symmetry(d, seed=33 + d)) for d in (8, 16, 32, 64)}
+        rounds = []
+        for _ in range(2):
+            before = _mixed_state.cache_info().misses
+            rounds.append({d: verify_theorem(t, d, seed=9) for d, t in transforms.items()})
+            rounds[-1]["misses"] = _mixed_state.cache_info().misses - before
+        assert rounds[0]["misses"] == 40
+        assert rounds[1]["misses"] == 0
+        for d in transforms:
+            first, second = rounds[0][d], rounds[1][d]
+            assert np.float64(second.max_error).tobytes() == np.float64(first.max_error).tobytes()
+            assert second.symmetry.u.tobytes() == first.symmetry.u.tobytes()
+
     def test_bounded_and_its_worst_case_memory_documented(self):
         _mixed_state.cache_clear()
         bound = _mixed_state.cache_info().maxsize
