@@ -10,7 +10,8 @@ so `result` keeps its keys. Results are deterministic given flags: every
 seed comes from `--seed` (an integer >= 0, default 0) and nothing is read
 from the environment. Elapsed time is the only varying field and sits
 outside `result`. No flag sets a support: the rank cut (1e-10 of the top
-eigenvalue) and the membership cut (1e-13 on sin^2) are fixed.
+eigenvalue) and the membership cut (1e-13 on sin^2) are fixed, and so is
+the map tolerance of `reconstruct` and `verify` (`symmetry.MAP_TOL`, 1e-8).
 
 Exit codes: 0 ok, 1 selftest failure, 2 file/parse error or invalid flag
 value (including a negative seed), 3 validation error, 4 measure
@@ -185,11 +186,9 @@ def _cmd_reconstruct(args):
     from .symmetry import wigner_reconstruct
 
     inputs = _inputs(map=args.map)
-    pmap = qio.load_map(args.map)
-    config = {"tol": args.tol}
-    sym = wigner_reconstruct(pmap, tol=args.tol)
+    sym = wigner_reconstruct(qio.load_map(args.map))
     result = {"antiunitary": bool(sym.antiunitary), "u": qio.matrix_payload(sym.u)}
-    return {"inputs": inputs, "config": config, "result": result}, EXIT_OK
+    return {"inputs": inputs, "config": {}, "result": result}, EXIT_OK
 
 
 def _cmd_verify(args):
@@ -200,11 +199,9 @@ def _cmd_verify(args):
         sym = qio.load_symmetry(args.symmetry)
     else:
         inputs = _inputs(map=args.map)
-        sym = wigner_reconstruct(qio.load_map(args.map), tol=args.tol)
-    config = {"n_mixed": args.n_mixed, "seed": args.seed, "tol": args.tol}
-    res = verify_theorem(
-        lambda st: apply_symmetry(sym, st), sym.dim, n_mixed=args.n_mixed, seed=args.seed, tol=args.tol
-    )
+        sym = wigner_reconstruct(qio.load_map(args.map))
+    config = {"n_mixed": args.n_mixed, "seed": args.seed}
+    res = verify_theorem(lambda st: apply_symmetry(sym, st), sym.dim, n_mixed=args.n_mixed, seed=args.seed)
     result = {
         "verdict": bool(res.verdict),
         "max_error": float(res.max_error),
@@ -270,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="rebuild the operator behind a pure-state map")
     p.add_argument("--map", required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(fn=_cmd_reconstruct)
 
     p = sub.add_parser("verify", help="check a stored symmetry or map end to end")
@@ -279,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--map")
     p.add_argument("--n-mixed", type=int, default=10)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the built-in acceptance criteria")

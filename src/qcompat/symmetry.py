@@ -57,7 +57,6 @@ from .states import (
     _check_count,
     _check_dim,
     _check_same_dim,
-    _check_tolerance,
     _check_unit_trace,
     _pure_density,
     child_rng,
@@ -71,11 +70,8 @@ _RAY_MATCH = 1.0 - 1e-10
 _DUPLICATE_OVERLAP = 1.0 - 1e-8
 # the reconstruction story is vacuous on a one-dimensional space
 _MIN_DIM = 2
-
-
-def _rounding_floor(tol: float) -> float:
-    """``tol`` raised to 1e-12, so rounding (~1e-16) alone never fails an exact map, even at tol=0."""
-    return max(tol, 1e-12)
+# largest transition-probability change, purity or fit shortfall and mixed-state error a symmetry may show
+MAP_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +202,7 @@ def symmetry_overlap(first: SymmetryOp, second: SymmetryOp) -> float:
     return float(abs(np.trace(first.u.conj().T @ second.u)) / first.dim)
 
 
-def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
+def wigner_reconstruct(pmap: PureStateMap) -> SymmetryOp:
     """Rebuild the implementing operator from probe images.
 
     Raises IncompleteMapError when a required probe input is absent, and
@@ -217,16 +213,16 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     |<in_i|in_j>|^2 and |<out_i|out_j>|^2 of the stacked rays on i < j, and
     probe matching and the final reproduction check are one matrix product
     each; every error names the first failing pair in row-major order.
+    A transition probability may move by at most `MAP_TOL`, the phase probe
+    must fit a branch within 10 `MAP_TOL`, and each pair must be reproduced
+    within `MAP_TOL`.
     It does not check the inputs for duplicates: `pure_state_map` does that.
-    Raises ValidationError for a ``tol`` that is negative or not finite.
     """
-    _check_tolerance("tol", tol)
     ins, outs, d = pmap.ins, pmap.outs, pmap.dim
-    floor = _rounding_floor(tol)
 
     # transition probabilities must already match on every input pair
     t_in, t_out = _overlaps(ins, ins), _overlaps(outs, outs)
-    broken = _first_pair(np.abs(t_in - t_out) > floor)
+    broken = _first_pair(np.abs(t_in - t_out) > MAP_TOL)
     if broken is not None:
         i, j = broken
         raise NotASymmetryError(
@@ -267,9 +263,9 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     minus = (cols[:, 0] - 1j * cols[:, 1]) / np.sqrt(2.0)
     t_plus = abs(np.vdot(plus, h)) ** 2
     t_minus = abs(np.vdot(minus, h)) ** 2
-    if t_plus >= 1.0 - 10.0 * floor:
+    if t_plus >= 1.0 - 10.0 * MAP_TOL:
         antiunitary = False
-    elif t_minus >= 1.0 - 10.0 * floor:
+    elif t_minus >= 1.0 - 10.0 * MAP_TOL:
         antiunitary = True
     else:
         raise NotASymmetryError(
@@ -287,7 +283,7 @@ def wigner_reconstruct(pmap: PureStateMap, tol: float = 1e-8) -> SymmetryOp:
     predicted = (ins.conj() if antiunitary else ins) @ u.T
     predicted /= np.linalg.norm(predicted, axis=1, keepdims=True)
     fit = np.abs(np.einsum("ij,ij->i", predicted.conj(), outs)) ** 2
-    missed = np.flatnonzero(fit < 1.0 - floor)
+    missed = np.flatnonzero(fit < 1.0 - MAP_TOL)
     if len(missed):
         k = missed[0]
         raise NotASymmetryError(
@@ -318,19 +314,14 @@ def _mixed_state(dim: int, seed: int, k: int) -> SpectralOperator:
     return state
 
 
-def verify_theorem(
-    transform,
-    dim: int,
-    n_mixed: int = 10,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> VerificationResult:
+def verify_theorem(transform, dim: int, n_mixed: int = 10, seed: int = 0) -> VerificationResult:
     """Check that a state map is implemented by one unitary/antiunitary.
 
     ``transform`` maps SpectralOperator to SpectralOperator. Pure probes must
-    map to pure outputs (else NotASymmetryError), and each output's top
-    eigenvector, read from its stored columns, must be a unit vector (else
-    NotUnitVectorError); the probes
+    map to pure outputs, with top eigenvalue at least 1 - `MAP_TOL` (else
+    NotASymmetryError), each output's top eigenvector, read from its stored
+    columns, must be a unit vector (else NotUnitVectorError), and of
+    dimension ``dim`` (else DimensionMismatchError); the probes
     run in `_probe_family` order and the first failing one stops the loop.
     The probe rays and those top eigenvectors form the `PureStateMap` that
     `wigner_reconstruct` rebuilds the operator from.
@@ -349,19 +340,19 @@ def verify_theorem(
     read-only, so a transform that writes into one raises numpy's
     ValueError and must copy what it would change.
     The reconstructed operator is then compared against the map on
-    ``n_mixed`` seeded mixed states of cycling ranks and, via strength
-    functions on one stacked ray set (`effects_equal_by_strength`), on the
-    first two of them.
+    ``n_mixed`` seeded mixed states of cycling ranks, each within `MAP_TOL`
+    in Frobenius norm, and, via strength functions on one stacked ray set
+    (`effects_equal_by_strength`), on the first two of them.
     Mixed-state disagreements are collected as failures with verdict False
-    rather than raised. Raises ValidationError when ``n_mixed`` is not an
-    integer >= 1, since the verdict would then rest on no mixed state at all,
-    when ``seed`` is not an integer >= 0, which the strength rays cannot be
-    drawn from, and for a ``tol`` that is negative or not finite.
+    rather than raised; a mixed output whose dimension is not ``dim`` raises
+    DimensionMismatchError, as a probe image's does. Raises ValidationError
+    when ``n_mixed`` is not an integer >= 1, since the verdict would then
+    rest on no mixed state at all, and when ``seed`` is not an integer >= 0,
+    which the strength rays cannot be drawn from.
     """
     _check_dim(dim, _MIN_DIM)
     _check_count("n_mixed", n_mixed, 1)
     _check_count("seed", seed)
-    _check_tolerance("tol", tol)
     labels, probes = _probe_family(dim)
     images = []
     for label, probe in zip(labels, probes):
@@ -372,7 +363,7 @@ def verify_theorem(
                 f"map output rejected on probe {label}: {exc}", probe=label
             ) from exc
         top = out.eigenvalues[0]
-        if top < 1.0 - _rounding_floor(tol):
+        if top < 1.0 - MAP_TOL:
             raise NotASymmetryError(
                 f"pure probe {label} maps to a mixed state (top weight {top:.8f})",
                 probe=label,
@@ -380,7 +371,7 @@ def verify_theorem(
         images.append(pure_state(out.leading[:, 0]).vector)
         _check_same_dim("map entry", dim, images[-1].shape[0])
 
-    sym = wigner_reconstruct(PureStateMap(probes, np.array(images)), tol)
+    sym = wigner_reconstruct(PureStateMap(probes, np.array(images)))
 
     failures: list[str] = []
     max_error = 0.0
@@ -391,10 +382,11 @@ def verify_theorem(
         except ValidationError:
             failures.append(f"mixed-{k}")
             continue
+        _check_same_dim("map entry", dim, actual.dim)
         predicted = apply_symmetry(sym, state)
         err = float(np.linalg.norm(actual.matrix - predicted.matrix))
         max_error = max(max_error, err)
-        if err > tol:
+        if err > MAP_TOL:
             failures.append(f"mixed-{k}")
         elif k < 2 and not effects_equal_by_strength(actual, predicted, seed=seed):
             failures.append(f"strength-{k}")

@@ -310,12 +310,7 @@ class TestReconstructCommand:
         assert rc == 0
         assert rep["result"]["antiunitary"] is False
         assert rep["result"]["u"]["dim"] == 2
-
-    @pytest.mark.parametrize("name,anti", [("map_unitary.json", False), ("map_antiunitary.json", True)])
-    def test_zero_tolerance_accepts_exact_map(self, files, name, anti):
-        rc, rep, _ = run_cli("reconstruct", "--map", files(name), "--tol", "0")
-        assert rc == 0
-        assert rep["result"]["antiunitary"] is anti
+        assert rep["config"] == {}
 
     def test_truncated_map(self, files):
         rc, rep, _ = run_cli("reconstruct", "--map", files("map_truncated.json"))
@@ -336,6 +331,7 @@ class TestVerifyCommand:
         assert rep["result"]["verdict"] is True
         assert rep["result"]["max_error"] <= 1e-8
         assert rep["result"]["symmetry"]["antiunitary"] is True
+        assert rep["config"] == {"n_mixed": 4, "seed": 0}
 
     def test_map_input(self, files):
         rc, rep, _ = run_cli("verify", "--map", files("map_unitary.json"), "--n-mixed", "4")
@@ -361,11 +357,7 @@ def test_duplicate_input_map_file_is_validation_error(files, command):
     assert rep["error"] == {"type": "ValidationError", "message": "duplicate input ray at pairs 0 and 8"}
 
 
-TOLERANCE_FLAGS = [
-    ("measure", "--feas-tol"),
-    ("reconstruct", "--tol"),
-    ("verify", "--tol"),
-]
+TOLERANCE_FLAGS = [("measure", "--feas-tol")]
 
 
 def _operands(files, command):
@@ -396,11 +388,15 @@ def test_zero_tolerance_is_accepted(files, command, flag):
     assert rep["command"] == command
 
 
-def test_membership_cut_is_not_a_flag(files):
-    rc, rep, err = run_cli("strength", *_operands(files, "strength"), "--tol-mem", "1e-8")
+# values that no flag sets: the membership cut, and the map tolerance of the symmetry commands
+@pytest.mark.parametrize(
+    "command,flag", [("strength", "--tol-mem"), ("reconstruct", "--tol"), ("verify", "--tol")]
+)
+def test_removed_flag_is_a_usage_error(files, command, flag):
+    rc, rep, err = run_cli(command, *_operands(files, command), flag, "1e-8")
     assert rc == 2
     assert rep is None
-    assert "unrecognized arguments: --tol-mem" in err
+    assert f"unrecognized arguments: {flag} 1e-8" in err
 
 
 @pytest.mark.parametrize(
@@ -429,8 +425,8 @@ def test_option_strings_are_pinned():
         "strength": ["--oracle", "--state", "--vector"],
         "compat": ["--a", "--b"],
         "measure": ["--a", "--b", "--feas-tol", "--restarts", "--seed", "--symmetric"],
-        "reconstruct": ["--map", "--tol"],
-        "verify": ["--map", "--n-mixed", "--seed", "--symmetry", "--tol"],
+        "reconstruct": ["--map"],
+        "verify": ["--map", "--n-mixed", "--seed", "--symmetry"],
         "selftest": ["--dims", "--quick", "--seed"],
     }
 

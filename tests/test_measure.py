@@ -143,6 +143,50 @@ class TestCompatibility:
         assert is_compatible(a, b) == is_compatible(apply_symmetry(s, a), apply_symmetry(s, b))
 
 
+def _commuting_pair(d, rng, disjoint):
+    """States diagonal in one Haar basis with spectra p, q that have zeros; ``disjoint`` keeps their supports apart."""
+    u = haar_unitary(d, rng)
+    on_a = rng.permutation(d) < int(rng.integers(1, d))
+    free = np.flatnonzero(~on_a if disjoint else np.ones(d, dtype=bool))
+    on_b = np.zeros(d, dtype=bool)
+    on_b[rng.choice(free, size=int(rng.integers(1, len(free) + 1)), replace=False)] = True
+    spectra = [(0.1 + rng.random(d)) * on for on in (on_a, on_b)]
+    p, q = (w / w.sum() for w in spectra)
+    a, b = ((u * w) @ u.conj().T for w in (p, q))
+    return validate_density((a + a.conj().T) / 2.0), validate_density((b + b.conj().T) / 2.0), p, q
+
+
+def _commutator_norm(a, b):
+    return float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix))
+
+
+class TestPeierlsCondition:
+    """Peierls' first answer: commuting states with a nonzero product. Sufficient for compatibility, not necessary."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 64])
+    def test_commuting_pairs_are_compatible_exactly_when_some_product_is_nonzero(self, d):
+        seen = set()
+        for k in range(16):
+            a, b, p, q = _commuting_pair(d, child_rng(k, 72, d), disjoint=k % 2 == 1)
+            assert _commutator_norm(a, b) < 1e-12
+            shared = bool(np.any(p * q > 0.0))
+            # AB = U diag(p q) U*, so the product is nonzero exactly when some p_i q_i is
+            assert bool(np.linalg.norm(a.matrix @ b.matrix) > 1e-12) is shared
+            assert is_compatible(a, b) is shared
+            seen.add(shared)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 64])
+    def test_compatible_pairs_need_not_commute(self, d):
+        # kinds 0 and 1 of the selftest's generator share rays between sides that do not commute
+        counterexamples = 0
+        for k in range(8):
+            for kind in (0, 1):
+                a, b, *_ = _joint_decomposition(d, kind, child_rng(k, 73, d, kind))
+                counterexamples += is_compatible(a, b) and _commutator_norm(a, b) > 1e-3
+        assert counterexamples > 0
+
+
 def _tilted_ray(a, kernel_weight, rng):
     """A ray in supp A tilted into its kernel until the kernel holds ``kernel_weight`` of it.
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,19 @@ def _basis(i, d):
     v = np.zeros(d, dtype=complex)
     v[i] = 1.0
     return pure_state(v)
+
+
+def _failing_at(k, fail):
+    """A d = 3 symmetry's transform that counts its calls and returns ``fail(image)`` on call k."""
+    s = random_symmetry(3, seed=21)
+    calls = []
+
+    def transform(rho):
+        calls.append(rho)
+        out = apply_symmetry(s, rho)
+        return fail(out) if len(calls) == k + 1 else out
+
+    return transform, calls
 
 
 def _pairs(pmap):
@@ -363,21 +377,6 @@ class TestWignerReconstruct:
             wigner_reconstruct(pure_state_map(pairs))
         assert exc.value.probe == expected
 
-    @pytest.mark.parametrize("anti", [False, True])
-    def test_zero_tolerance_accepts_exact_map(self, anti):
-        s = random_symmetry(4, antiunitary=anti, seed=10)
-        rec = wigner_reconstruct(symmetry_probe_map(s), tol=0.0)
-        assert rec.antiunitary == anti
-        assert symmetry_overlap(s, rec) > 1 - 1e-9
-
-    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
-    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
-        # an infinite tol would accept this map, whose pair 0 output is a random ray
-        pairs = _pairs(symmetry_probe_map(random_symmetry(3, seed=1)))
-        pairs[0] = (pairs[0][0], random_pure(3, seed=2))
-        with pytest.raises(ValidationError, match="tol"):
-            wigner_reconstruct(pure_state_map(pairs), tol=tol)
-
     def test_reconstruction_reproduces_unlisted_states(self):
         s = random_symmetry(4, antiunitary=True, seed=9)
         rec = wigner_reconstruct(symmetry_probe_map(s))
@@ -445,9 +444,9 @@ class TestVerifyTheorem:
         maps = []
         public = symmetry.wigner_reconstruct
 
-        def counted(pmap, tol=1e-8):
+        def counted(pmap):
             maps.append(pmap)
-            return public(pmap, tol)
+            return public(pmap)
 
         monkeypatch.setattr(symmetry, "wigner_reconstruct", counted)
         s = random_symmetry(3, seed=15)
@@ -457,25 +456,12 @@ class TestVerifyTheorem:
         assert isinstance(maps[0], PureStateMap)
         assert maps[0].ins.tobytes() == _probe_family(3)[1].tobytes()
 
-    @staticmethod
-    def _failing_at(k, fail):
-        """A symmetry's transform that counts its calls and returns ``fail(image)`` on call k."""
-        s = random_symmetry(3, seed=21)
-        calls = []
-
-        def transform(rho):
-            calls.append(rho)
-            out = apply_symmetry(s, rho)
-            return fail(out) if len(calls) == k + 1 else out
-
-        return transform, calls
-
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_non_unit_probe_image_stops_the_loop(self, k):
         def stretched(out):
             return SpectralOperator(out.matrix, out.eigenvalues, out.leading * 1.1)
 
-        transform, calls = self._failing_at(k, stretched)
+        transform, calls = _failing_at(k, stretched)
         with pytest.raises(NotUnitVectorError, match="^vector has norm 1.1"):
             verify_theorem(transform, 3, n_mixed=1, seed=0)
         assert len(calls) == k + 1
@@ -485,7 +471,7 @@ class TestVerifyTheorem:
         def rejected(out):
             raise TraceNotOneError("trace 2.0 differs from 1")
 
-        transform, calls = self._failing_at(k, rejected)
+        transform, calls = _failing_at(k, rejected)
         with pytest.raises(NotASymmetryError) as exc:
             verify_theorem(transform, 3, n_mixed=1, seed=0)
         assert exc.value.probe == _probe_family(3)[0][k]
@@ -550,18 +536,71 @@ class TestVerifyTheorem:
         with pytest.raises(ValidationError):
             verify_theorem(lambda rho: apply_symmetry(s, rho), 2, n_mixed=n_mixed, seed=0)
 
-    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
-    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
-        # a negative tol would fail every mixed state of a true symmetry
-        s = random_symmetry(3, antiunitary=False, seed=18)
-        with pytest.raises(ValidationError, match="tol"):
-            verify_theorem(lambda rho: apply_symmetry(s, rho), 3, n_mixed=2, seed=0, tol=tol)
-
     def test_negative_seed_is_validation_error(self):
         # the strength rays come from as_rng(seed), which takes no negative seed
         s = random_symmetry(2, antiunitary=False, seed=18)
         with pytest.raises(ValidationError, match="seed"):
             verify_theorem(lambda rho: apply_symmetry(s, rho), 2, n_mixed=2, seed=-1)
+
+
+class TestMapTolerance:
+    """`MAP_TOL` is a constant: no entry point takes a tolerance, and rows either side of it pin its value."""
+
+    def test_no_entry_point_takes_a_tolerance(self):
+        assert list(inspect.signature(wigner_reconstruct).parameters) == ["pmap"]
+        assert list(inspect.signature(verify_theorem).parameters) == ["transform", "dim", "n_mixed", "seed"]
+
+    @staticmethod
+    def _mixed_by(weight):
+        """A pure image with its top eigenvalue lowered to 1 - ``weight``, the rest on an orthogonal ray."""
+
+        def change(out):
+            w = out.leading[:, 0]
+            r = random_pure(3, seed=41).vector
+            r = r - w * np.vdot(w, r)
+            r /= np.linalg.norm(r)
+            m = (1.0 - weight) * np.outer(w, w.conj()) + weight * np.outer(r, r.conj())
+            return SpectralOperator(m, np.array([1.0 - weight, weight, 0.0]), np.column_stack([w, r]))
+
+        return change
+
+    @pytest.mark.parametrize("factor,passes", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
+    def test_probe_purity_floor(self, factor, passes):
+        # call 3 is probe pair-0-1
+        transform, _ = _failing_at(3, self._mixed_by(factor * 1e-8))
+        if passes:
+            assert verify_theorem(transform, 3, n_mixed=3, seed=0).verdict
+        else:
+            with pytest.raises(NotASymmetryError) as exc:
+                verify_theorem(transform, 3, n_mixed=3, seed=0)
+            assert exc.value.probe == "pair-0-1"
+
+    @staticmethod
+    def _moved_by(err):
+        """The image moved by ``err`` in Frobenius norm, traceless and inside its support."""
+
+        def change(out):
+            v = out.leading[:, :2]
+            h = (np.outer(v[:, 0], v[:, 0].conj()) - np.outer(v[:, 1], v[:, 1].conj())) / np.sqrt(2.0)
+            return validate_density(out.matrix + err * h)
+
+        return change
+
+    @pytest.mark.parametrize("factor,failures", [(0.5, ()), (2.0, ("mixed-2",))], ids=["inside", "outside"])
+    def test_mixed_state_error(self, factor, failures):
+        # calls 0-5 are the probes and call 8 the full-rank mixed state k = 2, which the
+        # strength check (k < 2 only) skips, so the error alone decides
+        res = verify_theorem(_failing_at(8, self._moved_by(factor * 1e-8))[0], 3, n_mixed=3, seed=0)
+        assert res.failures == failures
+        assert abs(res.max_error - factor * 1e-8) < 1e-14
+
+    @pytest.mark.parametrize("out_dim", [1, 4])
+    def test_a_mixed_output_of_another_dim_raises(self, out_dim):
+        # numpy would refuse the d = 4 output with its own ValueError and broadcast the d = 1 one silently
+        other = random_density(out_dim, 1, seed=42)
+        transform, _ = _failing_at(6, lambda out: other)
+        with pytest.raises(DimensionMismatchError, match=f"^map entry dims differ: 3 != {out_dim}$"):
+            verify_theorem(transform, 3, n_mixed=3, seed=0)
 
 
 class TestMixedStateMemo:
