@@ -312,6 +312,12 @@ class TestReconstructCommand:
         assert rep["result"]["u"]["dim"] == 2
         assert rep["config"] == {}
 
+    def test_antiunitary_map(self, files):
+        rc, rep, _ = run_cli("reconstruct", "--map", files("map_antiunitary.json"))
+        assert rc == 0
+        assert rep["result"]["antiunitary"] is True
+        assert rep["result"]["u"]["dim"] == 4
+
     def test_truncated_map(self, files):
         rc, rep, _ = run_cli("reconstruct", "--map", files("map_truncated.json"))
         assert rc == 3
@@ -337,6 +343,12 @@ class TestVerifyCommand:
         rc, rep, _ = run_cli("verify", "--map", files("map_unitary.json"), "--n-mixed", "4")
         assert rc == 0
         assert rep["result"]["verdict"] is True
+
+    def test_antiunitary_map_input(self, files):
+        rc, rep, _ = run_cli("verify", "--map", files("map_antiunitary.json"), "--n-mixed", "4")
+        assert rc == 0
+        assert rep["result"]["verdict"] is True
+        assert rep["result"]["symmetry"]["antiunitary"] is True
 
     def test_broken_map_exits_not_a_symmetry(self, files):
         rc, rep, _ = run_cli("verify", "--map", files("map_broken.json"), "--n-mixed", "4")

@@ -565,15 +565,60 @@ class TestMapTolerance:
         return change
 
     @pytest.mark.parametrize("factor,passes", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
-    def test_probe_purity_floor(self, factor, passes):
-        # call 3 is probe pair-0-1
-        transform, _ = _failing_at(3, self._mixed_by(factor * 1e-8))
+    @pytest.mark.parametrize("k", [0, 3, 5], ids=["basis-0", "pair-0-1", "imag-0-1"])
+    def test_probe_purity_floor(self, k, factor, passes):
+        # call k is probe k of the d = 3 family
+        transform, _ = _failing_at(k, self._mixed_by(factor * 1e-8))
         if passes:
             assert verify_theorem(transform, 3, n_mixed=3, seed=0).verdict
         else:
             with pytest.raises(NotASymmetryError) as exc:
                 verify_theorem(transform, 3, n_mixed=3, seed=0)
-            assert exc.value.probe == "pair-0-1"
+            assert exc.value.probe == _probe_family(3)[0][k]
+
+    @pytest.mark.parametrize("factor,passes", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["raised", "lowered"])
+    def test_transition_probability_cut(self, sign, factor, passes):
+        # inputs e_0 and (e_0 + e_1)/sqrt 2 overlap 1/2; the outputs overlap 1/2 +- factor MAP_TOL.
+        # Past the transition check, the two-pair map lacks probe basis-1.
+        s = random_symmetry(3, seed=43)
+        t = 0.5 + sign * factor * 1e-8
+        ins = [_basis(0, 3), pure_state(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))]
+        outs = [_basis(0, 3), pure_state(np.array([np.sqrt(t), np.sqrt(1.0 - t), 0.0]))]
+        pmap = pure_state_map((p, transform_pure(s, q)) for p, q in zip(ins, outs))
+        assert abs(transition_prob(*(PureState(y) for y in pmap.outs)) - t) < 1e-15
+        if passes:
+            with pytest.raises(IncompleteMapError, match="basis-1"):
+                wigner_reconstruct(pmap)
+        else:
+            with pytest.raises(NotASymmetryError) as exc:
+                wigner_reconstruct(pmap)
+            assert exc.value.probe == "overlap-0-1"
+
+    # x and a ray r orthogonal to it, chosen so that tilting x towards r moves x's transition
+    # probability to every d = 3 probe only at second order, by at most 7/12 of sin^2
+    _TILTED = (np.ones(3) / np.sqrt(3.0), 1j * np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0))
+
+    @pytest.mark.parametrize("factor,passes", [(0.5, True), (1.5, False)], ids=["inside", "outside"])
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_reproduction_fit(self, anti, factor, passes):
+        # the probe map of a symmetry plus pair 6: x to the image of x tilted by sin^2 = factor MAP_TOL,
+        # whose fit is 1 - factor MAP_TOL while no transition probability moves by MAP_TOL
+        s = random_symmetry(3, antiunitary=anti, seed=44)
+        x, r = self._TILTED
+        w = factor * 1e-8
+        tilted = transform_pure(s, pure_state(np.sqrt(1.0 - w) * x + np.sqrt(w) * r))
+        pmap = pure_state_map([*_pairs(symmetry_probe_map(s)), (pure_state(x), tilted)])
+        moved = np.abs(np.abs(pmap.ins.conj() @ pmap.ins.T) ** 2 - np.abs(pmap.outs.conj() @ pmap.outs.T) ** 2)
+        assert moved.max() < 1e-8
+        if passes:
+            rec = wigner_reconstruct(pmap)
+            assert rec.antiunitary == anti
+            assert symmetry_overlap(s, rec) > 1 - 1e-9
+        else:
+            with pytest.raises(NotASymmetryError) as exc:
+                wigner_reconstruct(pmap)
+            assert exc.value.probe == "pair-6"
 
     @staticmethod
     def _moved_by(err):
