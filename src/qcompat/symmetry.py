@@ -11,9 +11,19 @@ A `PureStateMap` holds its rays stacked: row i of ``ins`` maps to row i of
 ``outs``. The pairwise checks (duplicate inputs, preserved transition
 probabilities, probe matching and the final reproduction of every pair) are
 Gram-matrix tests over those arrays, and an error names the first failing
-pair in row-major (i, j) order. The probe family itself is built as one
-(2 dim, dim) array of rays (`_probe_family`), which probe matching reads
-directly. `pure_state_map` validates pairs that come from outside;
+pair in row-major (i, j) order. A map checks its own arrays when built:
+one (n, dim) shape, n >= 1, dim in 2..64, unit rows.
+
+The probe family is built once per dim, as one read-only (2 dim, dim)
+array of rays (`_probe_family`), and so is its Gram matrix (`_probe_gram`).
+A map whose first 2 dim inputs equal the family entry for entry, in order
+(`np.array_equal`), takes its probe images as its first 2 dim outputs and
+skips probe matching; a map whose inputs are exactly the family also reads
+the memoized Gram matrix as its input transition probabilities. Every map that
+`symmetry_probe_map` and `verify_theorem` build, and every file that
+`io.save_map` writes, is such a map. Any other map matches each probe to
+an input by one (2 dim) x n product of overlaps, with the same outcome.
+`pure_state_map` validates pairs that come from outside;
 `symmetry_probe_map` and `verify_theorem` build their maps directly from
 the probe family, whose rays are distinct by construction, and
 `verify_theorem` reconstructs through `wigner_reconstruct` like any caller.
@@ -51,12 +61,15 @@ import numpy as np
 
 from .errors import IncompleteMapError, NotASymmetryError, ValidationError
 from .states import (
+    MAX_DIM,
     PureState,
     SpectralOperator,
     SymmetryOp,
     _check_count,
     _check_dim,
+    _check_norms,
     _check_same_dim,
+    _check_stacked,
     _check_unit_trace,
     _pure_density,
     child_rng,
@@ -76,10 +89,24 @@ MAP_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class PureStateMap:
-    """Input rays mapped to output rays: row i of ``ins`` to row i of ``outs``, both (n, dim)."""
+    """Input rays mapped to output rays: row i of ``ins`` to row i of ``outs``, both (n, dim).
+
+    Raises DimensionMismatchError unless both are 2-D of one shape with dim
+    in 2..MAX_DIM, ValidationError for n = 0, and NotUnitVectorError unless
+    every row is a unit vector within NORM_TOL.
+    """
 
     ins: np.ndarray
     outs: np.ndarray
+
+    def __post_init__(self) -> None:
+        ins, outs = self.ins, self.outs
+        _check_stacked("map ins and outs", ins, outs)
+        if not ins.shape[0]:
+            raise ValidationError("map needs at least one pair")
+        _check_dim(ins.shape[1], _MIN_DIM)
+        _check_norms("map input ray", np.linalg.norm(ins, axis=1), unit=True)
+        _check_norms("map output ray", np.linalg.norm(outs, axis=1), unit=True)
 
     @property
     def dim(self) -> int:
@@ -133,22 +160,38 @@ def pure_state_map(pairs) -> PureStateMap:
     return PureStateMap(ins, _rays(q for _, q in pairs))
 
 
+@lru_cache(maxsize=MAX_DIM - _MIN_DIM + 1, typed=True)
 def _probe_family(dim: int) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels and rays of the probe family, the rays as the rows of one (2 dim, dim) array.
 
     Rows are the basis states, (e_0 + e_j)/sqrt 2 for j >= 1, and
     (e_0 + i e_1)/sqrt 2, built with the same arithmetic as one
-    `pure_state` call per ray.
+    `pure_state` call per ray. Built once per dim and shared: the rays are
+    read-only. At d = 64 they take 128 KiB. The memo is typed, so 3 and 3.0
+    are two keys, and a float dim fails in `np.eye` as if nothing were kept.
     """
     _check_dim(dim, _MIN_DIM)
     eye = np.eye(dim, dtype=np.complex128)
     rays = np.vstack([eye, (eye[0] + eye[1:]) / np.sqrt(2.0), (eye[0] + 1j * eye[1]) / np.sqrt(2.0)])
+    rays.flags.writeable = False
     labels = (
         *(f"basis-{i}" for i in range(dim)),
         *(f"pair-0-{j}" for j in range(1, dim)),
         "imag-0-1",
     )
     return labels, rays
+
+
+@lru_cache(maxsize=MAX_DIM - _MIN_DIM + 1, typed=True)
+def _probe_gram(dim: int) -> np.ndarray:
+    """The probe family's Gram matrix |<p_i|p_j>|^2, as `_overlaps` computes it.
+
+    Built once per dim and read-only, like the rays; 128 KiB at d = 64.
+    """
+    rays = _probe_family(dim)[1]
+    gram = _overlaps(rays, rays)
+    gram.flags.writeable = False
+    return gram
 
 
 def transform_pure(sym: SymmetryOp, p: PureState) -> PureState:
@@ -213,15 +256,22 @@ def wigner_reconstruct(pmap: PureStateMap) -> SymmetryOp:
     |<in_i|in_j>|^2 and |<out_i|out_j>|^2 of the stacked rays on i < j, and
     probe matching and the final reproduction check are one matrix product
     each; every error names the first failing pair in row-major order.
+    When the first 2 dim inputs equal `_probe_family`'s rays entry for entry, the
+    probe images are the first 2 dim outputs and no matching product runs;
+    when the inputs are exactly those rays, their Gram matrix is the
+    memoized `_probe_gram`. Either shortcut gives what the product would.
     A transition probability may move by at most `MAP_TOL`, the phase probe
     must fit a branch within 10 `MAP_TOL`, and each pair must be reproduced
     within `MAP_TOL`.
     It does not check the inputs for duplicates: `pure_state_map` does that.
     """
     ins, outs, d = pmap.ins, pmap.outs, pmap.dim
+    labels, probes = _probe_family(d)
+    family = np.array_equal(ins[: 2 * d], probes)
 
     # transition probabilities must already match on every input pair
-    t_in, t_out = _overlaps(ins, ins), _overlaps(outs, outs)
+    t_in = _probe_gram(d) if family and len(ins) == 2 * d else _overlaps(ins, ins)
+    t_out = _overlaps(outs, outs)
     broken = _first_pair(np.abs(t_in - t_out) > MAP_TOL)
     if broken is not None:
         i, j = broken
@@ -231,14 +281,17 @@ def wigner_reconstruct(pmap: PureStateMap) -> SymmetryOp:
             probe=f"overlap-{i}-{j}",
         )
 
-    # each probe's image is the output of the first input on the probe's ray;
+    # each probe's image is the output of the first input on the probe's ray,
+    # which for a family-first map is the probe's own row;
     # rows 0..d-1 are basis-j, rows d..2d-2 pair-0-j, row 2d-1 imag-0-1
-    labels, probes = _probe_family(d)
-    matches = _overlaps(probes, ins) >= _RAY_MATCH
-    missing = np.flatnonzero(~matches.any(axis=1))
-    if len(missing):
-        raise IncompleteMapError(f"map lacks an input matching probe {labels[missing[0]]}")
-    images = outs[matches.argmax(axis=1)]
+    if family:
+        images = outs[: 2 * d]
+    else:
+        matches = _overlaps(probes, ins) >= _RAY_MATCH
+        missing = np.flatnonzero(~matches.any(axis=1))
+        if len(missing):
+            raise IncompleteMapError(f"map lacks an input matching probe {labels[missing[0]]}")
+        images = outs[matches.argmax(axis=1)]
 
     cols = np.zeros((d, d), dtype=np.complex128)
     f0 = images[0]
@@ -319,12 +372,16 @@ def verify_theorem(transform, dim: int, n_mixed: int = 10, seed: int = 0) -> Ver
 
     ``transform`` maps SpectralOperator to SpectralOperator. Pure probes must
     map to pure outputs, with top eigenvalue at least 1 - `MAP_TOL` (else
-    NotASymmetryError), each output's top eigenvector, read from its stored
-    columns, must be a unit vector (else NotUnitVectorError), and of
-    dimension ``dim`` (else DimensionMismatchError); the probes
+    NotASymmetryError), each output's top eigenvector, its first stored
+    column, must be a unit vector within NORM_TOL (else NotUnitVectorError),
+    and of dimension ``dim`` (else DimensionMismatchError); the probes
     run in `_probe_family` order and the first failing one stops the loop.
     The probe rays and those top eigenvectors form the `PureStateMap` that
-    `wigner_reconstruct` rebuilds the operator from.
+    `wigner_reconstruct` rebuilds the operator from; its inputs are the
+    probe family, so it needs no probe matching.
+    The probe rays are built once per dim and shared read-only: a probe's
+    stored column is a view of them, so a transform that writes into a
+    probe's ``leading`` raises numpy's ValueError, as for the mixed states.
     Each probe reaches ``transform`` with its spectral data built in closed
     form and its matrix not yet built, and the loop reads only each image's
     top eigenvalue and first stored column, so with an `apply_symmetry`
@@ -368,8 +425,10 @@ def verify_theorem(transform, dim: int, n_mixed: int = 10, seed: int = 0) -> Ver
                 f"pure probe {label} maps to a mixed state (top weight {top:.8f})",
                 probe=label,
             )
-        images.append(pure_state(out.leading[:, 0]).vector)
-        _check_same_dim("map entry", dim, images[-1].shape[0])
+        ray = np.asarray(out.leading[:, 0], dtype=np.complex128)
+        _check_norms("vector", float(np.linalg.norm(ray)), unit=True)
+        _check_same_dim("map entry", dim, ray.shape[0])
+        images.append(ray)
 
     sym = wigner_reconstruct(PureStateMap(probes, np.array(images)))
 

@@ -17,6 +17,7 @@ from qcompat import (
     DimensionMismatchError,
     MeasureConfig,
     NotUnitVectorError,
+    PureStateMap,
     ValidationError,
     apply_symmetry,
     effects_equal_by_strength,
@@ -115,6 +116,7 @@ def test_haar_unitary_rejects_a_negative_dimension():
 
 SYMMETRY_DIM = {
     "pure_state_map": lambda: pure_state_map([(pure_state([1.0]), pure_state([1.0]))]),
+    "PureStateMap": lambda: PureStateMap(np.ones((1, 1)), np.ones((1, 1))),
     "verify_theorem": lambda: verify_theorem(lambda rho: rho, 1),
     "rank_via_compatibility": lambda: rank_via_compatibility(random_density(1, 1, seed=0)),
     "symmetry_probe_map": lambda: symmetry_probe_map(symmetry_op(np.eye(1))),
@@ -206,6 +208,10 @@ NORMS = {
     "certificate-rays": (
         lambda: _check_norms("a certificate ray", np.array([0.5, 0.0, np.nan])),
         "a certificate ray has norm 0.0, not nonzero and finite",
+    ),
+    "map-rays": (
+        lambda: PureStateMap(np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]])),
+        "map output ray has norm 1.000000001, not 1 within 1e-12",
     ),
     "probe-rays": (
         lambda: _check_norms("a probe ray", np.array([1.0, 1.0 + 1e-9]), unit=True),

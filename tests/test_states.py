@@ -35,7 +35,16 @@ from qcompat import (
     validate_density,
     validate_effect,
 )
-from qcompat.states import DEFAULT_EPS_MEM, DEFAULT_EPS_RANK, SpectralOperator, _pure_density, child_rng
+from qcompat import states
+from qcompat.states import (
+    DEFAULT_EPS_MEM,
+    DEFAULT_EPS_RANK,
+    HERMITIAN_TOL,
+    SpectralOperator,
+    _checked_hermitian,
+    _pure_density,
+    child_rng,
+)
 from qcompat.strength import NEAR_BOUNDARY_SQ, _strengths
 from qcompat.symmetry import _mixed_state, _probe_family
 
@@ -124,6 +133,76 @@ class TestValidateDensity:
             random_density(3, 0, seed=0)
         with pytest.raises(InvalidRankError):
             random_density(3, -1, seed=0)
+
+
+class TestHermiticityCut:
+    """A small Frobenius defect accepts at once; the entrywise rule decides the rest and words the error."""
+
+    @staticmethod
+    def _skewed(d, entries, defect):
+        """A full-rank state with ``defect`` added to each upper entry (i, j) of ``entries``: |m - m*| = defect there."""
+        m = random_density(d, d, seed=d).matrix.copy()
+        for i, j in entries:
+            m[i, j] += defect
+        return m
+
+    @staticmethod
+    def _entrywise_reads(monkeypatch):
+        """Count the calls of np.abs, which only the entrywise rule makes in `_checked_hermitian`."""
+        calls = []
+        absolute = np.abs
+        monkeypatch.setattr(states.np, "abs", lambda x: calls.append(np.shape(x)) or absolute(x))
+        return calls
+
+    @pytest.mark.parametrize("d", [3, 8, 64])
+    def test_many_entries_inside_the_cut_are_accepted(self, d, monkeypatch):
+        m = self._skewed(d, [(i, i + 1) for i in range(d - 1)], 0.9e-12)
+        skew = m - m.conj().T
+        assert float(np.abs(skew).max()) < HERMITIAN_TOL < float(np.linalg.norm(skew))
+        calls = self._entrywise_reads(monkeypatch)
+        got, hermitized = _checked_hermitian(m)
+        assert calls == [(d, d)]
+        assert got is m
+        assert hermitized.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+        validate_density(m)
+
+    @pytest.mark.parametrize("d", [3, 8, 64])
+    def test_a_frobenius_defect_inside_the_cut_reads_no_entry(self, d, monkeypatch):
+        m = self._skewed(d, [(0, d - 1)], 0.7e-12)
+        calls = self._entrywise_reads(monkeypatch)
+        _, hermitized = _checked_hermitian(m)
+        assert calls == []
+        assert hermitized.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 8, 64])
+    def test_one_entry_outside_raises_the_entrywise_message(self, d):
+        m = self._skewed(d, [(0, d - 1)], 1.1e-12)
+        with pytest.raises(NotHermitianError, match=r"^Hermiticity defect 1\.100e-12 exceeds 1e-12$"):
+            validate_density(m)
+        with pytest.raises(NotHermitianError, match=r"^Hermiticity defect 1\.100e-12 exceeds 1e-12$"):
+            validate_effect(m)
+
+    def test_decides_as_the_entrywise_rule_near_the_cut(self):
+        # random skew parts whose largest entry and Frobenius norm straddle HERMITIAN_TOL
+        rng = np.random.default_rng(70)
+        decided = set()
+        for k in range(120):
+            d = (2, 3, 8, 64)[k % 4]
+            m = random_density(d, d, seed=k).matrix.copy()
+            scale = HERMITIAN_TOL * rng.uniform(0.05, 1.5) / (1.0 + (k % 3) * np.sqrt(d))
+            m += scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            m[np.diag_indices(d)] = m.diagonal().real
+            defect = float(np.abs(m - m.conj().T).max())
+            try:
+                _checked_hermitian(m)
+                accepted = True
+            except NotHermitianError as exc:
+                accepted = False
+                assert str(exc) == f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}"
+            assert accepted == (defect <= HERMITIAN_TOL), (k, defect)
+            decided.add((accepted, float(np.linalg.norm(m - m.conj().T)) <= HERMITIAN_TOL))
+        # every outcome that can occur did: fast accept, entrywise accept and reject
+        assert decided == {(True, True), (True, False), (False, False)}
 
 
 class TestValidateEffect:

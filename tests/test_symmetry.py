@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,7 +38,7 @@ from qcompat import (
 )
 from qcompat import symmetry
 from qcompat.states import _pure_density, child_rng
-from qcompat.symmetry import _mixed_state, _probe_family
+from qcompat.symmetry import _mixed_state, _probe_family, _probe_gram
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -250,6 +251,51 @@ class TestPureStateMapValidation:
             symmetry_probe_map(symmetry_op(np.eye(1)))
 
 
+class TestPureStateMapChecks:
+    """A `PureStateMap` checks its own arrays, however it was built."""
+
+    @staticmethod
+    def _probe_map():
+        pmap = symmetry_probe_map(random_symmetry(3, seed=1))
+        return pmap.ins, pmap.outs
+
+    def test_fewer_outputs_than_inputs(self):
+        ins, outs = self._probe_map()
+        with pytest.raises(DimensionMismatchError, match=r"^map ins and outs must be 2-D arrays of one shape, got \(6, 3\) and \(5, 3\)$"):
+            PureStateMap(ins, outs[:5])
+
+    def test_outputs_of_another_dim(self):
+        ins, outs = self._probe_map()
+        wide = np.hstack([outs, np.zeros((6, 1))])
+        with pytest.raises(DimensionMismatchError, match=r"got \(6, 3\) and \(6, 4\)$"):
+            PureStateMap(ins, wide)
+
+    def test_outputs_scaled_by_two(self):
+        ins, outs = self._probe_map()
+        with pytest.raises(NotUnitVectorError, match=r"^map output ray has norm (2\.0|1\.99999|2\.00000).*, not 1 within 1e-12$"):
+            PureStateMap(ins, 2.0 * outs)
+        with pytest.raises(NotUnitVectorError, match="^map input ray has norm"):
+            PureStateMap(2.0 * ins, outs)
+
+    def test_one_row_off_by_more_than_the_norm_tolerance(self):
+        ins, outs = self._probe_map()
+        outs = outs.copy()
+        outs[4] *= 1.0 + 1e-11
+        with pytest.raises(NotUnitVectorError, match="^map output ray has norm 1.00000000001"):
+            PureStateMap(ins, outs)
+        outs[4] /= 1.0 + 1e-11
+        PureStateMap(ins, outs * (1.0 + 1e-13))
+
+    def test_rows_must_be_stacked(self):
+        ins, outs = self._probe_map()
+        with pytest.raises(DimensionMismatchError, match=r"got \(3,\) and \(3,\)$"):
+            PureStateMap(ins[0], outs[0])
+
+    def test_needs_a_pair(self):
+        with pytest.raises(ValidationError, match="^map needs at least one pair$"):
+            PureStateMap(np.zeros((0, 3), dtype=complex), np.zeros((0, 3), dtype=complex))
+
+
 class TestPureStateMapForm:
     def test_holds_input_and_output_rays_as_rows(self):
         pairs = [(random_pure(3, seed=k), random_pure(3, seed=10 + k)) for k in range(4)]
@@ -279,6 +325,48 @@ class TestProbeFamily:
         # symmetry_probe_map's inputs are the same rays, in the same order
         pmap = symmetry_probe_map(symmetry_op(np.eye(d)))
         assert pmap.ins.tobytes() == b"".join(p.vector.tobytes() for _, p in want)
+
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_built_once_per_dim_and_read_only(self, d):
+        labels, rays = _probe_family(d)
+        again = _probe_family(d)
+        assert again[0] is labels and again[1] is rays
+        assert _probe_gram(d) is _probe_gram(d)
+        assert _probe_gram(d).tobytes() == symmetry._overlaps(rays, rays).tobytes()
+        for array in (rays, _probe_gram(d)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+    def test_a_float_dim_reads_no_int_dims_rays(self):
+        # equal keys of another type would otherwise hand a float dim the rays that np.eye refuses it
+        _probe_family(3)
+        with pytest.raises(TypeError):
+            _probe_family(3.0)
+
+    def test_memos_are_bounded_by_the_dims_and_their_size_documented(self):
+        # one key per dim in 2..MAX_DIM; at d = 64 the rays and the Gram matrix take 128 KiB each
+        assert _probe_family.cache_info().maxsize == _probe_gram.cache_info().maxsize == 63
+        assert _probe_family(64)[1].nbytes == _probe_gram(64).nbytes == 128 * 2**10
+        assert "128 KiB" in _probe_family.__doc__
+        assert "128 KiB" in _probe_gram.__doc__
+
+    def test_a_transform_that_writes_into_a_probe_raises(self):
+        s = random_symmetry(4, seed=34)
+        before = verify_theorem(lambda rho: apply_symmetry(s, rho), 4, n_mixed=2, seed=0)
+
+        def writes(rho):
+            out = apply_symmetry(s, rho)
+            rho.leading[0, 0] = 0.0
+            return out
+
+        with pytest.raises(ValueError, match="read-only"):
+            verify_theorem(writes, 4, n_mixed=2, seed=0)
+        assert _probe_family(4)[1].tobytes() == b"".join(p.vector.tobytes() for _, p in self._one_pure_state_per_ray(4))
+        after = verify_theorem(lambda rho: apply_symmetry(s, rho), 4, n_mixed=2, seed=0)
+        assert after.symmetry.u.tobytes() == before.symmetry.u.tobytes()
+        doc = " ".join(verify_theorem.__doc__.split())
+        assert "a transform that writes into a probe's ``leading`` raises numpy's ValueError" in doc
 
     @pytest.mark.parametrize("d", [2, 3, 64])
     def test_map_owns_its_two_arrays(self, d):
@@ -385,6 +473,96 @@ class TestWignerReconstruct:
             a = transform_pure(s, p)
             b = transform_pure(rec, p)
             assert abs(transition_prob(a, b) - 1.0) < 1e-10
+
+
+def _reconstruct_error(pmap, order=None):
+    """Type, probe and message of the error ``pmap`` raises; with ``order``, pmap's row r is row order[r] of the base map."""
+    with pytest.raises((NotASymmetryError, IncompleteMapError)) as exc:
+        wigner_reconstruct(pmap)
+    probe, text = getattr(exc.value, "probe", None), str(exc.value)
+    if order is not None and probe and probe.startswith("overlap-"):
+        i, j = sorted(int(order[int(k)]) for k in probe.split("-")[1:])
+        probe, text = f"overlap-{i}-{j}", re.sub(r"inputs \d+ and \d+", f"inputs {i} and {j}", text)
+    return type(exc.value), probe, text
+
+
+class TestProbeRoutes:
+    """A map whose first 2d inputs are the probe family skips probe matching, and one that is the family reads
+    the memoized Gram matrix; any other map takes the general route, to the same bytes and the same errors."""
+
+    @staticmethod
+    def _routes(ins, outs, sym):
+        # the map as given, its rows reversed (probe matching), and with one more pair (the Gram product)
+        d = ins.shape[1]
+        order = np.arange(len(ins))[::-1]
+        x = random_pure(d, seed=d)
+        extended = PureStateMap(np.vstack([ins, x.vector]), np.vstack([outs, transform_pure(sym, x).vector]))
+        return {
+            "given": (PureStateMap(ins, outs), None),
+            "permuted": (PureStateMap(ins[order], outs[order]), order),
+            "extended": (extended, None),
+        }
+
+    @pytest.mark.parametrize("anti", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    def test_every_route_gives_the_same_operator_bytes(self, d, anti):
+        sym = random_symmetry(d, antiunitary=anti, seed=50 + d)
+        pmap = symmetry_probe_map(sym)
+        got = {name: wigner_reconstruct(m) for name, (m, _) in self._routes(pmap.ins, pmap.outs, sym).items()}
+        assert {name: rec.antiunitary for name, rec in got.items()} == dict.fromkeys(got, anti)
+        assert len({rec.u.tobytes() for rec in got.values()}) == 1
+        assert symmetry_overlap(sym, got["given"]) > 1 - 1e-9
+
+    @staticmethod
+    def _defective(d, anti, defect):
+        """A probe map with one defect: a transition probability or the phase probe broken, or a probe missing."""
+        sym = random_symmetry(d, antiunitary=anti, seed=60 + d)
+        pmap = symmetry_probe_map(sym)
+        ins, outs = pmap.ins, pmap.outs.copy()
+        f0, f1 = outs[0], outs[1]
+        if defect == "transition":
+            # pair-0-1's image takes a relative phase: only its transition probability to imag-0-1 moves
+            outs[d] = pure_state((f0 + np.exp(1j) * f1) / np.sqrt(2.0), normalize=True).vector
+        elif defect == "phase":
+            # imag-0-1's image fits neither branch: only its transition probability to pair-0-1 moves
+            outs[2 * d - 1] = pure_state((f0 + np.exp(0.5j) * f1) / np.sqrt(2.0), normalize=True).vector
+        else:
+            keep = np.arange(2 * d) != d
+            ins, outs = ins[keep], outs[keep]
+        return ins, outs, sym
+
+    @pytest.mark.parametrize("defect", ["transition", "phase", "missing"])
+    @pytest.mark.parametrize("anti", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    def test_every_route_raises_the_same_error(self, d, anti, defect):
+        ins, outs, sym = self._defective(d, anti, defect)
+        errors = {name: _reconstruct_error(m, order) for name, (m, order) in self._routes(ins, outs, sym).items()}
+        want = {
+            "transition": (NotASymmetryError, f"overlap-{d}-{2 * d - 1}"),
+            "phase": (NotASymmetryError, f"overlap-{d}-{2 * d - 1}"),
+            "missing": (IncompleteMapError, None),
+        }[defect]
+        assert errors["given"][:2] == want
+        if defect == "missing":
+            assert errors["given"][2] == "map lacks an input matching probe pair-0-1"
+        assert errors["permuted"] == errors["given"]
+        assert errors["extended"] == errors["given"]
+
+    def test_each_route_runs_only_its_products(self, monkeypatch):
+        # _overlaps calls: t_out only for the family, t_in too with an extra pair,
+        # and the probe-matching product for any other order
+        sym = random_symmetry(8, seed=68)
+        pmap = symmetry_probe_map(sym)
+        _probe_gram(8)
+        calls = []
+        overlaps = symmetry._overlaps
+        monkeypatch.setattr(symmetry, "_overlaps", lambda rows, cols: calls.append(rows.shape) or overlaps(rows, cols))
+        counts = {}
+        for name, (m, _) in self._routes(pmap.ins, pmap.outs, sym).items():
+            calls.clear()
+            wigner_reconstruct(m)
+            counts[name] = len(calls)
+        assert counts == {"given": 1, "permuted": 3, "extended": 2}
 
 
 class TestVerifyTheorem:
