@@ -55,15 +55,22 @@ def _check_stacked(what: str, first: np.ndarray, second: np.ndarray) -> None:
         raise DimensionMismatchError(f"{what} must be 2-D arrays of one shape, got {first.shape} and {second.shape}")
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy int, never a bool: the integer sense of the count, seed and dimension rules."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_dim(dim: int, least: int = 1) -> None:
-    """Raise DimensionMismatchError unless ``dim`` is in least..MAX_DIM, by default 1..MAX_DIM."""
+    """Raise DimensionMismatchError unless ``dim`` is an integer (`_is_integer`) in least..MAX_DIM, by default 1..MAX_DIM."""
+    if not _is_integer(dim):
+        raise DimensionMismatchError(f"dimension must be an integer in {least}..{MAX_DIM}, got {dim!r}")
     if not least <= dim <= MAX_DIM:
         raise DimensionMismatchError(f"dimension {dim} outside {least}..{MAX_DIM}")
 
 
 def _check_count(name: str, value, least: int = 0) -> None:
-    """Raise ValidationError unless ``value`` is a Python or numpy int (no bool) >= ``least``; also the seed rule."""
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
+    """Raise ValidationError unless ``value`` is an integer (`_is_integer`) >= ``least``; also the seed rule."""
+    if not (_is_integer(value) and value >= least):
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -380,7 +387,7 @@ def random_density(dim: int, rank: int, seed) -> SpectralOperator:
     columns, matrix and spectrum are bit for bit those of the full draw.
     """
     _check_dim(dim)
-    if isinstance(rank, (int, np.integer)) and not 1 <= rank <= dim:
+    if _is_integer(rank) and not 1 <= rank <= dim:
         raise InvalidRankError(f"rank {rank} outside 1..{dim}")
     _check_count("rank", rank, 1)  # what is left to reject: a bool or a non-integer
     rng = as_rng(seed)

@@ -23,6 +23,10 @@ the memoized Gram matrix as its input transition probabilities. Every map that
 `symmetry_probe_map` and `verify_theorem` build, and every file that
 `io.save_map` writes, is such a map. Any other map matches each probe to
 an input by one (2 dim) x n product of overlaps, with the same outcome.
+Rebuilding the operator from the probe images costs a fixed number of
+array operations at every dim: one vectorized pass fixes the columns'
+phases, and Newton–Schulz steps snap them to the nearest unitary
+(`_nearest_unitary`), with no SVD.
 `pure_state_map` validates pairs that come from outside;
 `symmetry_probe_map` and `verify_theorem` build their maps directly from
 the probe family, whose rays are distinct by construction, and
@@ -65,6 +69,7 @@ from .states import (
     PureState,
     SpectralOperator,
     SymmetryOp,
+    _EPS,
     _check_count,
     _check_dim,
     _check_norms,
@@ -85,6 +90,16 @@ _DUPLICATE_OVERLAP = 1.0 - 1e-8
 _MIN_DIM = 2
 # largest transition-probability change, purity or fit shortfall and mixed-state error a symmetry may show
 MAP_TOL = 1e-8
+# Newton–Schulz steps the snap to a unitary may take. Past the transition check the
+# basis images f_i are unit rows (within NORM_TOL) with |<f_i|f_j>|^2 <= MAP_TOL + 4e-10
+# (the extra term is the ray match's slack on inputs matched to the basis), so the snap's
+# E = X*X - I has ||E||_2 <= ||E||_F <= sqrt(d (d - 1) 1.04 MAP_TOL) <= 6.5e-3 at d = 64.
+# A step sends each eigenvalue e of E to -(3/4) e^2 + e^3 / 4, so three steps take
+# 6.5e-3 to 3.2e-5, 7.6e-10 and 4.3e-19, past rounding; the limit is the polar factor.
+_SNAP_STEPS = 3
+# the snap stops once max|X*X - I| is at most this many d eps, above the rounding of X*X
+# (up to 1.5 d eps on exact maps at d = 2)
+_SNAP_EPS = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +183,8 @@ def _probe_family(dim: int) -> tuple[tuple[str, ...], np.ndarray]:
     (e_0 + i e_1)/sqrt 2, built with the same arithmetic as one
     `pure_state` call per ray. Built once per dim and shared: the rays are
     read-only. At d = 64 they take 128 KiB. The memo is typed, so 3 and 3.0
-    are two keys, and a float dim fails in `np.eye` as if nothing were kept.
+    are two keys, and a float dim raises `_check_dim`'s DimensionMismatchError
+    as if nothing were kept.
     """
     _check_dim(dim, _MIN_DIM)
     eye = np.eye(dim, dtype=np.complex128)
@@ -245,6 +261,25 @@ def symmetry_overlap(first: SymmetryOp, second: SymmetryOp) -> float:
     return float(abs(np.trace(first.u.conj().T @ second.u)) / first.dim)
 
 
+def _nearest_unitary(x: np.ndarray) -> np.ndarray:
+    """The polar factor of the square ``x``, the unitary nearest it, by Newton–Schulz steps.
+
+    Each step is X <- X - X (X*X - I) / 2, two d x d products. It stops before a
+    step once max|X*X - I| <= `_SNAP_EPS` d eps, and after `_SNAP_STEPS` steps,
+    which reach rounding from any ``x`` with ||X*X - I||_2 <= 6.5e-3: the bound
+    the transition check puts on `wigner_reconstruct`'s basis images. An ``x``
+    already unitary to rounding is returned as it is.
+    """
+    d = x.shape[0]
+    for _ in range(_SNAP_STEPS):
+        defect = x.conj().T @ x
+        defect.flat[:: d + 1] -= 1.0
+        if np.abs(defect).max() <= _SNAP_EPS * d * _EPS:
+            break
+        x = x - 0.5 * (x @ defect)
+    return x
+
+
 def wigner_reconstruct(pmap: PureStateMap) -> SymmetryOp:
     """Rebuild the implementing operator from probe images.
 
@@ -263,6 +298,14 @@ def wigner_reconstruct(pmap: PureStateMap) -> SymmetryOp:
     A transition probability may move by at most `MAP_TOL`, the phase probe
     must fit a branch within 10 `MAP_TOL`, and each pair must be reproduced
     within `MAP_TOL`.
+    The operator costs a fixed number of array operations at every dim: the
+    basis images' phases come from the pair images in one vectorized pass,
+    and the phased columns snap to their polar factor, the nearest unitary,
+    by at most `_SNAP_STEPS` = 3 Newton–Schulz steps (`_nearest_unitary`)
+    rather than an SVD. The transition check bounds every pair of basis
+    images by |<f_i|f_j>|^2 <= `MAP_TOL` (up to the ray match's slack), so
+    the columns' ||X*X - I||_F is at most sqrt(d (d - 1) 1.04 `MAP_TOL`),
+    6.5e-3 at d = 64, from where three steps reach rounding.
     It does not check the inputs for duplicates: `pure_state_map` does that.
     """
     ins, outs, d = pmap.ins, pmap.outs, pmap.dim
@@ -293,23 +336,19 @@ def wigner_reconstruct(pmap: PureStateMap) -> SymmetryOp:
             raise IncompleteMapError(f"map lacks an input matching probe {labels[missing[0]]}")
         images = outs[matches.argmax(axis=1)]
 
-    cols = np.zeros((d, d), dtype=np.complex128)
+    # column 0 is basis-0's image with its first clear entry made real and positive;
+    # pair-0-j's image g_j fixes column j's phase against it, as f_j b_j / a_j made
+    # unit modulus, with a_j = <col 0|g_j> and b_j = <f_j|g_j> for all j in one pass.
+    # The transition check has held |a_j|^2 and |b_j|^2 within MAP_TOL (and the ray
+    # match's slack) of 1/2, so neither is small.
     f0 = images[0]
     nz = np.flatnonzero(np.abs(f0) > 1e-8)[0]
+    cols = np.empty((d, d), dtype=np.complex128)
     cols[:, 0] = f0 * (f0[nz].conj() / abs(f0[nz]))
-
-    for j in range(1, d):
-        fj = images[j]
-        gj = images[d - 1 + j]
-        a = np.vdot(cols[:, 0], gj)
-        b = np.vdot(fj, gj)
-        if abs(a) < 0.1 or abs(b) < 0.1:
-            raise NotASymmetryError(
-                f"pair probe image has no overlap with a basis image (|a|={abs(a):.3f})",
-                probe=f"pair-0-{j}",
-            )
-        phase = b / a
-        cols[:, j] = fj * (phase / abs(phase))
+    a = images[d : 2 * d - 1] @ cols[:, 0].conj()
+    b = np.einsum("ij,ij->i", images[1:d].conj(), images[d : 2 * d - 1])
+    phase = b / a
+    cols[:, 1:] = images[1:d].T * (phase / np.abs(phase))
 
     h = images[2 * d - 1]
     plus = (cols[:, 0] + 1j * cols[:, 1]) / np.sqrt(2.0)
@@ -327,9 +366,9 @@ def wigner_reconstruct(pmap: PureStateMap) -> SymmetryOp:
             probe="imag-0-1",
         )
 
-    # snap to the nearest exact unitary
-    uu, _, vh = np.linalg.svd(cols)
-    u = uu @ vh
+    # snap to the nearest exact unitary: at most _SNAP_STEPS = 3 Newton–Schulz steps, no SVD;
+    # three suffice because the transition check held ||X*X - I||_F to sqrt(d (d - 1) 1.04 MAP_TOL)
+    u = _nearest_unitary(cols)
     sym = symmetry_op(u, antiunitary=antiunitary)
 
     # rows of `predicted` are transform_pure of each input

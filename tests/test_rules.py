@@ -114,6 +114,31 @@ def test_haar_unitary_rejects_a_negative_dimension():
         haar_unitary(-1, 0)
 
 
+DIM_INTEGER = {
+    "verify_theorem": lambda d: verify_theorem(_by_s3, d),
+    "random_density": lambda d: random_density(d, 1, seed=0),
+    "haar_unitary": lambda d: haar_unitary(d, 0),
+    "random_pure": lambda d: random_pure(d, seed=0),
+    "random_symmetry": lambda d: random_symmetry(d, seed=0),
+}
+
+
+@pytest.mark.parametrize("dim", [3.0, True, "3"])
+@pytest.mark.parametrize("entry", sorted(DIM_INTEGER))
+def test_dimension_is_an_integer(entry, dim):
+    # 3.0 once escaped as numpy's TypeError from np.eye or the Gaussian draw, and True passed as 1
+    least = 2 if entry == "verify_theorem" else 1
+    message = f"^dimension must be an integer in {least}..64, got {re.escape(repr(dim))}$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        DIM_INTEGER[entry](dim)
+
+
+@pytest.mark.parametrize("entry", sorted(DIM_INTEGER))
+def test_dimension_accepts_a_numpy_integer(entry):
+    out = DIM_INTEGER[entry](np.int64(3))
+    assert getattr(out, "verdict", True)
+
+
 SYMMETRY_DIM = {
     "pure_state_map": lambda: pure_state_map([(pure_state([1.0]), pure_state([1.0]))]),
     "PureStateMap": lambda: PureStateMap(np.ones((1, 1)), np.ones((1, 1))),

@@ -38,7 +38,7 @@ from qcompat import (
 )
 from qcompat import symmetry
 from qcompat.states import _pure_density, child_rng
-from qcompat.symmetry import _mixed_state, _probe_family, _probe_gram
+from qcompat.symmetry import MAP_TOL, _mixed_state, _nearest_unitary, _probe_family, _probe_gram
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -65,6 +65,38 @@ def _failing_at(k, fail):
 def _pairs(pmap):
     """The map's rows as (input, output) pure-state pairs."""
     return [(PureState(x), PureState(y)) for x, y in zip(pmap.ins, pmap.outs)]
+
+
+def _noisy_outs(pmap, seed, change):
+    """``pmap``'s outputs plus Gaussian noise, renormalized, scaled so that the largest
+    transition-probability change is about ``change``; returns them and that change."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(pmap.outs.shape) + 1j * rng.standard_normal(pmap.outs.shape)
+    t_in = symmetry._overlaps(pmap.ins, pmap.ins)
+
+    def moved(scale):
+        outs = pmap.outs + scale * noise
+        outs /= np.linalg.norm(outs, axis=1, keepdims=True)
+        return outs, float(np.abs(symmetry._overlaps(outs, outs) - t_in).max())
+
+    # the change is linear in a small scale
+    return moved(1e-10 * change / moved(1e-10)[1])
+
+
+def _loop_reference(pmap):
+    """The operator of a family-first map as a per-column phase loop and the SVD polar factor U V* build it."""
+    d = pmap.dim
+    images = pmap.outs[: 2 * d]
+    cols = np.zeros((d, d), dtype=np.complex128)
+    f0 = images[0]
+    nz = np.flatnonzero(np.abs(f0) > 1e-8)[0]
+    cols[:, 0] = f0 * (f0[nz].conj() / abs(f0[nz]))
+    for j in range(1, d):
+        g = images[d - 1 + j]
+        phase = np.vdot(images[j], g) / np.vdot(cols[:, 0], g)
+        cols[:, j] = images[j] * (phase / abs(phase))
+    uu, _, vh = np.linalg.svd(cols)
+    return uu @ vh
 
 
 class TestTransitionProb:
@@ -339,9 +371,9 @@ class TestProbeFamily:
                 array[0, 0] = 0.0
 
     def test_a_float_dim_reads_no_int_dims_rays(self):
-        # equal keys of another type would otherwise hand a float dim the rays that np.eye refuses it
+        # equal keys of another type would otherwise hand a float dim the rays that _check_dim refuses it
         _probe_family(3)
-        with pytest.raises(TypeError):
+        with pytest.raises(DimensionMismatchError, match=r"^dimension must be an integer in 2..64, got 3.0$"):
             _probe_family(3.0)
 
     def test_memos_are_bounded_by_the_dims_and_their_size_documented(self):
@@ -475,6 +507,45 @@ class TestWignerReconstruct:
             assert abs(transition_prob(a, b) - 1.0) < 1e-10
 
 
+class TestNearestUnitary:
+    """The snap to a unitary: Newton–Schulz steps in place of an SVD, to the same polar factor."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "at-cut"])
+    @pytest.mark.parametrize("anti", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    def test_matches_the_loop_and_svd_polar_factor(self, d, anti, noisy):
+        pmap = symmetry_probe_map(random_symmetry(d, antiunitary=anti, seed=70 + d))
+        if noisy:
+            # outputs moved until a transition probability changes by nearly MAP_TOL
+            outs, change = _noisy_outs(pmap, 80 + d, 0.9 * MAP_TOL)
+            assert 0.5 * MAP_TOL < change <= MAP_TOL
+            pmap = PureStateMap(pmap.ins, outs)
+        rec = wigner_reconstruct(pmap)
+        assert rec.antiunitary == anti
+        assert np.abs(rec.u - _loop_reference(pmap)).max() <= 1e-13
+
+    def test_converges_within_its_steps_at_the_bound(self):
+        # unit columns whose every pair overlaps by |<x_i|x_j>|^2 = MAP_TOL (1 - 1e-9), all in phase,
+        # so ||X*X - I||_2 = 63 sqrt(MAP_TOL): the most the transition check lets through at d = 64
+        d = 64
+        c = np.sqrt(MAP_TOL * (1.0 - 1e-9))
+        w, v = np.linalg.eigh((1.0 - c) * np.eye(d) + c * np.ones((d, d)))
+        unitary = haar_unitary(d, 71)
+        x = unitary @ ((v * np.sqrt(w)) @ v.T)
+        assert np.abs(np.linalg.norm(x, axis=0) - 1.0).max() < 1e-14
+        off = ~np.eye(d, dtype=bool)
+        assert np.abs(np.abs(x.conj().T @ x)[off] ** 2 / MAP_TOL - (1.0 - 1e-9)).max() < 1e-6
+        # x = unitary times a positive definite root, so its polar factor is that unitary
+        u = _nearest_unitary(x)
+        assert np.abs(u - unitary).max() <= 1e-13
+        assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_a_unitary_is_returned_as_it_is(self, d):
+        u = haar_unitary(d, 72)
+        assert _nearest_unitary(u) is u
+
+
 def _reconstruct_error(pmap, order=None):
     """Type, probe and message of the error ``pmap`` raises; with ``order``, pmap's row r is row order[r] of the base map."""
     with pytest.raises((NotASymmetryError, IncompleteMapError)) as exc:
@@ -503,22 +574,28 @@ class TestProbeRoutes:
             "extended": (extended, None),
         }
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
     @pytest.mark.parametrize("anti", [False, True])
     @pytest.mark.parametrize("d", [2, 3, 8, 64])
-    def test_every_route_gives_the_same_operator_bytes(self, d, anti):
+    def test_every_route_gives_the_same_operator_bytes(self, d, anti, noisy):
         sym = random_symmetry(d, antiunitary=anti, seed=50 + d)
         pmap = symmetry_probe_map(sym)
-        got = {name: wigner_reconstruct(m) for name, (m, _) in self._routes(pmap.ins, pmap.outs, sym).items()}
+        outs = pmap.outs
+        if noisy:
+            # basis images off orthogonal by ~1e-9: the snap takes Newton steps
+            outs = _noisy_outs(pmap, 90 + d, 0.1 * MAP_TOL)[0]
+            assert np.abs(outs[:d].conj() @ outs[:d].T - np.eye(d)).max() > 1e-12
+        got = {name: wigner_reconstruct(m) for name, (m, _) in self._routes(pmap.ins, outs, sym).items()}
         assert {name: rec.antiunitary for name, rec in got.items()} == dict.fromkeys(got, anti)
         assert len({rec.u.tobytes() for rec in got.values()}) == 1
         assert symmetry_overlap(sym, got["given"]) > 1 - 1e-9
 
     @staticmethod
-    def _defective(d, anti, defect):
+    def _defective(d, anti, defect, noisy):
         """A probe map with one defect: a transition probability or the phase probe broken, or a probe missing."""
         sym = random_symmetry(d, antiunitary=anti, seed=60 + d)
         pmap = symmetry_probe_map(sym)
-        ins, outs = pmap.ins, pmap.outs.copy()
+        ins, outs = pmap.ins, _noisy_outs(pmap, 95 + d, 0.1 * MAP_TOL)[0] if noisy else pmap.outs.copy()
         f0, f1 = outs[0], outs[1]
         if defect == "transition":
             # pair-0-1's image takes a relative phase: only its transition probability to imag-0-1 moves
@@ -531,11 +608,12 @@ class TestProbeRoutes:
             ins, outs = ins[keep], outs[keep]
         return ins, outs, sym
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
     @pytest.mark.parametrize("defect", ["transition", "phase", "missing"])
     @pytest.mark.parametrize("anti", [False, True])
     @pytest.mark.parametrize("d", [2, 3, 8, 64])
-    def test_every_route_raises_the_same_error(self, d, anti, defect):
-        ins, outs, sym = self._defective(d, anti, defect)
+    def test_every_route_raises_the_same_error(self, d, anti, defect, noisy):
+        ins, outs, sym = self._defective(d, anti, defect, noisy)
         errors = {name: _reconstruct_error(m, order) for name, (m, order) in self._routes(ins, outs, sym).items()}
         want = {
             "transition": (NotASymmetryError, f"overlap-{d}-{2 * d - 1}"),
@@ -563,6 +641,19 @@ class TestProbeRoutes:
             wigner_reconstruct(m)
             counts[name] = len(calls)
         assert counts == {"given": 1, "permuted": 3, "extended": 2}
+
+    def test_no_route_runs_an_svd(self, monkeypatch):
+        # the snap to a unitary is Newton–Schulz steps, on every route and for either kind
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args) or svd(*args, **kwargs))
+        for anti in (False, True):
+            sym = random_symmetry(8, antiunitary=anti, seed=69)
+            pmap = symmetry_probe_map(sym)
+            for outs in (pmap.outs, _noisy_outs(pmap, 69, 0.1 * MAP_TOL)[0]):
+                for m, _ in self._routes(pmap.ins, outs, sym).values():
+                    assert wigner_reconstruct(m).antiunitary == anti
+        assert calls == []
 
 
 class TestVerifyTheorem:
