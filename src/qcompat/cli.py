@@ -2,22 +2,23 @@
 
 Every command loads its operands from the text formats in `io`, runs one
 operation, and prints a single JSON report to stdout: command name, sha256
-digests of the inputs, the effective config (every tolerance and seed), the
+digests of the inputs, the effective config (every flag's value), the
 result payload, and elapsed milliseconds. `measure` adds a `bounds` block
 (the Uhlmann fidelity and its gap to the value) and `selftest` a
 `criteria_elapsed_ms` map (criterion id to milliseconds) beside `result`,
 so `result` keeps its keys. Results are deterministic given flags: every
 seed comes from `--seed` (an integer >= 0, default 0) and nothing is read
 from the environment. Elapsed time is the only varying field and sits
-outside `result`. No flag sets a support: the rank cut (1e-10 of the top
-eigenvalue) and the membership cut (1e-13 on sin^2) are fixed, and so is
-the map tolerance of `reconstruct` and `verify` (`symmetry.MAP_TOL`, 1e-8).
+outside `result`. No flag takes a tolerance: the rank cut (1e-10 of the
+top eigenvalue), the membership cut (1e-13 on sin^2), the map tolerance of
+`reconstruct` and `verify` (`symmetry.MAP_TOL`, 1e-8) and the measure's
+certificate limit (`measure.FEAS_TOL`, 1e-6) are fixed.
 
 Exit codes: 0 ok, 1 selftest failure, 2 file/parse error or invalid flag
 value (including a negative seed), 3 validation error, 4 measure
-certificate residual above `--feas-tol`, 5 not a symmetry. An error
-report carries the exception's type and message, and for 5 the failing
-probe.
+certificate residual above 1e-6 (`measure.FEAS_TOL`), 5 not a symmetry.
+An error report carries the exception's type and message, and for 5 the
+failing probe.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import (
 from .measure import MeasureConfig, example_measure, fidelity
 from .states import (
     _check_count,
-    _check_tolerance,
     pure_state,
     subspace_intersection_dim,
     support,
@@ -81,28 +81,20 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _flag(convert, check, name: str):
-    """An argparse type that applies the library's rule ``check`` (as ``name``) to the ``convert``-ed text.
+def _seed(text: str) -> int:
+    """The ``--seed`` type: the library's seed rule, so every rejection is exit 2 in its words.
 
-    Text that does not convert goes to the rule as it is: every rejection is exit 2 in the rule's words.
+    Text that is not an integer goes to the rule as it is.
     """
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = text
-        try:
-            check(name, value)
-        except ValidationError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-
-    return parse
-
-
-_tolerance = _flag(float, _check_tolerance, "tolerance")
-_seed = _flag(int, _check_count, "seed")
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    try:
+        _check_count("seed", value)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _digest(path) -> str:
@@ -158,17 +150,8 @@ def _cmd_measure(args):
     inputs = _inputs(a=args.a, b=args.b)
     a = validate_density(qio.load_matrix(args.a))
     b = validate_density(qio.load_matrix(args.b))
-    cfg = MeasureConfig(
-        restarts=args.restarts,
-        seed=args.seed,
-        feas_tol=args.feas_tol,
-    )
-    config = {
-        "restarts": cfg.restarts,
-        "seed": cfg.seed,
-        "feas_tol": cfg.feas_tol,
-        "symmetric": bool(args.symmetric),
-    }
+    cfg = MeasureConfig(restarts=args.restarts, seed=args.seed)
+    config = {"restarts": cfg.restarts, "seed": cfg.seed, "symmetric": bool(args.symmetric)}
     res = example_measure(a, b, cfg)
     result = {
         "value": float(res.value),
@@ -261,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts", type=int, default=MeasureConfig().restarts, help="accepted, no effect (must be >= 1)"
     )
     p.add_argument("--seed", type=_seed, default=0, help="accepted, no effect")
-    p.add_argument("--feas-tol", type=_tolerance, default=MeasureConfig().feas_tol)
     p.add_argument("--symmetric", action="store_true", help="accepted, no effect")
     p.set_defaults(fn=_cmd_measure)
 

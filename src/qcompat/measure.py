@@ -10,12 +10,12 @@ characterisation of # bounds the sum by that trace, and `example_measure`
 builds a decomposition pair that attains it, from at most one QR per side
 (its short to S as a triangular factor) and one SVD for the mean; no
 eigenproblem is solved. Every reported value is recomputed from that
-certificate, whose reconstruction residual is checked against the
-feasibility tolerance. The formula is symmetric in A and B but its rounding
-is not, so one rule, `_side_key`, picks the side it starts from: the one
-whose kept spectrum is better conditioned, ties broken by the stored bytes.
-`fidelity` uses the same order. Like #, the result is then symmetric in A
-and B, bit for bit: swapping the arguments only swaps the two decompositions.
+certificate, whose reconstruction residual is checked against `FEAS_TOL`.
+The formula is symmetric in A and B but its rounding is not, so one rule,
+`_side_key`, picks the side it starts from: the one whose kept spectrum is
+better conditioned, ties broken by the stored bytes. `fidelity` uses the
+same order. Like #, the result is then symmetric in A and B, bit for bit:
+swapping the arguments only swaps the two decompositions.
 
 The measure's upper bound, the Uhlmann fidelity ||sqrt(A) sqrt(B)||_1, is
 read from the same cached eigensystems: `fidelity` sums the singular values
@@ -26,6 +26,7 @@ matrix is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,14 +37,15 @@ from .states import (
     _check_count,
     _check_norms,
     _check_same_dim,
-    _check_tolerance,
     _principal_rotations,
     subspace_intersection_dim,
     support,
 )
 
 DEFAULT_RESTARTS = 32
-DEFAULT_FEAS_TOL = 1e-6
+# the limit on a certificate's reconstruction residual; no caller sets it, and
+# `MeasureResult.residual` reports the residual a certificate reached
+FEAS_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,12 +77,13 @@ class MeasureResult:
 class MeasureConfig:
     """``restarts`` and ``seed`` are accepted and ignored: the measure is exact.
 
-    ``restarts`` must still be an integer >= 1, and ``feas_tol`` finite and >= 0.
+    ``restarts`` must still be an integer >= 1 and ``seed`` an integer >= 0.
+    ``feas_tol`` is not a field: it reads the fixed `FEAS_TOL`.
     """
 
     restarts: int = DEFAULT_RESTARTS
     seed: int = 0
-    feas_tol: float = DEFAULT_FEAS_TOL
+    feas_tol: ClassVar[float] = FEAS_TOL
 
 
 def is_compatible(a: SpectralOperator, b: SpectralOperator) -> bool:
@@ -153,7 +156,7 @@ def _split(op: SpectralOperator, rot: np.ndarray, k: int) -> tuple[np.ndarray, n
     return np.linalg.inv(tri[:k]), np.linalg.norm(g, axis=0), g.T
 
 
-def _closed_form(a: SpectralOperator, b: SpectralOperator, feas_tol: float) -> MeasureResult:
+def _closed_form(a: SpectralOperator, b: SpectralOperator) -> MeasureResult:
     """tr([A]_S # [B]_S) and its certificate, in the argument order given.
 
     Q is an orthonormal basis of S, and F_A, F_B are factors of the shorts,
@@ -192,8 +195,8 @@ def _closed_form(a: SpectralOperator, b: SpectralOperator, feas_tol: float) -> M
     rays = np.vstack([shared, rays_a, rays_b]) / norms[:, None]
     dec_a, dec_b = Decomposition(lam, rays), Decomposition(mu, rays)
     residual = float(max(np.linalg.norm(dec.reconstruction() - s.matrix) for dec, s in ((dec_a, a), (dec_b, b))))
-    if not residual <= feas_tol:  # also catches a NaN residual
-        raise InfeasibleError(f"certificate residual {residual:.3e} exceeds feas_tol {feas_tol:.3e}")
+    if not residual <= FEAS_TOL:  # also catches a NaN residual
+        raise InfeasibleError(f"certificate residual {residual:.3e} exceeds feas_tol {FEAS_TOL:.3e}")
     value = min(1.0, float(np.sqrt(lam * mu).sum()))
     return MeasureResult(value, dec_a, dec_b, residual, 1, len(rays))
 
@@ -211,19 +214,19 @@ def example_measure(a: SpectralOperator, b: SpectralOperator, cfg: MeasureConfig
     Returns 0 with no certificate when the supports are disjoint. Raises
     ValidationError for a ``cfg`` that breaks `MeasureConfig`'s rules, and
     InfeasibleError when the certificate's reconstruction residual exceeds
-    ``cfg.feas_tol``.
+    `FEAS_TOL`.
     """
     _check_same_dim("state", a.dim, b.dim)
     cfg = cfg or MeasureConfig()
     _check_count("restarts", cfg.restarts, 1)
-    _check_tolerance("feas_tol", cfg.feas_tol)
+    _check_count("seed", cfg.seed)
     key_a, key_b = _side_key(a), _side_key(b)
     swapped = key_b < key_a
-    res = _closed_form(b, a, cfg.feas_tol) if swapped else _closed_form(a, b, cfg.feas_tol)
+    res = _closed_form(b, a) if swapped else _closed_form(a, b)
     dec = res.decomposition_a
     if key_a[1] == key_b[1] and dec is not None:
         # one matrix on both sides: mirror the first side's decomposition,
-        # whose residual _closed_form has already checked against feas_tol
+        # whose residual _closed_form has already checked against FEAS_TOL
         value = min(1.0, float(dec.weights.sum()))
         residual = float(np.linalg.norm(dec.reconstruction() - a.matrix))
         return replace(res, value=value, residual=residual, decomposition_b=dec)

@@ -5,13 +5,12 @@ most 64). Objects are frozen after construction and carry their spectral
 decomposition, so downstream formulas never re-diagonalize.
 The input rules of every layer and the CLI live here, one `_check_*` function
 each: equal dimensions, stacked rays, dimension range, counts and seeds,
-tolerances, norms.
+norms. No rule checks a tolerance: every tolerance is a fixed constant.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,12 +71,6 @@ def _check_count(name: str, value, least: int = 0) -> None:
     """Raise ValidationError unless ``value`` is an integer (`_is_integer`) >= ``least``; also the seed rule."""
     if not (_is_integer(value) and value >= least):
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_tolerance(name: str, value) -> None:
-    """Raise ValidationError unless ``value`` is a finite real number (no bool) >= 0."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0.0):
-        raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _check_norms(what: str, norms, unit: bool = False) -> None:

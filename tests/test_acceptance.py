@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from qcompat import selftest, states
-from qcompat.measure import DEFAULT_FEAS_TOL, _closed_form, _side_key
+from qcompat.measure import _closed_form, _side_key
 from qcompat.selftest import run_criteria
 
 IDENTS = [
@@ -64,15 +64,15 @@ def test_selftest_cli_output_is_byte_deterministic():
 
 def _unmirrored_measure(a, b, cfg=None):
     # the formula in argument order: right to rounding, but not bit-symmetric
-    return _closed_form(a, b, DEFAULT_FEAS_TOL)
+    return _closed_form(a, b)
 
 
 def _ill_first_measure(a, b, cfg=None):
     # mirrors bit for bit, but starts the formula from the worse-conditioned side
     if _side_key(a) < _side_key(b):
-        res = _closed_form(b, a, DEFAULT_FEAS_TOL)
+        res = _closed_form(b, a)
         return replace(res, decomposition_a=res.decomposition_b, decomposition_b=res.decomposition_a)
-    return _closed_form(a, b, DEFAULT_FEAS_TOL)
+    return _closed_form(a, b)
 
 
 @pytest.mark.parametrize(

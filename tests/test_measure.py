@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -12,7 +14,6 @@ from qcompat import (
     InfeasibleError,
     MeasureConfig,
     NotUnitVectorError,
-    ValidationError,
     example_measure,
     fidelity,
     haar_unitary,
@@ -25,7 +26,7 @@ from qcompat import (
     validate_effect,
 )
 from qcompat import measure as measure_module
-from qcompat.measure import DEFAULT_FEAS_TOL, _closed_form
+from qcompat.measure import FEAS_TOL, _closed_form
 from qcompat.selftest import _joint_decomposition
 from qcompat.states import (
     DEFAULT_EPS_MEM,
@@ -289,21 +290,23 @@ class TestExampleMeasure:
         res = example_measure(a, p, MeasureConfig(restarts=8, seed=3))
         assert abs(res.value**2 - s) <= 1e-9
 
-    def test_infeasible_when_tolerance_is_zero(self):
+    def test_infeasible_when_tolerance_is_zero(self, monkeypatch):
+        # no natural input reaches a 1e-6 residual: a zero limit rejects any rounding
+        monkeypatch.setattr(measure_module, "FEAS_TOL", 0.0)
         a, b = _intersecting(3, seed=9)
-        with pytest.raises(InfeasibleError):
-            example_measure(a, b, MeasureConfig(restarts=2, seed=0, feas_tol=0.0))
+        with pytest.raises(InfeasibleError, match="exceeds feas_tol 0.000e"):
+            example_measure(a, b, MeasureConfig(restarts=2, seed=0))
 
     def test_config_validation(self):
         a = random_density(3, 3, seed=1)
         with pytest.raises(ValueError):
             example_measure(a, a, MeasureConfig(restarts=0))
 
-    @pytest.mark.parametrize("feas_tol", [-1.0, np.nan, np.inf])
-    def test_feas_tol_must_be_finite_and_nonnegative(self, feas_tol):
-        a, b = _intersecting(3, seed=9)
-        with pytest.raises(ValidationError):
-            example_measure(a, b, MeasureConfig(feas_tol=feas_tol))
+    def test_no_parameter_takes_a_tolerance(self):
+        # the certificate limit is the constant FEAS_TOL, still readable as cfg.feas_tol
+        assert list(inspect.signature(example_measure).parameters) == ["a", "b", "cfg"]
+        assert [f.name for f in dataclasses.fields(MeasureConfig)] == ["restarts", "seed"]
+        assert MeasureConfig().feas_tol == FEAS_TOL == 1e-6
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_components_is_the_certificate_length(self, d):
@@ -326,7 +329,7 @@ class TestExampleMeasure:
         a, b, _, lam, mu = _joint_decomposition(7, 4, child_rng(0, 23, 47))
         overlap = float(np.sqrt(lam * mu).sum())
         for x, y in ((a, b), (b, a)):
-            res = _closed_form(x, y, DEFAULT_FEAS_TOL)
+            res = _closed_form(x, y)
             assert abs(res.value - overlap) <= 1e-7
             assert res.residual <= 1e-11
 
@@ -377,7 +380,7 @@ class TestExampleMeasure:
             return
         res = example_measure(a, b, MeasureConfig(restarts=3, seed=seed))
         assert 0.0 <= res.value <= 1.0
-        assert res.residual <= MeasureConfig().feas_tol
+        assert res.residual <= FEAS_TOL
 
 
 # the measure-exact pairs (seed, k, kind) of d = 5 whose worse-conditioned side, taken

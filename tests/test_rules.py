@@ -161,6 +161,8 @@ SEEDS = {
     "effects_equal_by_strength": lambda s: effects_equal_by_strength(A3, A3, seed=s),
     "verify_theorem": lambda s: verify_theorem(_by_s3, 3, n_mixed=1, seed=s),
     "rank_via_compatibility": lambda s: rank_via_compatibility(A3, seed=s),
+    # accepted and ignored, yet held to the seed rule like every other seed
+    "example_measure": lambda s: example_measure(A3, A3, MeasureConfig(seed=s)),
 }
 
 
@@ -174,20 +176,6 @@ def test_seed_is_an_integer_at_least_zero(entry, seed):
 def test_numpy_integer_seeds_are_accepted():
     assert as_rng(np.int64(7)).random() == as_rng(7).random()
     assert child_rng(np.uint64(7), 2).random() == child_rng(7, 2).random()
-
-
-TOLERANCES = {
-    "example_measure": (lambda t: example_measure(A3, A3, MeasureConfig(feas_tol=t)), "feas_tol"),
-}
-
-
-# a bool once passed as 0 or 1, while numpy's bool raised
-@pytest.mark.parametrize("tol", [-1e-3, np.nan, np.inf, "1e-8", None, True, False])
-@pytest.mark.parametrize("entry", sorted(TOLERANCES))
-def test_tolerance_is_finite_and_nonnegative(entry, tol):
-    call, name = TOLERANCES[entry]
-    with pytest.raises(ValidationError, match=f"^{name} must be a finite number >= 0, got {re.escape(repr(tol))}$"):
-        call(tol)
 
 
 COUNTS = {
