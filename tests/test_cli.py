@@ -437,7 +437,7 @@ SEED_CALLS = {
 
 
 @pytest.mark.parametrize("command", sorted(SEED_CALLS))
-@pytest.mark.parametrize("value", ["-1", "x"])
+@pytest.mark.parametrize("value", ["-1", "x", "1.5"])
 def test_bad_seed_is_usage_error(files, command, value):
     # a negative seed must stop at parsing: numpy's generators reject it
     args = [files(a) if a.endswith(".json") else a for a in SEED_CALLS[command]]

@@ -297,6 +297,45 @@ class TestExampleMeasure:
         with pytest.raises(InfeasibleError, match="exceeds feas_tol 0.000e"):
             example_measure(a, b, MeasureConfig(restarts=2, seed=0))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_residual_at_the_limit_is_accepted(self, d, monkeypatch):
+        # the limit is inclusive and read at call time: a residual equal to it
+        # passes with the same value, one ulp above it raises
+        a, b = _intersecting(d, seed=11)
+        res = example_measure(a, b, FAST)
+        assert res.residual > 0.0
+        monkeypatch.setattr(measure_module, "FEAS_TOL", res.residual)
+        at = example_measure(a, b, FAST)
+        assert (at.value, at.residual) == (res.value, res.residual)
+        monkeypatch.setattr(measure_module, "FEAS_TOL", np.nextafter(res.residual, 0.0))
+        with pytest.raises(InfeasibleError, match="exceeds feas_tol"):
+            example_measure(a, b, FAST)
+
+    def test_disjoint_supports_build_no_certificate_to_check(self, monkeypatch):
+        # with no shared direction there is no certificate, so even a limit that
+        # rejects a zero residual is never consulted
+        monkeypatch.setattr(measure_module, "FEAS_TOL", -1.0)
+        u = haar_unitary(3, seed=5)
+        a = validate_density(np.outer(u[:, 0], u[:, 0].conj()))
+        b = validate_density(np.outer(u[:, 2], u[:, 2].conj()))
+        res = example_measure(a, b, FAST)
+        assert (res.value, res.residual, res.decomposition_a) == (0.0, 0.0, None)
+
+    @pytest.mark.parametrize(
+        "attempt",
+        [
+            lambda: MeasureConfig(feas_tol=1e-8),
+            lambda: replace(MeasureConfig(), feas_tol=1e-8),
+            lambda: setattr(MeasureConfig(), "feas_tol", 1e-8),
+        ],
+        ids=["constructor", "replace", "assignment"],
+    )
+    def test_feas_tol_cannot_be_set(self, attempt):
+        # a ClassVar is no field: the constructor and replace reject it, and a frozen instance takes no attribute
+        with pytest.raises((TypeError, dataclasses.FrozenInstanceError)):
+            attempt()
+        assert MeasureConfig().feas_tol == FEAS_TOL
+
     def test_config_validation(self):
         a = random_density(3, 3, seed=1)
         with pytest.raises(ValueError):

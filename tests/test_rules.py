@@ -6,6 +6,7 @@ message. The last test keeps the rules in one home.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -247,6 +248,20 @@ def test_subspace_bases_must_be_two_dimensional(shape):
         subspace_intersection_dim(np.ones(shape), np.eye(3))
     with pytest.raises(DimensionMismatchError, match="^expected bases as 2-D arrays"):
         subspace_intersection_dim(np.eye(3), np.ones(shape))
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        ("states", "_check_tolerance"),
+        ("cli", "_tolerance"),
+        ("cli", "_flag"),
+        ("measure", "DEFAULT_FEAS_TOL"),
+    ],
+)
+def test_no_tolerance_rule_is_left(module, name):
+    # every tolerance is a fixed constant, so nothing validates or parses one
+    assert not hasattr(importlib.import_module(f"qcompat.{module}"), name)
 
 
 def test_rules_have_one_home():
