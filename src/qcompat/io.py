@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import FileFormatError
-from .states import MAX_DIM, PureState, SymmetryOp, pure_state, symmetry_op
+from .states import MAX_DIM, PureState, SymmetryOp, symmetry_op
 
 if TYPE_CHECKING:
     from .symmetry import PureStateMap
@@ -164,5 +164,5 @@ def load_map(path) -> PureStateMap:
         vout = parse_vector(item[1], what=f"{path} pair {k} output")
         if vin.shape[0] != dim or vout.shape[0] != dim:
             raise FileFormatError(f"{path}: pair {k} dimension differs from map dim")
-        pairs.append((pure_state(vin), pure_state(vout)))
+        pairs.append((PureState(vin), PureState(vout)))
     return pure_state_map(pairs)

@@ -1,59 +1,19 @@
 """Reconstruction of symmetries from pure-state data and its verification.
 
-Given only the ray images of a small probe family (basis states, two-entry
-superpositions, and one relative-phase state), `wigner_reconstruct` rebuilds
-a unitary or antiunitary operator implementing the map, or raises
-NotASymmetryError naming the probe that failed. `verify_theorem` closes the
-loop for a full state map: reconstruct from pure probes, then confirm the
-operator reproduces the map on mixed states and on strength functionals.
+`wigner_reconstruct` rebuilds the unitary or antiunitary operator that
+implements a map of pure states from the images of a probe family, or
+raises NotASymmetryError naming the probe that failed. `verify_theorem`
+rebuilds the operator of a map of density operators from its pure probes
+and checks it on seeded mixed states and on strength functionals.
 
-A `PureStateMap` holds its rays stacked: row i of ``ins`` maps to row i of
-``outs``. The pairwise checks (duplicate inputs, preserved transition
-probabilities, probe matching and the final reproduction of every pair) are
-Gram-matrix tests over those arrays, and an error names the first failing
-pair in row-major (i, j) order. A map checks its own arrays when built:
-one (n, dim) shape, n >= 1, dim in 2..64, unit rows.
-
-The probe family is built once per dim, as one read-only (2 dim, dim)
-array of rays (`_probe_family`), and so is its Gram matrix (`_probe_gram`).
-A map whose first 2 dim inputs equal the family entry for entry, in order
-(`np.array_equal`), takes its probe images as its first 2 dim outputs and
-skips probe matching; a map whose inputs are exactly the family also reads
-the memoized Gram matrix as its input transition probabilities. Every map that
-`symmetry_probe_map` and `verify_theorem` build, and every file that
-`io.save_map` writes, is such a map. Any other map matches each probe to
-an input by one (2 dim) x n product of overlaps, with the same outcome.
-Rebuilding the operator from the probe images costs a fixed number of
-array operations at every dim: one vectorized pass fixes the columns'
-phases, and Newton–Schulz steps snap them to the nearest unitary
-(`_nearest_unitary`), with no SVD.
-`pure_state_map` validates pairs that come from outside;
-`symmetry_probe_map` and `verify_theorem` build their maps directly from
-the probe family, whose rays are distinct by construction, and
-`verify_theorem` reconstructs through `wigner_reconstruct` like any caller.
-
-No eigendecomposition is repeated for data that is already known. The pure
-probes that `verify_theorem` feeds to the map get their spectral data in
-closed form, with the probe's own vector as the one stored eigenvector;
-`random_density` returns the spectrum it drew and, as stored eigenvectors,
-only the support columns of its Haar basis; and `apply_symmetry` carries
-the input's spectrum through the symmetry: the image of a state with
-spectrum w and stored eigenvectors V has spectrum w and stored
-eigenvectors W = U·V (U·conj(V) for an antiunitary), and its matrix is
-built from them. A probe and an image build their d x d matrix only when
-it is first read, the probe as the outer product v v*, the image as
-(W' · w') W'*, and `verify_theorem`'s probe loop reads only their
-spectra and first columns. So a `verify_theorem` of an `apply_symmetry`
-map runs no eigh at all, each pure image costs one matrix-vector product
-U·v, and neither a probe nor its image builds a matrix: each holds one
-column, and no operator holds a kernel basis. Nor does a map that
-re-validates a pure image run eigh: `validate_density` stores a rank-one
-input's one ray without it. The seeded mixed states are drawn once per
-(dim, seed, k) and shared read-only between calls (`_mixed_state`), while
-at most 64 such keys are in use: 4 dims of the default 10 states fit.
-
-Also here: `rank_via_compatibility`, another name for `numerical_rank`
-that only the benchmark still calls.
+A `PureStateMap` holds its rays stacked, row i of ``ins`` mapping to row i
+of ``outs``, and is the one place where a map's own rules run: one (n, dim)
+shape, n >= 1, dim in 2..64, unit rows. `pure_state_map` adds one dim per
+entry and distinct inputs; maps built on the probe family, whose rays are
+distinct, skip it. The pairwise checks are Gram-matrix tests over the
+stacked rays; an error names the first failing pair in row-major order.
+One tolerance, `MAP_TOL`, bounds every check on a map. README, "Cost of
+the symmetry layer", says what each speed device saves.
 """
 
 from __future__ import annotations
@@ -90,12 +50,9 @@ _DUPLICATE_OVERLAP = 1.0 - 1e-8
 _MIN_DIM = 2
 # largest transition-probability change, purity or fit shortfall and mixed-state error a symmetry may show
 MAP_TOL = 1e-8
-# Newton–Schulz steps the snap to a unitary may take. Past the transition check the
-# basis images f_i are unit rows (within NORM_TOL) with |<f_i|f_j>|^2 <= MAP_TOL + 4e-10
-# (the extra term is the ray match's slack on inputs matched to the basis), so the snap's
-# E = X*X - I has ||E||_2 <= ||E||_F <= sqrt(d (d - 1) 1.04 MAP_TOL) <= 6.5e-3 at d = 64.
-# A step sends each eigenvalue e of E to -(3/4) e^2 + e^3 / 4, so three steps take
-# 6.5e-3 to 3.2e-5, 7.6e-10 and 4.3e-19, past rounding; the limit is the polar factor.
+# Newton–Schulz steps the snap to a unitary may take: past the transition check the snap's
+# E = X*X - I has ||E||_2 <= sqrt(d (d - 1) 1.04 MAP_TOL) <= 6.5e-3 at d = 64, and a step sends
+# each eigenvalue e of E to -(3/4) e^2 + e^3 / 4: 3.2e-5, 7.6e-10, then 4.3e-19, past rounding
 _SNAP_STEPS = 3
 # the snap stops once max|X*X - I| is at most this many d eps, above the rounding of X*X
 # (up to 1.5 d eps on exact maps at d = 2)
@@ -106,9 +63,11 @@ _SNAP_EPS = 4.0
 class PureStateMap:
     """Input rays mapped to output rays: row i of ``ins`` to row i of ``outs``, both (n, dim).
 
-    Raises DimensionMismatchError unless both are 2-D of one shape with dim
-    in 2..MAX_DIM, ValidationError for n = 0, and NotUnitVectorError unless
-    every row is a unit vector within NORM_TOL.
+    Raises, in this order: ValidationError when ``ins`` holds no row (its
+    first axis has length 0); DimensionMismatchError unless both are 2-D of
+    one shape with dim in 2..MAX_DIM; NotUnitVectorError, as "map input ray"
+    and then "map output ray", unless every row is a unit vector within
+    NORM_TOL.
     """
 
     ins: np.ndarray
@@ -116,9 +75,10 @@ class PureStateMap:
 
     def __post_init__(self) -> None:
         ins, outs = self.ins, self.outs
-        _check_stacked("map ins and outs", ins, outs)
-        if not ins.shape[0]:
+        # a shape test: an (n, 0) stack is a dimension fault, a 0-d array a shape fault
+        if ins.shape[:1] == (0,):
             raise ValidationError("map needs at least one pair")
+        _check_stacked("map ins and outs", ins, outs)
         _check_dim(ins.shape[1], _MIN_DIM)
         _check_norms("map input ray", np.linalg.norm(ins, axis=1), unit=True)
         _check_norms("map output ray", np.linalg.norm(outs, axis=1), unit=True)
@@ -159,20 +119,20 @@ def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:
 
 
 def pure_state_map(pairs) -> PureStateMap:
-    """The map of (input, output) `PureState` pairs, checked: nonempty, one dim of 2..64, distinct inputs."""
+    """The map of (input, output) `PureState` pairs.
+
+    Raises DimensionMismatchError at the first entry whose dim is not the first input's, then
+    the `PureStateMap` errors, then ValidationError for the first two inputs on one ray.
+    """
     pairs = tuple((p, q) for p, q in pairs)
-    if not pairs:
-        raise ValidationError("map needs at least one pair")
-    dim = pairs[0][0].dim
-    _check_dim(dim, _MIN_DIM)
     for p, q in pairs:
-        _check_same_dim("map entry", dim, p.dim)
-        _check_same_dim("map entry", dim, q.dim)
-    ins = _rays(p for p, _ in pairs)
-    dup = _first_pair(_overlaps(ins, ins) > _DUPLICATE_OVERLAP)
+        _check_same_dim("map entry", pairs[0][0].dim, p.dim)
+        _check_same_dim("map entry", pairs[0][0].dim, q.dim)
+    pmap = PureStateMap(_rays(p for p, _ in pairs), _rays(q for _, q in pairs))
+    dup = _first_pair(_overlaps(pmap.ins, pmap.ins) > _DUPLICATE_OVERLAP)
     if dup is not None:
         raise ValidationError(f"duplicate input ray at pairs {dup[0]} and {dup[1]}")
-    return PureStateMap(ins, _rays(q for _, q in pairs))
+    return pmap
 
 
 @lru_cache(maxsize=MAX_DIM - _MIN_DIM + 1, typed=True)
@@ -228,18 +188,13 @@ def _image_matrix(op: SpectralOperator) -> np.ndarray:
 def apply_symmetry(sym: SymmetryOp, state: SpectralOperator) -> SpectralOperator:
     """Image U rho U* (U conj(rho) U* for an antiunitary) as a density operator.
 
-    The image is built from the input's carried spectral decomposition: its
-    stored eigenvectors are W = U·V (U·conj(V)) for the input's stored
-    columns V, and its spectrum is the input's. That is one d x m product,
-    so a pure image, m = 1, is one matrix-vector product, and no eigh runs.
-    Its matrix is built on its first read, as (W' · w') W'* over the columns
-    with w != 0 (`_image_matrix`): O(d^2) per nonzero eigenvalue, the image
-    of the spectral decomposition, which agrees with U rho U* to rounding,
-    trace included. The unit-trace check reads the input's carried spectrum
-    (its sum, within ~d eps of the trace), not its matrix, so an effect
-    whose trace is not one raises TraceNotOneError and the input's matrix is
-    not built either. The spectrum is the input's, so its rank, read from
-    it, is too.
+    Raises DimensionMismatchError when the dims differ, then TraceNotOneError
+    when the input's carried spectrum does not sum to 1 within TRACE_TOL; the
+    check reads the spectrum, not the input's matrix. The image's spectrum
+    (and so its rank) is the input's, its stored eigenvectors are W = U·V
+    (U·conj(V)) for the input's stored columns V, and its matrix, built on
+    first read as (W' · w') W'* over the columns with w != 0, agrees with
+    U rho U* to rounding.
     """
     _check_same_dim("symmetry and state", sym.dim, state.dim)
     _check_unit_trace(float(state.eigenvalues.sum()))
@@ -264,10 +219,9 @@ def symmetry_overlap(first: SymmetryOp, second: SymmetryOp) -> float:
 def _nearest_unitary(x: np.ndarray) -> np.ndarray:
     """The polar factor of the square ``x``, the unitary nearest it, by Newton–Schulz steps.
 
-    Each step is X <- X - X (X*X - I) / 2, two d x d products. It stops before a
-    step once max|X*X - I| <= `_SNAP_EPS` d eps, and after `_SNAP_STEPS` steps,
-    which reach rounding from any ``x`` with ||X*X - I||_2 <= 6.5e-3: the bound
-    the transition check puts on `wigner_reconstruct`'s basis images. An ``x``
+    Each step is X <- X - X (X*X - I) / 2. It stops before a step once
+    max|X*X - I| <= `_SNAP_EPS` d eps, and after `_SNAP_STEPS` steps, which
+    reach rounding from any ``x`` with ||X*X - I||_2 <= 6.5e-3. An ``x``
     already unitary to rounding is returned as it is.
     """
     d = x.shape[0]
@@ -281,32 +235,19 @@ def _nearest_unitary(x: np.ndarray) -> np.ndarray:
 
 
 def wigner_reconstruct(pmap: PureStateMap) -> SymmetryOp:
-    """Rebuild the implementing operator from probe images.
+    """Rebuild the implementing operator from the probe images of ``pmap``.
 
-    Raises IncompleteMapError when a required probe input is absent, and
-    NotASymmetryError (with the offending probe id) when transition
-    probabilities are not preserved, the phase data fits neither the unitary
-    nor the antiunitary branch, or the assembled operator fails to reproduce
-    some pair of the map. The transition check compares the Gram matrices
-    |<in_i|in_j>|^2 and |<out_i|out_j>|^2 of the stacked rays on i < j, and
-    probe matching and the final reproduction check are one matrix product
-    each; every error names the first failing pair in row-major order.
-    When the first 2 dim inputs equal `_probe_family`'s rays entry for entry, the
-    probe images are the first 2 dim outputs and no matching product runs;
-    when the inputs are exactly those rays, their Gram matrix is the
-    memoized `_probe_gram`. Either shortcut gives what the product would.
-    A transition probability may move by at most `MAP_TOL`, the phase probe
-    must fit a branch within 10 `MAP_TOL`, and each pair must be reproduced
-    within `MAP_TOL`.
-    The operator costs a fixed number of array operations at every dim: the
-    basis images' phases come from the pair images in one vectorized pass,
-    and the phased columns snap to their polar factor, the nearest unitary,
-    by at most `_SNAP_STEPS` = 3 Newton–Schulz steps (`_nearest_unitary`)
-    rather than an SVD. The transition check bounds every pair of basis
-    images by |<f_i|f_j>|^2 <= `MAP_TOL` (up to the ray match's slack), so
-    the columns' ||X*X - I||_F is at most sqrt(d (d - 1) 1.04 `MAP_TOL`),
-    6.5e-3 at d = 64, from where three steps reach rounding.
-    It does not check the inputs for duplicates: `pure_state_map` does that.
+    Raises, in this order, NotASymmetryError with probe "overlap-i-j" for the
+    first pair i < j (row-major) whose transition probability moves by more
+    than `MAP_TOL`; IncompleteMapError when no input lies on some probe's
+    ray (overlap below 1 - 1e-10); NotASymmetryError with probe "imag-0-1"
+    when the phase probe fits neither branch within 10 `MAP_TOL`; and
+    NotASymmetryError with probe "pair-k" for the first pair the operator
+    reproduces with fit below 1 - `MAP_TOL`. A map whose first 2 dim inputs
+    equal `_probe_family`'s rays entry for entry takes its probe images from
+    its first 2 dim outputs, and one whose inputs are exactly those rays
+    reads `_probe_gram`; both give the bytes that matching would. The
+    inputs are not checked for duplicates: `pure_state_map` does that.
     """
     ins, outs, d = pmap.ins, pmap.outs, pmap.dim
     labels, probes = _probe_family(d)
@@ -366,8 +307,7 @@ def wigner_reconstruct(pmap: PureStateMap) -> SymmetryOp:
             probe="imag-0-1",
         )
 
-    # snap to the nearest exact unitary: at most _SNAP_STEPS = 3 Newton–Schulz steps, no SVD;
-    # three suffice because the transition check held ||X*X - I||_F to sqrt(d (d - 1) 1.04 MAP_TOL)
+    # snap to the nearest exact unitary; the transition check bounds the defect (see _SNAP_STEPS)
     u = _nearest_unitary(cols)
     sym = symmetry_op(u, antiunitary=antiunitary)
 
@@ -390,15 +330,12 @@ def _mixed_state(dim: int, seed: int, k: int) -> SpectralOperator:
     """`verify_theorem`'s k-th seeded mixed state, drawn once and shared read-only.
 
     The state is ``random_density(dim, (k % dim) + 1, seed=child_rng(seed, 2, k))``,
-    a pure function of (dim, seed, k), so every call that draws it again gets
-    the same bytes. Its matrix, spectrum and stored columns are made
-    read-only: a transform that writes into its input raises numpy's
-    ValueError rather than corrupt a later call. One entry is one state, and
-    at most 64 are kept, least recently used first out: a process that
-    verifies one seed at 4 dims with the default ``n_mixed`` = 10 uses 40
-    keys, and a cycle of more keys than the bound would hit none. At
-    d = 64 an entry holds at most a 64 x 64 complex matrix, up to 64 stored
-    columns and 64 eigenvalues, 128.5 KiB, so the memo holds at most 8.0 MiB.
+    a pure function of (dim, seed, k). Its matrix, spectrum and stored
+    columns are read-only: a transform that writes into its input raises
+    numpy's ValueError rather than corrupt a later call. At most 64 states
+    are kept, least recently used first out. At d = 64 an entry holds at
+    most a 64 x 64 complex matrix, 64 stored columns and 64 eigenvalues,
+    128.5 KiB, so the memo holds at most 8.0 MiB.
     """
     state = random_density(dim, (k % dim) + 1, seed=child_rng(seed, 2, k))
     for array in (state.matrix, state.eigenvalues, state.leading):
@@ -409,42 +346,25 @@ def _mixed_state(dim: int, seed: int, k: int) -> SpectralOperator:
 def verify_theorem(transform, dim: int, n_mixed: int = 10, seed: int = 0) -> VerificationResult:
     """Check that a state map is implemented by one unitary/antiunitary.
 
-    ``transform`` maps SpectralOperator to SpectralOperator. Pure probes must
-    map to pure outputs, with top eigenvalue at least 1 - `MAP_TOL` (else
-    NotASymmetryError), each output's top eigenvector, its first stored
-    column, must be a unit vector within NORM_TOL (else NotUnitVectorError),
-    and of dimension ``dim`` (else DimensionMismatchError); the probes
-    run in `_probe_family` order and the first failing one stops the loop.
-    The probe rays and those top eigenvectors form the `PureStateMap` that
-    `wigner_reconstruct` rebuilds the operator from; its inputs are the
-    probe family, so it needs no probe matching.
-    The probe rays are built once per dim and shared read-only: a probe's
-    stored column is a view of them, so a transform that writes into a
-    probe's ``leading`` raises numpy's ValueError, as for the mixed states.
-    Each probe reaches ``transform`` with its spectral data built in closed
-    form and its matrix not yet built, and the loop reads only each image's
-    top eigenvalue and first stored column, so with an `apply_symmetry`
-    transform no probe or probe image builds its d x d matrix. Each mixed
-    state comes from `random_density` with the spectrum it drew and its
-    support columns as the stored eigenvectors, and each prediction comes
-    from `apply_symmetry`, which carries the state's spectrum through and
-    maps only those columns; so with an `apply_symmetry` transform no eigh
-    runs, nor for a probe whose image a transform re-validates while it
-    stays rank one. The mixed states are shared: each is drawn once per
-    (dim, seed, k) while at most 64 such keys are in use, and kept for
-    later calls (`_mixed_state`), with its matrix, spectrum and columns
-    read-only, so a transform that writes into one raises numpy's
-    ValueError and must copy what it would change.
-    The reconstructed operator is then compared against the map on
-    ``n_mixed`` seeded mixed states of cycling ranks, each within `MAP_TOL`
-    in Frobenius norm, and, via strength functions on one stacked ray set
-    (`effects_equal_by_strength`), on the first two of them.
-    Mixed-state disagreements are collected as failures with verdict False
-    rather than raised; a mixed output whose dimension is not ``dim`` raises
-    DimensionMismatchError, as a probe image's does. Raises ValidationError
-    when ``n_mixed`` is not an integer >= 1, since the verdict would then
-    rest on no mixed state at all, and when ``seed`` is not an integer >= 0,
-    which the strength rays cannot be drawn from.
+    ``transform`` maps SpectralOperator to SpectralOperator. Raises
+    DimensionMismatchError for a ``dim`` outside 2..MAX_DIM, then
+    ValidationError unless ``n_mixed`` is an integer >= 1 and ``seed`` one
+    >= 0. The pure probes reach ``transform`` in `_probe_family` order; the
+    loop stops at the first probe whose transform raises ValidationError
+    (NotASymmetryError naming the probe), whose image's top eigenvalue is
+    below 1 - `MAP_TOL` (NotASymmetryError) or whose image's dim is not
+    ``dim`` (DimensionMismatchError). The probe rays and the images' first
+    stored columns form the `PureStateMap` that `wigner_reconstruct` reads,
+    so a non-unit image is reported by the map, after the loop, as a "map
+    output ray" NotUnitVectorError. Probes and mixed states are shared
+    read-only, so a transform that writes into a probe's ``leading`` raises
+    numpy's ValueError, as one that writes into a mixed state does.
+    The operator is then compared with the map on ``n_mixed`` seeded mixed
+    states of cycling ranks (`_mixed_state`), each within `MAP_TOL` in
+    Frobenius norm, and on the first two by `effects_equal_by_strength`. A
+    mixed state that ``transform`` rejects with ValidationError, or on which
+    they disagree, is a failure, with verdict False; a mixed output whose
+    dim is not ``dim`` raises DimensionMismatchError.
     """
     _check_dim(dim, _MIN_DIM)
     _check_count("n_mixed", n_mixed, 1)
@@ -465,7 +385,6 @@ def verify_theorem(transform, dim: int, n_mixed: int = 10, seed: int = 0) -> Ver
                 probe=label,
             )
         ray = np.asarray(out.leading[:, 0], dtype=np.complex128)
-        _check_norms("vector", float(np.linalg.norm(ray)), unit=True)
         _check_same_dim("map entry", dim, ray.shape[0])
         images.append(ray)
 

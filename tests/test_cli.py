@@ -81,6 +81,16 @@ def files(tmp_path_factory):
     with open(p("map_duplicate.json"), "w") as fh:
         json.dump(dup, fh)
 
+    # the d = 4 probe map with one output entry scaled by 1.5, and with one input entry shifted
+    with open(p("map_antiunitary.json")) as fh:
+        scaled = json.load(fh)
+    shifted = json.loads(json.dumps(scaled))
+    scaled["pairs"][1][1]["entries"][0] = [1.5 * x for x in scaled["pairs"][1][1]["entries"][0]]
+    shifted["pairs"][2][0]["entries"][0][0] += 0.25
+    for name, obj in (("map_scaled_out.json", scaled), ("map_shifted_in.json", shifted)):
+        with open(p(name), "w") as fh:
+            json.dump(obj, fh)
+
     labels, rays = _probe_family(2)
     probes = [pure_state(ray) for ray in rays]
     save_map(p("map_truncated.json"), pure_state_map([(q, q) for q in probes[:2]]))
@@ -372,6 +382,16 @@ def test_duplicate_input_map_file_is_validation_error(files, command):
     rc, rep, _ = run_cli(command, "--map", files("map_duplicate.json"))
     assert rc == 3
     assert rep["error"] == {"type": "ValidationError", "message": "duplicate input ray at pairs 0 and 8"}
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "verify"])
+@pytest.mark.parametrize("name,side", [("map_scaled_out.json", "output"), ("map_shifted_in.json", "input")])
+def test_non_unit_map_ray_is_validation_error(files, command, name, side):
+    # the map checks its rays once, after the file, and names the side of the ray it rejects
+    rc, rep, _ = run_cli(command, "--map", files(name))
+    assert rc == 3
+    assert rep["error"]["type"] == "NotUnitVectorError"
+    assert re.fullmatch(rf"map {side} ray has norm 1\.\d+, not 1 within 1e-12", rep["error"]["message"])
 
 
 def _operands(files, command):

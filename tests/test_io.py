@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcompat import (
     FileFormatError,
+    NotUnitVectorError,
     ValidationError,
     random_density,
     random_pure,
@@ -208,10 +209,16 @@ class TestFileErrors:
             load_symmetry(path)
 
     def test_map_with_non_unit_vector(self, tmp_path):
+        # the file path checks each vector's dim; the map checks every ray's norm once and names its side
         pmap = symmetry_probe_map(random_symmetry(2, antiunitary=False, seed=6))
         obj = map_payload(pmap)
         obj["pairs"][0][0]["entries"][0] = [5.0, 0.0]
         path = tmp_path / "map.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ValidationError):
+        with pytest.raises(NotUnitVectorError, match=r"^map input ray has norm 5\.0, not 1 within 1e-12$"):
+            load_map(path)
+        obj = map_payload(pmap)
+        obj["pairs"][0][1]["entries"][0] = [1.5 * x for x in obj["pairs"][0][1]["entries"][0]]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(NotUnitVectorError, match=r"^map output ray has norm 1\.\d+, not 1 within 1e-12$"):
             load_map(path)

@@ -218,7 +218,7 @@ NORMS = {
     "pure_state-nan": (lambda: pure_state([1.0, np.nan], normalize=True), "vector has norm nan, not nonzero and finite"),
     "pure_state-inf": (lambda: pure_state([np.inf, 0.0]), "vector has norm inf, not 1 within 1e-12"),
     "pure_state-not-unit": (lambda: pure_state([1.0, 1.0]), "vector has norm 1.4142135623730951, not 1 within 1e-12"),
-    # the array forms `_closed_form` (certificate rays) and `_probe_family` (probe rays) pass
+    # the array forms that `_closed_form` (certificate rays) and `PureStateMap` (map rays) pass
     "certificate-rays": (
         lambda: _check_norms("a certificate ray", np.array([0.5, 0.0, np.nan])),
         "a certificate ray has norm 0.0, not nonzero and finite",

@@ -37,7 +37,7 @@ from qcompat import (
     wigner_reconstruct,
 )
 from qcompat import symmetry
-from qcompat.states import _pure_density, child_rng
+from qcompat.states import NORM_TOL, _pure_density, child_rng
 from qcompat.symmetry import MAP_TOL, _mixed_state, _nearest_unitary, _probe_family, _probe_gram
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -265,7 +265,8 @@ class TestPureStateMapValidation:
             pure_state_map([(_basis(0, 2), _basis(0, 3))])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
+        # the map's own check, which reads the empty stack's shape (0,)
+        with pytest.raises(ValidationError, match="^map needs at least one pair$"):
             pure_state_map([])
 
     def test_first_duplicate_pair_is_named(self):
@@ -326,6 +327,13 @@ class TestPureStateMapChecks:
     def test_needs_a_pair(self):
         with pytest.raises(ValidationError, match="^map needs at least one pair$"):
             PureStateMap(np.zeros((0, 3), dtype=complex), np.zeros((0, 3), dtype=complex))
+
+    def test_emptiness_is_read_from_the_shape(self):
+        # a 0-d array and an (n, 0) stack hold no ray either, but their faults are the shape and the dimension
+        with pytest.raises(DimensionMismatchError, match=r"^map ins and outs must be 2-D arrays of one shape, got \(\) and \(\)$"):
+            PureStateMap(np.array(1.0 + 0j), np.array(1.0 + 0j))
+        with pytest.raises(DimensionMismatchError, match=r"^dimension 0 outside 2..64$"):
+            PureStateMap(np.zeros((3, 0), dtype=complex), np.zeros((3, 0), dtype=complex))
 
 
 class TestPureStateMapForm:
@@ -726,14 +734,29 @@ class TestVerifyTheorem:
         assert maps[0].ins.tobytes() == _probe_family(3)[1].tobytes()
 
     @pytest.mark.parametrize("k", [0, 3, 5])
-    def test_non_unit_probe_image_stops_the_loop(self, k):
+    def test_non_unit_probe_image_is_reported_by_the_map(self, k):
+        # the loop reads no norm: every probe reaches the transform, and the map checks its rays once
         def stretched(out):
             return SpectralOperator(out.matrix, out.eigenvalues, out.leading * 1.1)
 
         transform, calls = _failing_at(k, stretched)
-        with pytest.raises(NotUnitVectorError, match="^vector has norm 1.1"):
+        with pytest.raises(NotUnitVectorError, match="^map output ray has norm 1.1"):
             verify_theorem(transform, 3, n_mixed=1, seed=0)
-        assert len(calls) == k + 1
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_checks_the_norms_once_for_the_map(self, d, monkeypatch):
+        checked = []
+        check = symmetry._check_norms
+
+        def counted(what, norms, unit=False):
+            checked.append((what, np.shape(norms), unit))
+            return check(what, norms, unit=unit)
+
+        monkeypatch.setattr(symmetry, "_check_norms", counted)
+        s = random_symmetry(d, seed=d)
+        assert verify_theorem(lambda rho: apply_symmetry(s, rho), d, n_mixed=2, seed=0).verdict
+        assert checked == [("map input ray", (2 * d,), True), ("map output ray", (2 * d,), True)]
 
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_rejected_probe_output_names_the_probe_and_stops_the_loop(self, k):
@@ -844,6 +867,24 @@ class TestMapTolerance:
             with pytest.raises(NotASymmetryError) as exc:
                 verify_theorem(transform, 3, n_mixed=3, seed=0)
             assert exc.value.probe == _probe_family(3)[0][k]
+
+    @pytest.mark.parametrize("factor,passes", [(0.9, True), (1.1, False)], ids=["inside", "outside"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["long", "short"])
+    @pytest.mark.parametrize("k", [0, 3, 5], ids=["basis-0", "pair-0-1", "imag-0-1"])
+    def test_probe_image_norm_cut(self, k, sign, factor, passes):
+        # the map's one check keeps the unit-norm rule's cut, NORM_TOL, on probe k's image
+        scale = 1.0 + sign * factor * NORM_TOL
+
+        def scaled(out):
+            return SpectralOperator(out.matrix, out.eigenvalues, out.leading * scale)
+
+        transform, calls = _failing_at(k, scaled)
+        if passes:
+            assert verify_theorem(transform, 3, n_mixed=3, seed=0).verdict
+        else:
+            with pytest.raises(NotUnitVectorError, match=r"^map output ray has norm (1\.000000000001|0\.999999999998)\d*, not 1 within 1e-12$"):
+                verify_theorem(transform, 3, n_mixed=3, seed=0)
+            assert len(calls) == 6
 
     @pytest.mark.parametrize("factor,passes", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["raised", "lowered"])
