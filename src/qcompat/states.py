@@ -38,8 +38,9 @@ UNITARY_TOL = 1e-10
 NORM_TOL = 1e-12
 MAX_DIM = 64
 _EPS = float(np.finfo(np.float64).eps)
-# a squared Frobenius Hermiticity defect this small puts every entry under HERMITIAN_TOL
-_HERMITIAN_FAST_CUT = (HERMITIAN_TOL * (1.0 - 1e-9)) ** 2
+# the rank-one test on the raw matrix: this share of the cut, for a trace up to _RAW_TRACE (`_as_rank_one`)
+_RAW_SHARE = 0.5
+_RAW_TRACE = 1.25
 
 
 def _check_same_dim(what: str, first: int, second: int) -> None:
@@ -175,24 +176,13 @@ class SymmetryOp:
         return self.u.shape[0]
 
 
-def _checked_hermitian(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix as `_square_complex` returns it, and its hermitized (m + m*) / 2.
-
-    The rule is max |m - m*| <= HERMITIAN_TOL, entry by entry. No entry
-    exceeds the Frobenius norm ||m - m*||_F, so a matrix whose squared norm,
-    one `np.vdot`, is at most (HERMITIAN_TOL (1 - 1e-9))^2 passes at once:
-    the margin, 2e-9 relative, is over 10^3 x the worst-case rounding of
-    that sum of 4096 squares at d = 64. Any other matrix has its entries
-    read as the rule states, which decides it and words the error.
-    """
-    m = _square_complex(matrix, NotHermitianError)
+def _checked_hermitian(m: np.ndarray) -> np.ndarray:
+    """The hermitized (m + m*) / 2 of a `_square_complex` matrix, once max |m - m*| <= HERMITIAN_TOL entry by entry (else NotHermitianError)."""
     mh = m.conj().T
-    skew = m - mh
-    if not np.vdot(skew, skew).real <= _HERMITIAN_FAST_CUT:
-        defect = float(np.abs(skew).max())
-        if not defect <= HERMITIAN_TOL:
-            raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
-    return m, (m + mh) / 2.0
+    defect = float(np.abs(m - mh).max())
+    if not defect <= HERMITIAN_TOL:
+        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
+    return (m + mh) / 2.0
 
 
 def _check_unit_trace(trace: float) -> None:
@@ -207,46 +197,73 @@ def _rank_one(source, vector: np.ndarray, top: float) -> SpectralOperator:
     return SpectralOperator(source, w, vector[:, None])
 
 
-def _as_rank_one(m: np.ndarray, h: np.ndarray, trace: float) -> SpectralOperator | None:
-    """``m``'s operator form when its hermitized ``h`` is rank one to working precision, else None.
+def _as_rank_one(x: np.ndarray, m: np.ndarray, trace: float, share: float) -> SpectralOperator | None:
+    """``m``'s operator form when ``x``, ``m`` or its hermitized h, is rank one to working precision, else None.
 
-    With j the largest diagonal entry of h and c = h[:, j] / sqrt(h_jj), h is
-    taken as c c* when ||h - c c*||_F <= cut = 4 sqrt(d) eps min(1, |c|^2),
-    at most 7.1e-15 at d = 64: 140x below PSD_TOL and 10^4 x below
-    DEFAULT_EPS_RANK |c|^2. Every eigenvalue of h is then within the cut of
-    (|c|^2, 0, ..., 0) (Weyl), so the PSD check, the rank (1) and
-    `validate_effect`'s upper bound decide as on eigh's spectrum, the last
-    one up to a top eigenvalue within the cut of its bound. A PSD h
-    has tr(h)^2 = ||h||_F^2 exactly when it is rank one, and under the cut
-    the two differ by about 8 d eps tr(h)^2 at most (Hoffman-Wielandt); an
-    input whose two differ by more than twice that, the rest left for
-    rounding, pays only this one O(d^2) sum before eigh. ``trace`` is
-    Re tr(m), which is tr(h).
+    With j the largest diagonal entry of x and c = h[:, j] / sqrt(h_jj), x is
+    taken as c c* when ||x - c c*||_F <= share * cut, cut = 4 sqrt(d) eps
+    min(1, |c|^2), at most 7.1e-15 at d = 64: 140x below PSD_TOL and 10^4 x
+    below DEFAULT_EPS_RANK |c|^2. h's pivot column is formed alone, as
+    (m[:, j] + m[j, :].conj()) / 2.0, which is h[:, j] bit for bit, so a
+    test on m and one on h take the same j, c and |c|^2. On h with share 1,
+    every eigenvalue of h is within the cut of (|c|^2, 0, ..., 0) (Weyl), so
+    the PSD check, the rank (1) and `validate_effect`'s upper bound decide
+    as on eigh's spectrum, the last one up to a top eigenvalue within the
+    cut of its bound. A PSD h has tr(h)^2 = ||h||_F^2 exactly when it is
+    rank one, and under the cut the two differ by about 8 d eps tr(h)^2 at
+    most (Hoffman-Wielandt); an input whose two differ by more than twice
+    that, the rest left for rounding, pays only this one O(d^2) sum before
+    eigh. ``trace`` is Re tr(m), which is tr(h).
+
+    `_validate` tests m first, with share 1/2 and only when Re tr(m) <= 5/4,
+    which keeps |c|^2 <= 5/4 (to 3e-14). A pass there implies a pass on h,
+    so it stores the bytes and raises the errors that the route through h
+    would. Let r be the rounded c c*, R = m - r and ||R||_F <= cut / 2. Each
+    entry of r is one complex product, so ||r - c c*||_F <= sqrt(2) eps
+    |c|^2, and r's anti-Hermitian part A has ||A||_F <= 0.75 eps |c|^2,
+    with a fused multiply-add or without. Then:
+    - the Hermitian rule holds: ||m - m*||_F <= 2 ||A||_F + 2 ||R||_F,
+      at most 7.6e-15, far below HERMITIAN_TOL;
+    - the test on h holds: rounding each entry of m + m* adds at most
+      eps ||h||_F / 2 (the halving is exact), so ||h - r||_F <= ||R||_F +
+      ||A||_F + eps |c|^2 / 2 <= cut / 2 + 1.25 eps |c|^2. That is at most
+      0.82 cut when |c|^2 <= 1, and 0.9 cut up to |c|^2 = 5/4, where the
+      cut no longer grows with |c|^2 (d = 1 is the worst case);
+    - h's sum test holds: with ||h - c c*||_F <= 0.9 cut + sqrt(2) eps
+      |c|^2, tr(h)^2 and ||h||_F^2 differ by at most 2 |c|^2 sqrt(d - 1)
+      ||h - c c*||_F (plus its square), under 0.7 x 16 d eps tr(h)^2.
+    The 10% and 30% left are far above the rounding of the sums. Past a
+    trace of 5/4 the rounding of r and of h could outgrow the fixed cut,
+    so such a matrix goes to h at once.
     """
-    dim = h.shape[0]
-    if not abs(trace * trace - float(np.vdot(h, h).real)) <= 16.0 * dim * _EPS * trace * trace:
+    dim = x.shape[0]
+    if not abs(trace * trace - float(np.vdot(x, x).real)) <= 16.0 * dim * _EPS * trace * trace:
         return None
-    j = int(h.diagonal().real.argmax())
-    pivot = float(h[j, j].real)
+    j = int(x.diagonal().real.argmax())
+    column = (m[:, j] + m[j, :].conj()) / 2.0
+    pivot = float(column[j].real)
     if not pivot > 0.0:
         return None
-    c = h[:, j] / math.sqrt(pivot)
+    c = column / math.sqrt(pivot)
     top = float(np.vdot(c, c).real)
     r = np.multiply(c[:, None], c.conj())
-    np.subtract(h, r, out=r)
-    cut = 4.0 * math.sqrt(dim) * _EPS * min(1.0, top)
+    np.subtract(x, r, out=r)
+    cut = share * 4.0 * math.sqrt(dim) * _EPS * min(1.0, top)
     if not np.vdot(r, r).real <= cut * cut:
         return None
     return _rank_one(m, c / math.sqrt(top), top)
 
 
 def _validate(matrix, density: bool) -> SpectralOperator:
-    m, h = _checked_hermitian(matrix)
+    m = _square_complex(matrix, NotHermitianError)
     trace = float(m.trace().real)
-    op = _as_rank_one(m, h, trace)
+    op = _as_rank_one(m, m, trace, _RAW_SHARE) if trace <= _RAW_TRACE else None
     if op is None:
-        w, v = np.linalg.eigh(h)
-        op = SpectralOperator(m, w[::-1].copy(), v[:, ::-1].copy())
+        h = _checked_hermitian(m)
+        op = _as_rank_one(h, m, trace, 1.0)
+        if op is None:
+            w, v = np.linalg.eigh(h)
+            op = SpectralOperator(m, w[::-1].copy(), v[:, ::-1].copy())
     w = op.eigenvalues
     if w[-1] < -PSD_TOL:
         raise NotPSDError(f"lowest eigenvalue {w[-1]:.3e} below -{PSD_TOL}")
@@ -262,9 +279,13 @@ def validate_density(matrix) -> SpectralOperator:
 
     Eigenvalues down to -1e-12 are accepted and cached as eigh returns them;
     anything lower raises. The numerical rank counts eigenvalues above
-    DEFAULT_EPS_RANK relative to the largest one. An input that is rank one
-    to working precision skips eigh (`_as_rank_one`): it stores one column
-    and the spectrum (|c|^2, 0, ..., 0), with every check kept.
+    DEFAULT_EPS_RANK relative to the largest one. The route: shape and
+    finiteness; the rank-one test on the matrix m at half the cut; the
+    Hermitian rule; the rank-one test on the hermitized h; eigh. A pass on
+    m implies the Hermitian rule and a pass on h (`_as_rank_one`), so it
+    skips the Hermitian pass and h's d x d copy. An input that is rank one
+    to working precision skips eigh: it stores one column and the spectrum
+    (|c|^2, 0, ..., 0), with every check kept.
     """
     return _validate(matrix, density=True)
 

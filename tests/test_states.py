@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 import warnings
 
@@ -40,6 +41,8 @@ from qcompat.states import (
     DEFAULT_EPS_MEM,
     DEFAULT_EPS_RANK,
     HERMITIAN_TOL,
+    PSD_TOL,
+    TRACE_TOL,
     SpectralOperator,
     _checked_hermitian,
     _pure_density,
@@ -95,17 +98,21 @@ class TestValidateDensity:
     @pytest.mark.parametrize("d", [2, 3, 64])
     def test_near_rank_one_inputs(self, d, monkeypatch):
         # an exact v v* with the wrong trace or above 1 is rejected without
-        # eigh; a second eigenvalue of +-1e-11 or 1e-9 lies far above the
-        # rank-one cut, so eigh runs and decides
+        # eigh: at trace 2, above the raw test's 5/4, after the Hermitian
+        # pass, and at 1 + 1e-9 without it; a second eigenvalue of +-1e-11 or
+        # 1e-9 lies far above the rank-one cut, so eigh runs and decides
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(d) or eigh(h))
+        passes = _hermitian_passes(monkeypatch)
         u = haar_unitary(d, seed=d)
         vv, ww = (np.outer(u[:, k], u[:, k].conj()) for k in (0, 1))
         with pytest.raises(TraceNotOneError):
             validate_density(2.0 * vv)
+        assert len(passes) == 1
         with pytest.raises(NotAnEffectError):
             validate_effect((1.0 + 1e-9) * vv)
+        assert len(passes) == 1
         assert calls == []
         with pytest.raises(NotPSDError):
             validate_density((vv - 1e-11 * ww) / (1.0 - 1e-11))
@@ -135,8 +142,270 @@ class TestValidateDensity:
             random_density(3, -1, seed=0)
 
 
+EPS = float(np.finfo(np.float64).eps)
+
+
+def _hermitian_passes(monkeypatch):
+    """Record each call of `states._checked_hermitian`, the Hermitian pass of validation."""
+    calls = []
+    check = states._checked_hermitian
+    monkeypatch.setattr(states, "_checked_hermitian", lambda m: calls.append(m.shape) or check(m))
+    return calls
+
+
+def _reference_rank_one(m, h, trace):
+    """The reference route's rank-one test: on the hermitized ``h`` alone, at the full cut."""
+    dim = h.shape[0]
+    if not abs(trace * trace - float(np.vdot(h, h).real)) <= 16.0 * dim * EPS * trace * trace:
+        return None
+    j = int(h.diagonal().real.argmax())
+    pivot = float(h[j, j].real)
+    if not pivot > 0.0:
+        return None
+    c = h[:, j] / math.sqrt(pivot)
+    top = float(np.vdot(c, c).real)
+    r = np.multiply(c[:, None], c.conj())
+    np.subtract(h, r, out=r)
+    cut = 4.0 * math.sqrt(dim) * EPS * min(1.0, top)
+    if not np.vdot(r, r).real <= cut * cut:
+        return None
+    w = np.zeros(dim)
+    w[0] = top
+    return SpectralOperator(m, w, (c / math.sqrt(top))[:, None])
+
+
+def _reference_validate(matrix, density):
+    """The reference route for byte identity, with no rank-one test on the raw matrix.
+
+    The entrywise Hermitian rule, then `_reference_rank_one` on the
+    hermitized h, then eigh, then the PSD, trace and effect checks.
+    """
+    m = states._square_complex(matrix, NotHermitianError)
+    mh = m.conj().T
+    defect = float(np.abs(m - mh).max())
+    if not defect <= HERMITIAN_TOL:
+        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}")
+    h = (m + mh) / 2.0
+    trace = float(m.trace().real)
+    op = _reference_rank_one(m, h, trace)
+    if op is None:
+        w, v = np.linalg.eigh(h)
+        op = SpectralOperator(m, w[::-1].copy(), v[:, ::-1].copy())
+    w = op.eigenvalues
+    if w[-1] < -PSD_TOL:
+        raise NotPSDError(f"lowest eigenvalue {w[-1]:.3e} below -{PSD_TOL}")
+    if density:
+        if not abs(trace - 1.0) <= TRACE_TOL:
+            raise TraceNotOneError(f"trace {trace!r} differs from 1 beyond {TRACE_TOL}")
+    elif w[0] > 1.0 + PSD_TOL:
+        raise NotAnEffectError(f"largest eigenvalue {w[0]!r} exceeds 1 beyond {PSD_TOL}")
+    return op
+
+
+def _outcome(validate, m):
+    """The stored shapes and bytes of ``matrix``, ``eigenvalues`` and ``leading``, or the error's type and message."""
+    try:
+        op = validate(m)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return tuple((a.shape, a.tobytes()) for a in (op.matrix, op.eigenvalues, op.leading))
+
+
+def _assert_as_the_reference(m):
+    for validate, density in ((validate_density, True), (validate_effect, False)):
+        assert _outcome(validate, m) == _outcome(lambda x: _reference_validate(x, density), m)
+
+
+def _gaussian(rng, d, kind=""):
+    """A complex Gaussian d x d matrix, made Hermitian or anti-Hermitian when ``kind`` says so."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if kind == "hermitian":
+        return (g + g.conj().T) / 2.0
+    if kind == "anti":
+        return (g - g.conj().T) / 2.0
+    return g
+
+
+def _cut(d, top=1.0):
+    """The full rank-one cut, 4 sqrt(d) eps min(1, top)."""
+    return 4.0 * math.sqrt(d) * EPS * min(1.0, top)
+
+
+def _near_cut(d, fraction, seed):
+    """A rank-one v v* plus Hermitian noise, its residual off the rounded c c* at ``fraction`` of the cut.
+
+    The noise has a zero row and column at the pivot j, so the pivot column
+    of (m + m*) / 2, and c, do not move with it; the fraction is measured.
+    """
+    rng = child_rng(seed, 81, d)
+    v = random_pure(d, seed=rng).vector
+    p = np.outer(v, v.conj())
+    j = int(p.diagonal().real.argmax())
+    noise = _gaussian(rng, d, "hermitian")
+    noise[j, :] = noise[:, j] = 0.0
+    column = (p[:, j] + p[j, :].conj()) / 2.0
+    c = column / math.sqrt(column[j].real)
+    rounding = p - np.multiply(c[:, None], c.conj())
+    # the scale s that puts ||rounding + s noise||_F at the target
+    a, b = np.vdot(noise, noise).real, np.vdot(rounding, noise).real
+    target = fraction * _cut(d)
+    s = (-b + math.sqrt(b * b - a * (np.vdot(rounding, rounding).real - target * target))) / a
+    m = p + s * noise
+    got = float(np.linalg.norm(m - np.multiply(c[:, None], c.conj()))) / _cut(d)
+    assert abs(got - fraction) < 0.01, got
+    return m
+
+
+class TestByteIdentity:
+    """Both validators store the bytes, and raise the errors, of the route through h alone (`_reference_validate`)."""
+
+    @staticmethod
+    def _inputs(d):
+        rng = child_rng(d, 80)
+        u = haar_unitary(d, seed=rng)
+        v = u[:, 0]
+        p = np.outer(v, v.conj())
+        w = u[:, 1 % d]
+        second = np.outer(w, w.conj())
+        probe = pure_state(u @ _probe_family(d)[1][-1]).projection if d >= 2 else p
+        squared = probe @ probe
+        rows = [p, pure_state(v).projection, squared / np.trace(squared).real]
+        for kind in ("hermitian", "", "anti"):
+            for scale in (1e-18, 1e-16, 1e-14, 1e-12, 1e-10):
+                rows.append(p + scale * _gaussian(rng, d, kind))
+        if d >= 2:
+            rows += [(p + e * second) / (1.0 + e) for e in (1e-16, 1e-13, 1e-11, 1e-9)]
+        rows += [s * p for s in (1e-3, 0.3, 1.0 - 1e-13, 1.2, 1.25, 1.3, 2.0, 1e6)]
+        rows += [random_density(d, d, seed=rng).matrix, -p, np.zeros((d, d), dtype=complex)]
+        # signed zeros: a real basis ray's projection, every zero entry -0.0 in one or both parts
+        basis = np.zeros((d, d), dtype=complex)
+        basis[d - 1, d - 1] = 1.0
+        for part in ("real", "imag"):
+            signed = basis.copy()
+            getattr(signed, part)[basis == 0] = -0.0
+            rows.append(signed)
+        both = -np.zeros((d, d), dtype=complex)
+        both[0, 0] = 1.0
+        rows.append(both)
+        half = np.zeros(d, dtype=complex)
+        half[: min(d, 2)] = 1.0 / math.sqrt(min(d, 2))
+        rows.append(np.outer(half, half.conj()))
+        # the rounded c c* of its own pivot column: its test on m passes at every
+        # trace, while its rounding is not Hermitian and outgrows the fixed cut
+        for scale in (1.2, 1.3, 1e3, 1e5):
+            fixed = scale * p
+            for _ in range(3):
+                h = (fixed + fixed.conj().T) / 2.0
+                j = int(h.diagonal().real.argmax())
+                c = h[:, j] / math.sqrt(h[j, j].real)
+                fixed = np.multiply(c[:, None], c.conj())
+            rows.append(fixed)
+        return rows
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 32, 64])
+    def test_seeded_inputs(self, d):
+        for m in self._inputs(d):
+            _assert_as_the_reference(m)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 32, 64])
+    def test_scaled_rank_one_inputs_near_the_cut(self, d):
+        # rank one scaled by 1e-3 to 1e6, plus noise from 0.2 to 1.5 cuts
+        rng = child_rng(d, 82)
+        for _ in range(12):
+            p = random_pure(d, seed=rng).projection * 10.0 ** rng.uniform(-3.0, 6.0)
+            noise = _gaussian(rng, d, ("hermitian", "", "anti")[int(rng.integers(3))])
+            top = float(np.trace(p).real)
+            _assert_as_the_reference(p + noise * _cut(d, top) * rng.uniform(0.2, 1.5) / np.linalg.norm(noise))
+
+    @pytest.mark.parametrize("fraction, raw", [(0.45, True), (0.55, False), (0.95, False), (1.05, None)])
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_rows_either_side_of_the_two_cuts(self, d, fraction, raw, monkeypatch):
+        # raw: passes the test on m (True), on h only (False) or neither (None, eigh decides)
+        m = _near_cut(d, fraction, seed=d)
+        _assert_as_the_reference(m)
+        eighs = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(h.shape) or eigh(h))
+        passes = _hermitian_passes(monkeypatch)
+        op = validate_density(m)
+        assert len(passes) == (0 if raw else 1)
+        assert len(eighs) == (raw is None)
+        assert op.leading.shape == (d, d if raw is None else 1)
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_effect_and_trace_edges_on_the_raw_test(self, d, monkeypatch):
+        p = random_pure(d, seed=child_rng(d, 83)).projection
+        passes = _hermitian_passes(monkeypatch)
+        for scale, density, error in (
+            (1.0 + 0.9 * PSD_TOL, False, None),
+            (1.0 + 1.1 * PSD_TOL, False, NotAnEffectError),
+            (1.0 + 0.9 * TRACE_TOL, True, None),
+            (1.0 - 0.9 * TRACE_TOL, True, None),
+            (1.0 + 1.1 * TRACE_TOL, True, TraceNotOneError),
+            (1.0 - 1.1 * TRACE_TOL, True, TraceNotOneError),
+        ):
+            m = scale * p
+            validate = validate_density if density else validate_effect
+            got = _outcome(validate, m)
+            assert got == _outcome(lambda x: _reference_validate(x, density), m)
+            if error:
+                assert got[0] is error
+            else:
+                assert got[2][0] == (d, 1)  # leading's shape: one stored column
+        assert passes == []
+
+
+class TestValidationRoute:
+    """Which passes validation makes: the Hermitian pass only after the raw test fails, eigh only after both."""
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_an_exact_rank_one_input_skips_the_hermitian_pass(self, d, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh ran on a rank-one input")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        passes = _hermitian_passes(monkeypatch)
+        u = haar_unitary(d, seed=d)
+        image = pure_state(u @ _probe_family(d)[1][d]).projection
+        squared = image @ image
+        for m in (squared / np.trace(squared).real, pure_state(u[:, 0]).projection):
+            for validate in (validate_density, validate_effect):
+                assert validate(m).leading.shape == (d, 1)
+        assert passes == []
+
+    def test_anti_hermitian_noise_takes_the_test_on_h(self, monkeypatch):
+        # 1e-14 of anti-Hermitian noise is inside HERMITIAN_TOL but far outside half the cut
+        d = 64
+        rng = child_rng(d, 84)
+        m = random_pure(d, seed=rng).projection + 1e-14 * _gaussian(rng, d, "anti")
+        assert float(np.abs(m - m.conj().T).max()) <= HERMITIAN_TOL
+        assert float(np.linalg.norm(m - m.conj().T)) > _cut(d)
+        _assert_as_the_reference(m)
+        eigh = np.linalg.eigh
+        eighs = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(h.shape) or eigh(h))
+        passes = _hermitian_passes(monkeypatch)
+        op = validate_density(m)
+        assert passes == [(d, d)]
+        assert eighs == []
+        assert op.leading.shape == (d, 1)
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_the_finiteness_check_runs_once(self, d, monkeypatch):
+        calls = []
+        square = states._square_complex
+        monkeypatch.setattr(states, "_square_complex", lambda m, error: calls.append(error) or square(m, error))
+        rng = child_rng(d, 85)
+        full = random_density(d, d, seed=rng).matrix
+        noisy = random_pure(d, seed=rng).projection + 1e-14 * _gaussian(rng, d, "anti")
+        for m in (full, noisy):
+            for validate in (validate_density, validate_effect):
+                validate(m)
+        assert calls == [NotHermitianError] * 4
+
+
 class TestHermiticityCut:
-    """A small Frobenius defect accepts at once; the entrywise rule decides the rest and words the error."""
+    """The entrywise rule decides every matrix that reaches the Hermitian pass, and words the error."""
 
     @staticmethod
     def _skewed(d, entries, defect):
@@ -146,33 +415,18 @@ class TestHermiticityCut:
             m[i, j] += defect
         return m
 
-    @staticmethod
-    def _entrywise_reads(monkeypatch):
-        """Count the calls of np.abs, which only the entrywise rule makes in `_checked_hermitian`."""
-        calls = []
-        absolute = np.abs
-        monkeypatch.setattr(states.np, "abs", lambda x: calls.append(np.shape(x)) or absolute(x))
-        return calls
-
     @pytest.mark.parametrize("d", [3, 8, 64])
     def test_many_entries_inside_the_cut_are_accepted(self, d, monkeypatch):
         m = self._skewed(d, [(i, i + 1) for i in range(d - 1)], 0.9e-12)
         skew = m - m.conj().T
         assert float(np.abs(skew).max()) < HERMITIAN_TOL < float(np.linalg.norm(skew))
-        calls = self._entrywise_reads(monkeypatch)
-        got, hermitized = _checked_hermitian(m)
+        calls = []
+        absolute = np.abs
+        monkeypatch.setattr(states.np, "abs", lambda x: calls.append(np.shape(x)) or absolute(x))
+        hermitized = _checked_hermitian(m)
         assert calls == [(d, d)]
-        assert got is m
         assert hermitized.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
-        validate_density(m)
-
-    @pytest.mark.parametrize("d", [3, 8, 64])
-    def test_a_frobenius_defect_inside_the_cut_reads_no_entry(self, d, monkeypatch):
-        m = self._skewed(d, [(0, d - 1)], 0.7e-12)
-        calls = self._entrywise_reads(monkeypatch)
-        _, hermitized = _checked_hermitian(m)
-        assert calls == []
-        assert hermitized.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+        assert validate_density(m).matrix is m
 
     @pytest.mark.parametrize("d", [3, 8, 64])
     def test_one_entry_outside_raises_the_entrywise_message(self, d):
@@ -201,7 +455,8 @@ class TestHermiticityCut:
                 assert str(exc) == f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL}"
             assert accepted == (defect <= HERMITIAN_TOL), (k, defect)
             decided.add((accepted, float(np.linalg.norm(m - m.conj().T)) <= HERMITIAN_TOL))
-        # every outcome that can occur did: fast accept, entrywise accept and reject
+        # every outcome occurred: accepts with the Frobenius norm inside and
+        # outside the tolerance, and rejects
         assert decided == {(True, True), (True, False), (False, False)}
 
 
